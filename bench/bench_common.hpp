@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -22,50 +23,39 @@
 #include "runtime/experiment.hpp"
 #include "runtime/fingerprint.hpp"
 #include "sim/byzantine.hpp"
+#include "support/knob.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace bzc::bench {
 
+// Integer knobs parse strictly (support/knob.hpp): garbage such as
+// BZC_N=1e6 or BZC_TRIALS=abc exits with status 2 and a message.
+
 /// Trials per table row. BZC_TRIALS overrides (CI smoke runs set it to 2).
 inline std::uint32_t trialCount(std::uint32_t defaultTrials = 5) {
-  if (const char* env = std::getenv("BZC_TRIALS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return static_cast<std::uint32_t>(v);
-  }
-  return defaultTrials;
+  return static_cast<std::uint32_t>(envKnob("BZC_TRIALS", defaultTrials, 1, UINT32_MAX));
 }
 
-/// Worker threads for the ExperimentRunner. BZC_THREADS overrides.
+/// Worker threads for the ExperimentRunner. BZC_THREADS overrides; 0 (the
+/// default) picks the hardware concurrency.
 inline unsigned threadCount() {
-  if (const char* env = std::getenv("BZC_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return 0;  // hardware concurrency
+  return static_cast<unsigned>(envKnob("BZC_THREADS", 0, 0, UINT32_MAX));
 }
 
 /// Network size for benches that support scaling their rows (currently T7).
 /// BZC_N overrides the bench's default — e.g. BZC_N=16384 BZC_TRIALS=48 is
 /// the token-arena perf sweep DESIGN.md §7 reports.
 inline NodeId nodeCount(NodeId defaultN) {
-  if (const char* env = std::getenv("BZC_N")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<NodeId>(v);
-  }
-  return defaultN;
+  return static_cast<NodeId>(envKnob("BZC_N", defaultN, 1, kNoNode - 1));
 }
 
 /// Intra-trial engine shards (DESIGN.md §10) for benches that wire the knob
 /// through their ScenarioSpecs. BZC_SHARDS overrides — the nightly runners
 /// set BZC_SHARDS=4 so the n=1M rows use all four cores inside one trial.
 inline unsigned shardCount(unsigned defaultShards = 1) {
-  if (const char* env = std::getenv("BZC_SHARDS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return defaultShards;
+  return static_cast<unsigned>(envKnob("BZC_SHARDS", defaultShards, 1, UINT32_MAX));
 }
 
 /// CLI/env attack selection for the walk-adversary gallery (accepts both a

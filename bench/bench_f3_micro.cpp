@@ -2,7 +2,7 @@
 //
 // Not a paper claim; engineering support for the experiment harnesses. Keeps
 // an eye on: beacon-round cost, path-arena operations, view integration,
-// spectral sweeps, generators and PRNG draws.
+// view-graph builds, spectral sweeps, generators and PRNG draws.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -10,6 +10,7 @@
 #include "counting/beacon/path.hpp"
 #include "counting/beacon/protocol.hpp"
 #include "counting/local/view.hpp"
+#include "graph/bfs.hpp"
 #include "graph/expansion.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
@@ -154,6 +155,30 @@ void BM_ViewIntegrate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ViewIntegrate);
+
+// The spectral check's view-graph build on node 0's view of H(768, 8): the
+// records within `radius` hops integrated, the next layer as boundary
+// (radius 3 leaves about half the names on the boundary; 64 is the full view).
+void BM_ViewGraphBuild(benchmark::State& state) {
+  const NodeId n = 768;
+  Rng gen(11);
+  const Graph g = hnd(n, 8, gen);
+  Rng idRng(12);
+  const IdSpace ids(n, idRng);
+  const RecordPool pool(g, ids);
+  LocalView view(&pool, 8);
+  view.installSelf(0);
+  const auto dist = bfsDistances(g, 0);
+  const auto radius = static_cast<std::uint32_t>(state.range(0));
+  for (std::uint32_t d = 1; d <= radius; ++d) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (dist[v] == d) benchmark::DoNotOptimize(view.integrate(v, d));
+    }
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(view.buildViewGraph());
+  state.SetItemsProcessed(state.iterations() * view.size());
+}
+BENCHMARK(BM_ViewGraphBuild)->Arg(3)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 void BM_FiedlerSweep(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));

@@ -1,7 +1,6 @@
 #include "counting/local/view.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "support/require.hpp"
 
@@ -74,17 +73,17 @@ std::span<const RecordIdx> RecordPool::aliases(NameId w) const {
 LocalView::LocalView(const RecordPool* pool, std::uint32_t maxDegree)
     : pool_(pool), maxDegree_(maxDegree) {
   BZC_REQUIRE(pool != nullptr, "view needs a record pool");
-  nameState_.assign(pool->numNames(), kUnseen);
-  nameRecord_.assign(pool->numNames(), 0);
-  nameOrder_.assign(pool->numNames(), 0);
+  ensureCapacity();
 }
 
-void LocalView::ensureNameCapacity() {
+void LocalView::ensureCapacity() {
   if (nameState_.size() < pool_->numNames()) {
     nameState_.resize(pool_->numNames(), kUnseen);
     nameRecord_.resize(pool_->numNames(), 0);
     nameOrder_.resize(pool_->numNames(), 0);
   }
+  const std::size_t words = (pool_->numRecords() + 63) / 64;
+  if (known_.size() < words) known_.resize(words, 0);
 }
 
 void LocalView::installSelf(RecordIdx self) {
@@ -94,7 +93,7 @@ void LocalView::installSelf(RecordIdx self) {
 }
 
 IntegrationVerdict LocalView::integrate(RecordIdx r, Round round) {
-  ensureNameCapacity();
+  ensureCapacity();
   while (roundMarks_.size() <= round) roundMarks_.push_back(integrated_.size());
   while (layer_.size() <= round) layer_.push_back(0);
 
@@ -146,6 +145,7 @@ IntegrationVerdict LocalView::integrate(RecordIdx r, Round round) {
   nameRecord_[w] = r;
   nameOrder_[w] = static_cast<std::uint32_t>(integrated_.size());
   integrated_.push_back(r);
+  known_[r / 64] |= std::uint64_t{1} << (r % 64);
   ++layer_[round];
   for (NameId a : pool_->adjacency(r)) {
     if (nameState_[a] == kUnseen) {
@@ -166,24 +166,25 @@ Graph LocalView::buildViewGraph() const {
   // names. Edges come from integrated records' adjacency claims; the edge to
   // an integrated peer is emitted by the lower-ordered endpoint only (both
   // endpoints list each other — anything else was rejected at integration).
-  const auto total = integrated_.size();
-  std::unordered_map<NameId, NodeId> boundaryIndex;
+  // Boundary names are numbered after the integrated vertices in first-
+  // encounter order.
+  const auto total = static_cast<NodeId>(integrated_.size());
+  std::vector<NodeId> boundaryIndex(nameState_.size(), kNoNode);
+  NodeId numVertices = total;
   std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(total * 4);
-  for (std::size_t i = 0; i < integrated_.size(); ++i) {
-    const RecordIdx r = integrated_[i];
-    for (NameId a : pool_->adjacency(r)) {
+  edges.reserve(static_cast<std::size_t>(total) * 4);
+  for (NodeId i = 0; i < total; ++i) {
+    for (NameId a : pool_->adjacency(integrated_[i])) {
       if (nameState_[a] == kIntegrated) {
-        const std::uint32_t j = nameOrder_[a];
-        if (j > i) edges.emplace_back(static_cast<NodeId>(i), static_cast<NodeId>(j));
+        const NodeId j = nameOrder_[a];
+        if (j > i) edges.emplace_back(i, j);
       } else if (nameState_[a] == kReferenced) {
-        auto [it, inserted] = boundaryIndex.try_emplace(
-            a, static_cast<NodeId>(total + boundaryIndex.size()));
-        edges.emplace_back(static_cast<NodeId>(i), it->second);
+        NodeId& b = boundaryIndex[a];
+        if (b == kNoNode) b = numVertices++;
+        edges.emplace_back(i, b);
       }
     }
   }
-  const auto numVertices = static_cast<NodeId>(total + boundaryIndex.size());
   return Graph(numVertices, edges);
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -110,10 +111,12 @@ class LocalView {
   [[nodiscard]] IntegrationVerdict integrate(RecordIdx r, Round round);
 
   /// True if the view already integrated this exact record (the fast dup
-  /// test used before paying for integrate()).
+  /// test used before paying for integrate()). One bit probe: an integrated
+  /// record is never replaced (aliases return Duplicate or Conflict without
+  /// committing), so the bit is exactly "its name is integrated with r".
   [[nodiscard]] bool knows(RecordIdx r) const {
-    const NameId w = pool_->recordName(r);
-    return nameState_[w] == kIntegrated && nameRecord_[w] == r;
+    const std::size_t word = r / 64;
+    return word < known_.size() && ((known_[word] >> (r % 64)) & 1U) != 0;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return integrated_.size(); }
@@ -134,7 +137,7 @@ class LocalView {
   [[nodiscard]] std::size_t integratedVertexCount() const noexcept { return integrated_.size(); }
 
  private:
-  void ensureNameCapacity();
+  void ensureCapacity();
 
   static constexpr std::uint8_t kUnseen = 0;
   static constexpr std::uint8_t kReferenced = 1;
@@ -146,6 +149,7 @@ class LocalView {
   std::vector<RecordIdx> nameRecord_;    // valid when integrated
   std::vector<std::uint32_t> nameOrder_; // view vertex index (integration order)
   std::vector<RecordIdx> integrated_;
+  std::vector<std::uint64_t> known_;     // bit r set iff record r is integrated
   std::vector<std::size_t> roundMarks_;  // integrationLog prefix per round
   std::vector<std::size_t> layer_;
   std::size_t boundary_ = 0;

@@ -69,43 +69,52 @@ std::vector<double> ballExpansionProfile(const Graph& g, NodeId u, std::uint32_t
 
 namespace {
 
-/// One application of the lazy walk matrix W = (I + D^{-1}A)/2.
+/// Sum of x over u's neighbours, in adjacency order.
+double neighbourSum(const Graph& g, const std::vector<double>& x, NodeId u) {
+  double acc = 0.0;
+  for (NodeId v : g.neighbors(u)) acc += x[v];
+  return acc;
+}
+
+/// Entry u of Wx for the lazy walk matrix W = (I + D^{-1}A)/2, given x_u,
+/// the neighbour sum and deg(u).
+double lazyStep(double xu, double acc, double deg) {
+  return deg > 0 ? 0.5 * xu + 0.5 * acc / deg : xu;
+}
+
+/// One application of the lazy walk matrix.
 void applyLazyWalk(const Graph& g, const std::vector<double>& x, std::vector<double>& y) {
-  const NodeId n = g.numNodes();
-  for (NodeId u = 0; u < n; ++u) {
-    double acc = 0.0;
-    const auto nbrs = g.neighbors(u);
-    for (NodeId v : nbrs) acc += x[v];
-    const double deg = static_cast<double>(nbrs.size());
-    y[u] = deg > 0 ? 0.5 * x[u] + 0.5 * acc / deg : x[u];
-  }
-}
-
-/// Removes the component along the stationary distribution (pi ~ degree).
-void deflateStationary(const Graph& g, std::vector<double>& x) {
-  // <x, 1>_pi = sum_u pi_u x_u with pi_u = deg(u)/2m.
-  double dot = 0.0;
-  double norm = 0.0;
   for (NodeId u = 0; u < g.numNodes(); ++u) {
-    const double w = static_cast<double>(g.degree(u));
-    dot += w * x[u];
-    norm += w;
+    y[u] = lazyStep(x[u], neighbourSum(g, x, u), static_cast<double>(g.degree(u)));
   }
-  if (norm == 0) return;
-  const double shift = dot / norm;
-  for (auto& v : x) v -= shift;
 }
 
-void normalize(std::vector<double>& x) {
-  double norm = 0.0;
-  for (double v : x) norm += v * v;
-  norm = std::sqrt(norm);
+/// Removes the component along the stationary distribution (pi ~ degree),
+/// given dot = sum_u deg(u) x_u and degSum = sum_u deg(u), then scales x to
+/// unit length. Two passes: subtract-and-square, then divide.
+void deflateAndNormalize(std::vector<double>& x, double dot, double degSum) {
+  double sumSq = 0.0;
+  if (degSum == 0) {
+    for (double v : x) sumSq += v * v;
+  } else {
+    const double shift = dot / degSum;
+    for (auto& v : x) {
+      v -= shift;
+      sumSq += v * v;
+    }
+  }
+  const double norm = std::sqrt(sumSq);
   if (norm < 1e-300) return;
   for (auto& v : x) v /= norm;
 }
 
 }  // namespace
 
+// Three passes per iteration: walk + stationary dot, shift + sum of squares,
+// divide. Bit-identity contract (DESIGN.md §2): every sum runs in node order
+// (each neighbour sum in adjacency order) and the divisions stay divisions,
+// so the result equals the plain walk / deflate / normalize sequence bit for
+// bit. Do not reorder the sums or build this file with -ffast-math.
 std::vector<double> fiedlerVector(const Graph& g, unsigned iterations, Rng& rng,
                                   const std::vector<double>* warmStart) {
   const NodeId n = g.numNodes();
@@ -115,14 +124,25 @@ std::vector<double> fiedlerVector(const Graph& g, unsigned iterations, Rng& rng,
   } else {
     for (auto& v : x) v = rng.uniformDouble() - 0.5;
   }
+  double degSum = 0.0;
+  double dot = 0.0;
+  for (NodeId u = 0; u < n; ++u) {
+    const double deg = static_cast<double>(g.degree(u));
+    dot += deg * x[u];
+    degSum += deg;
+  }
+  deflateAndNormalize(x, dot, degSum);
   std::vector<double> y(n);
-  deflateStationary(g, x);
-  normalize(x);
   for (unsigned it = 0; it < iterations; ++it) {
-    applyLazyWalk(g, x, y);
+    // Lazy walk y = Wx, accumulating y's stationary component on the way.
+    dot = 0.0;
+    for (NodeId u = 0; u < n; ++u) {
+      const double deg = static_cast<double>(g.degree(u));
+      y[u] = lazyStep(x[u], neighbourSum(g, x, u), deg);
+      dot += deg * y[u];
+    }
     x.swap(y);
-    deflateStationary(g, x);
-    normalize(x);
+    deflateAndNormalize(x, dot, degSum);
   }
   return x;
 }

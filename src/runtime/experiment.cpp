@@ -7,6 +7,7 @@
 #include "adversary/coalition.hpp"
 #include "churn/epoch_runner.hpp"
 #include "counting/beacon/protocol.hpp"
+#include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
 #include "runtime/fingerprint.hpp"
@@ -127,19 +128,13 @@ void foldBlameExtras(TrialOutcome& outcome) {
 /// by the blame-concentration-vs-distance curves in tools/blame_report.py.
 /// Computed only for sampled (traced) trials — it is O(n + m) per trial.
 std::vector<std::uint16_t> victimDistances(const Graph& g, NodeId victim) {
-  std::vector<std::uint16_t> dist(g.numNodes(), 0xffff);
-  if (victim >= g.numNodes()) return dist;
-  std::vector<NodeId> queue{victim};
-  dist[victim] = 0;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId u = queue[head];
-    for (const NodeId v : g.neighbors(u)) {
-      if (dist[v] != 0xffff) continue;
-      dist[v] = static_cast<std::uint16_t>(dist[u] + 1);
-      queue.push_back(v);
-    }
-  }
-  return dist;
+  if (victim >= g.numNodes()) return std::vector<std::uint16_t>(g.numNodes(), 0xffff);
+  const std::vector<std::uint32_t> dist = bfsDistances(g, victim);
+  std::vector<std::uint16_t> narrow(dist.size());
+  std::transform(dist.begin(), dist.end(), narrow.begin(), [](std::uint32_t d) {
+    return static_cast<std::uint16_t>(std::min<std::uint32_t>(d, 0xffff));
+  });
+  return narrow;
 }
 
 }  // namespace

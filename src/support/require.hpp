@@ -2,7 +2,8 @@
 //
 // BZC_REQUIRE   - precondition on public API arguments; throws std::invalid_argument.
 // BZC_CHECK     - runtime invariant that must hold in all builds; throws std::logic_error.
-// BZC_ASSERT    - debug-only internal invariant (compiled out in NDEBUG).
+// BZC_ASSERT    - debug-only internal invariant (compiled out in NDEBUG unless
+//                 the build defines BZC_CHECKED; see the BZC_CHECKED CMake option).
 #pragma once
 
 #include <sstream>
@@ -39,8 +40,10 @@ namespace bzc::detail {
     if (!(expr)) ::bzc::detail::throw_logic_error(#expr, __FILE__, __LINE__, (msg)); \
   } while (false)
 
-#ifdef NDEBUG
+#if defined(NDEBUG) && !defined(BZC_CHECKED)
 #define BZC_ASSERT(expr) ((void)0)
+namespace bzc { inline constexpr bool kAssertsLive = false; }
 #else
 #define BZC_ASSERT(expr) BZC_CHECK(expr, "debug assertion")
+namespace bzc { inline constexpr bool kAssertsLive = true; }
 #endif

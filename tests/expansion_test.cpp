@@ -2,6 +2,10 @@
 // sampling estimators, spectral gap ordering across graph families.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "graph/expansion.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"
@@ -153,6 +157,116 @@ TEST(Fiedler, WarmStartConverges) {
   double dot = 0;
   for (std::size_t i = 0; i < warm.size(); ++i) dot += warm[i] * cold[i];
   EXPECT_GT(std::abs(dot), 0.9);
+}
+
+// Bit-identity pin for the fused power iteration: a plain five-pass
+// reference (walk, deflate-dot, deflate-subtract, norm-sum, divide) that the
+// production kernel must reproduce bit for bit, on every input shape.
+std::vector<double> referenceFiedlerVector(const Graph& g, unsigned iterations, Rng& rng,
+                                           const std::vector<double>* warmStart = nullptr) {
+  const NodeId n = g.numNodes();
+  std::vector<double> x(n);
+  if (warmStart != nullptr && warmStart->size() == n) {
+    x = *warmStart;
+  } else {
+    for (auto& v : x) v = rng.uniformDouble() - 0.5;
+  }
+  auto deflate = [&](std::vector<double>& z) {
+    double dot = 0.0;
+    double norm = 0.0;
+    for (NodeId u = 0; u < n; ++u) {
+      const double w = static_cast<double>(g.degree(u));
+      dot += w * z[u];
+      norm += w;
+    }
+    if (norm == 0) return;
+    const double shift = dot / norm;
+    for (auto& v : z) v -= shift;
+  };
+  auto normalize = [](std::vector<double>& z) {
+    double norm = 0.0;
+    for (double v : z) norm += v * v;
+    norm = std::sqrt(norm);
+    if (norm < 1e-300) return;
+    for (auto& v : z) v /= norm;
+  };
+  std::vector<double> y(n);
+  deflate(x);
+  normalize(x);
+  for (unsigned it = 0; it < iterations; ++it) {
+    for (NodeId u = 0; u < n; ++u) {
+      double acc = 0.0;
+      const auto nbrs = g.neighbors(u);
+      for (NodeId v : nbrs) acc += x[v];
+      const double deg = static_cast<double>(nbrs.size());
+      y[u] = deg > 0 ? 0.5 * x[u] + 0.5 * acc / deg : x[u];
+    }
+    x.swap(y);
+    deflate(x);
+    normalize(x);
+  }
+  return x;
+}
+
+void expectBitIdenticalFiedler(const Graph& g, unsigned iterations, std::uint64_t seed,
+                               const std::vector<double>* warm = nullptr) {
+  Rng a(seed);
+  Rng b(seed);
+  const auto got = fiedlerVector(g, iterations, a, warm);
+  const auto want = referenceFiedlerVector(g, iterations, b, warm);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+        << "entry " << i << ": " << got[i] << " vs " << want[i];
+  }
+  EXPECT_EQ(a.next(), b.next()) << "both must draw the same random start";
+}
+
+TEST(FiedlerBitIdentity, RandomHnd) {
+  for (const NodeId n : {NodeId{16}, NodeId{257}, NodeId{756}}) {
+    Rng gen(100 + n);
+    const Graph g = hnd(n, 8, gen);
+    expectBitIdenticalFiedler(g, 50, 7 + n);
+    expectBitIdenticalFiedler(g, 0, 9 + n);
+  }
+}
+
+TEST(FiedlerBitIdentity, IsolatedVertices) {
+  // Vertices 0, 5 and 9 have no edges: the deg == 0 branch of the walk.
+  const Graph g(10, {{1, 2}, {2, 3}, {3, 4}, {4, 1}, {6, 7}, {7, 8}, {8, 6}, {1, 6}, {2, 7}});
+  expectBitIdenticalFiedler(g, 40, 31);
+}
+
+TEST(FiedlerBitIdentity, ViewShapedMixedDegrees) {
+  // An 8-regular core followed by low-degree "boundary" vertices of mixed
+  // degree, like the spectral check's view graphs, with an odd vertex count.
+  Rng gen(37);
+  std::vector<std::pair<NodeId, NodeId>> edges = hnd(96, 8, gen).edgeList();
+  for (NodeId b = 96; b < 131; ++b) {
+    const auto links = 1 + gen.uniform(4);
+    for (std::uint64_t k = 0; k < links; ++k) {
+      edges.emplace_back(static_cast<NodeId>(gen.uniform(96)), b);
+    }
+  }
+  const Graph g(131, edges);
+  expectBitIdenticalFiedler(g, 50, 38);
+}
+
+TEST(FiedlerBitIdentity, EdgelessGraph) {
+  // Degree sum 0: no deflation at all, only normalisation.
+  const Graph g(6, {});
+  expectBitIdenticalFiedler(g, 25, 32);
+}
+
+TEST(FiedlerBitIdentity, WarmStart) {
+  Rng gen(33);
+  const Graph g = hnd(300, 6, gen);
+  Rng seedRng(34);
+  const auto warm = fiedlerVector(g, 20, seedRng);
+  expectBitIdenticalFiedler(g, 10, 35, &warm);
+  // A mis-sized warm start falls back to the random start in both.
+  const std::vector<double> wrongSize(17, 0.25);
+  expectBitIdenticalFiedler(g, 10, 36, &wrongSize);
 }
 
 // Property sweep: h(H(n,d)) estimates stay comfortably above ring-level

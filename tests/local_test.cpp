@@ -2,7 +2,9 @@
 // expansion checks, and the protocol under each adversary (Theorem 1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "counting/local/attacks.hpp"
 #include "counting/local/checks.hpp"
@@ -156,6 +158,157 @@ TEST(LocalView, ViewGraphStructure) {
   // Vertices: 0,1,2 integrated + node 3 as boundary.
   EXPECT_EQ(vg.numNodes(), 4u);
   EXPECT_EQ(vg.numEdges(), 4u);  // triangle + 2-3
+}
+
+// --- Bit-identity pins for the view kernels. ---
+
+// Reference view-graph build from the view's public state, with the plain
+// hash-map boundary index: integrated vertices in integration order, then
+// boundary names in first-encounter order; an edge between two integrated
+// vertices is emitted by its lower-ordered endpoint only.
+Graph referenceViewGraph(const RecordPool& pool, const LocalView& view) {
+  const auto& log = view.integrationLog();
+  std::unordered_map<NameId, NodeId> order;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    order.emplace(pool.recordName(log[i]), static_cast<NodeId>(i));
+  }
+  const auto total = static_cast<NodeId>(log.size());
+  std::unordered_map<NameId, NodeId> boundaryIndex;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId i = 0; i < total; ++i) {
+    for (NameId a : pool.adjacency(log[i])) {
+      const auto it = order.find(a);
+      if (it != order.end()) {
+        if (it->second > i) edges.emplace_back(i, it->second);
+      } else {
+        const auto [b, inserted] = boundaryIndex.try_emplace(
+            a, static_cast<NodeId>(total + boundaryIndex.size()));
+        edges.emplace_back(i, b->second);
+      }
+    }
+  }
+  return Graph(static_cast<NodeId>(total + boundaryIndex.size()), edges);
+}
+
+void expectSameGraph(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.numNodes(), want.numNodes());
+  EXPECT_EQ(got.numEdges(), want.numEdges());
+  for (NodeId u = 0; u < got.numNodes(); ++u) {
+    const auto a = got.neighbors(u);
+    const auto b = want.neighbors(u);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "vertex " << u;
+  }
+}
+
+/// knows(r) must mean "r itself is in the integration log", for every record.
+void expectKnowsMatchesLog(const RecordPool& pool, const LocalView& view) {
+  const auto& log = view.integrationLog();
+  for (RecordIdx r = 0; r < pool.numRecords(); ++r) {
+    const bool inLog = std::find(log.begin(), log.end(), r) != log.end();
+    EXPECT_EQ(view.knows(r), inLog) << "record " << r;
+  }
+}
+
+/// Integrates the honest records within `radius` hops of `self`, layer by layer.
+void integrateHonestBall(const PoolFixture& f, LocalView& view, NodeId self, std::uint32_t radius) {
+  view.installSelf(self);
+  const auto dist = bfsDistances(f.g, self);
+  for (std::uint32_t d = 1; d <= radius; ++d) {
+    for (NodeId v = 0; v < f.g.numNodes(); ++v) {
+      if (dist[v] == d) {
+        ASSERT_EQ(view.integrate(v, d), IntegrationVerdict::Ok);
+      }
+    }
+  }
+}
+
+TEST(ViewKernels, FakeWorldWithDoubledNeighbourMatchesReference) {
+  PoolFixture f(64, 4, 40);
+  LocalView view(f.pool.get(), 8);
+  integrateHonestBall(f, view, 0, 2);
+  // Two honest names just outside the ball: boundary shared with the fakes.
+  const auto dist = bfsDistances(f.g, 0);
+  std::vector<PublicId> outside;
+  for (NodeId v = 0; v < f.g.numNodes() && outside.size() < 2; ++v) {
+    if (dist[v] == 3) outside.push_back(f.ids->publicId(v));
+  }
+  ASSERT_EQ(outside.size(), 2u);
+  // F1 lists F2 twice and is integrated first, so it emits the F1-F2 edge
+  // twice; F4 lists F3 twice but is integrated after F3, which emits once.
+  const RecordIdx f1 = f.pool->addFake(0xF1, {0xF2, 0xF2, outside[0]});
+  const RecordIdx f2 = f.pool->addFake(0xF2, {0xF1, 0xF3});
+  const RecordIdx f3 = f.pool->addFake(0xF3, {0xF2, 0xF4, outside[0], outside[1]});
+  const RecordIdx f4 = f.pool->addFake(0xF4, {0xF3, 0xF3});
+  const RecordIdx f5 = f.pool->addFake(0xF5, {0xF6});
+  for (const RecordIdx r : {f1, f2, f3, f4, f5}) {
+    ASSERT_EQ(view.integrate(r, 3), IntegrationVerdict::Ok);
+  }
+  const Graph got = view.buildViewGraph();
+  expectSameGraph(got, referenceViewGraph(*f.pool, view));
+  const auto& log = view.integrationLog();
+  const auto at = [&](RecordIdx r) {
+    return static_cast<NodeId>(std::find(log.begin(), log.end(), r) - log.begin());
+  };
+  EXPECT_EQ(got.edgeMultiplicity(at(f1), at(f2)), 2u);
+  EXPECT_EQ(got.edgeMultiplicity(at(f3), at(f4)), 1u);
+  expectKnowsMatchesLog(*f.pool, view);
+}
+
+TEST(ViewKernels, RandomFakeWorldsMatchReference) {
+  for (std::uint64_t seed = 50; seed < 56; ++seed) {
+    PoolFixture f(128, 6, seed);
+    LocalView view(f.pool.get(), 8);
+    integrateHonestBall(f, view, 0, 2);
+    // Fabricated records over 40 fake identities plus a few honest names,
+    // with repeated entries; pool growth here postdates the view.
+    Rng rng(seed * 7);
+    std::vector<RecordIdx> fakes;
+    for (int k = 0; k < 60; ++k) {
+      std::vector<PublicId> adj;
+      const auto deg = 1 + rng.uniform(6);
+      for (std::uint64_t e = 0; e < deg; ++e) {
+        adj.push_back(rng.uniform(8) == 0 ? f.ids->publicId(static_cast<NodeId>(rng.uniform(128)))
+                                          : 0xA000 + rng.uniform(40));
+      }
+      fakes.push_back(f.pool->addFake(0xA000 + rng.uniform(40), adj));
+    }
+    std::size_t accepted = 0;
+    for (int pass = 0; pass < 3; ++pass) {
+      for (const RecordIdx r : fakes) {
+        if (view.knows(r)) continue;
+        if (view.integrate(r, 3 + pass) == IntegrationVerdict::Ok) ++accepted;
+      }
+      expectKnowsMatchesLog(*f.pool, view);
+    }
+    EXPECT_GT(accepted, 0u) << "seed " << seed;
+    expectSameGraph(view.buildViewGraph(), referenceViewGraph(*f.pool, view));
+  }
+}
+
+TEST(ViewKernels, KnowsTracksAliasesConflictsAndPoolGrowth) {
+  PoolFixture f(16, 4, 41);
+  LocalView view(f.pool.get(), 4);
+  view.installSelf(0);
+  expectKnowsMatchesLog(*f.pool, view);
+  std::vector<PublicId> sameAdj;
+  for (NodeId v : f.g.neighbors(1)) sameAdj.push_back(f.ids->publicId(v));
+  const RecordIdx copy = f.pool->addFake(f.ids->publicId(1), sameAdj);
+  const RecordIdx forged = f.pool->addFake(f.ids->publicId(1), {0xD00D});
+  ASSERT_EQ(view.integrate(1, 1), IntegrationVerdict::Ok);
+  EXPECT_EQ(view.integrate(copy, 2), IntegrationVerdict::Duplicate);
+  EXPECT_EQ(view.integrate(forged, 2), IntegrationVerdict::Conflict);
+  EXPECT_TRUE(view.knows(1));
+  EXPECT_FALSE(view.knows(copy));
+  EXPECT_FALSE(view.knows(forged));
+  expectKnowsMatchesLog(*f.pool, view);
+  // Grow the pool well past the view's bitset, then integrate the newest.
+  RecordIdx last = 0;
+  for (PublicId k = 0; k < 150; ++k) last = f.pool->addFake(0xB000 + k, {0xB000 + k + 1});
+  EXPECT_FALSE(view.knows(last));
+  expectKnowsMatchesLog(*f.pool, view);
+  ASSERT_EQ(view.integrate(last, 3), IntegrationVerdict::Ok);
+  EXPECT_TRUE(view.knows(last));
+  expectKnowsMatchesLog(*f.pool, view);
 }
 
 // --- Expansion checks. ---

@@ -17,6 +17,7 @@
 #include "adversary/beacon/strategies.hpp"
 #include "churn/schedule.hpp"
 #include "golden_scenarios.hpp"
+#include "graph/bfs.hpp"
 #include "obs/provenance.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
@@ -255,6 +256,14 @@ TEST(ProvenanceIdentity, GoldensBitIdenticalWithAttributionSinkInstalled) {
     // distance-to-victim curves; it lives outside the canonical projection.
     EXPECT_FALSE(sink->traces()[i].blame.victimDistance.empty());
     EXPECT_TRUE(plain.perTrial[i].blame.victimDistance.empty());
+    // ... and it is the hop distance from the placement victim, narrowed.
+    const MaterializedTrial trial = materializeTrial(spec, i);
+    const std::vector<std::uint32_t> hops = bfsDistances(trial.graph, spec.placement.victim);
+    const auto& narrowed = sink->traces()[i].blame.victimDistance;
+    ASSERT_EQ(narrowed.size(), hops.size());
+    for (std::size_t v = 0; v < hops.size(); ++v) {
+      EXPECT_EQ(narrowed[v], hops[v] == kUnreachable ? 0xffff : hops[v]) << "node " << v;
+    }
   }
 
   std::ostringstream os;

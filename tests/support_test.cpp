@@ -3,9 +3,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <set>
 #include <sstream>
+#include <string>
 
+#include "support/knob.hpp"
+#include "support/require.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -318,6 +322,59 @@ TEST(Table, FormattersProduceExpectedText) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::integer(-7), "-7");
   EXPECT_EQ(Table::percent(0.5, 0), "50%");
+}
+
+TEST(Knob, ParsesWholeDecimalIntegersInRange) {
+  EXPECT_EQ(parseUnsigned("12", 1, 100), 12u);
+  EXPECT_EQ(parseUnsigned("0", 0, 100), 0u);
+  EXPECT_EQ(parseUnsigned("007", 1, 100), 7u);
+  EXPECT_EQ(parseUnsigned("18446744073709551615", 0, UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(parseUnsigned("100", 1, 100), 100u);
+}
+
+TEST(Knob, RejectsGarbageAndOutOfRange) {
+  for (const char* bad : {"", "abc", "1e6", "12x", " 5", "5 ", "+5", "-1", "0x10", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parseUnsigned(bad, 0, UINT64_MAX).has_value()) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(parseUnsigned("0", 1, 100).has_value());
+  EXPECT_FALSE(parseUnsigned("101", 1, 100).has_value());
+  EXPECT_FALSE(parseUnsigned("4294967296", 1, UINT32_MAX).has_value());
+}
+
+TEST(Knob, EnvKnobFallsBackWhenUnsetAndReadsValidValues) {
+  ::unsetenv("BZC_TEST_KNOB");
+  EXPECT_EQ(envKnob("BZC_TEST_KNOB", 5, 1, 100), 5u);
+  ::setenv("BZC_TEST_KNOB", "42", 1);
+  EXPECT_EQ(envKnob("BZC_TEST_KNOB", 5, 1, 100), 42u);
+  ::unsetenv("BZC_TEST_KNOB");
+}
+
+TEST(KnobDeathTest, EnvKnobExitsOnGarbage) {
+  for (const char* bad : {"1e6", "abc", "0", ""}) {
+    ::setenv("BZC_TEST_KNOB", bad, 1);
+    EXPECT_EXIT((void)envKnob("BZC_TEST_KNOB", 5, 1, 100), ::testing::ExitedWithCode(2),
+                "BZC_TEST_KNOB");
+  }
+  ::unsetenv("BZC_TEST_KNOB");
+}
+
+// BZC_ASSERT is live in debug builds and in -DBZC_CHECKED=ON builds, and
+// compiled out otherwise; either way kAssertsLive says which. A run that
+// needs live asserts (the checked CI job) sets BZC_EXPECT_ASSERTS=1, so a
+// checked build whose option no longer reaches the compiler fails here
+// instead of passing as a plain Release build.
+TEST(Require, AssertFiresExactlyWhenLive) {
+  const char* expect = std::getenv("BZC_EXPECT_ASSERTS");
+  if (expect != nullptr && std::string(expect) == "1") {
+    EXPECT_TRUE(kAssertsLive) << "BZC_EXPECT_ASSERTS=1 but BZC_ASSERT is compiled out";
+  }
+  if (kAssertsLive) {
+    EXPECT_THROW(BZC_ASSERT(1 + 1 == 3), std::logic_error);
+  } else {
+    EXPECT_NO_THROW(BZC_ASSERT(1 + 1 == 3));
+  }
+  EXPECT_NO_THROW(BZC_ASSERT(1 + 1 == 2));
 }
 
 }  // namespace
