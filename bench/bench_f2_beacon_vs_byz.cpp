@@ -59,7 +59,7 @@ int main() {
     const auto summary = runScenario(runner, spec.name, trials, [&](std::uint32_t index) {
       MaterializedTrial trial = materializeTrial(spec, index);
       BeaconParams params;
-      const auto out = runBeaconCounting(trial.graph, trial.byz, BeaconAttackProfile::flooder(),
+      const auto out = runBeaconCounting(trial.graph, trial.byz, BeaconAdversaryProfile::flooder(),
                                          params, spec.beaconLimits, trial.runRng);
       const auto s = summarize(out.result, trial.byz, n);
       // p90 of honest decision rounds.

@@ -70,7 +70,7 @@ void BM_BeaconBenignRun(benchmark::State& state) {
   for (auto _ : state) {
     Rng rng(6);
     benchmark::DoNotOptimize(
-        runBeaconCounting(g, none, BeaconAttackProfile::none(), {}, {}, rng));
+        runBeaconCounting(g, none, BeaconAdversaryProfile::none(), {}, {}, rng));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -90,7 +90,7 @@ void BM_BeaconTracedRun(benchmark::State& state) {
     const obs::TraceScope scope(&trace);
     Rng rng(6);
     benchmark::DoNotOptimize(
-        runBeaconCounting(g, none, BeaconAttackProfile::none(), {}, {}, rng));
+        runBeaconCounting(g, none, BeaconAdversaryProfile::none(), {}, {}, rng));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

@@ -7,8 +7,8 @@
 // measures what every gallery strategy does to decision coverage, estimate
 // quality and the defence's own workload (blacklist insertions), across
 // placements (random vs victim-surround) and Byzantine budgets — including
-// the two behaviours the legacy flag bundle could not express: the
-// pressure-adaptive flooder and the prefix-grafting tamperer.
+// the two behaviours beyond the fixed presets: the pressure-adaptive
+// flooder and the prefix-grafting tamperer.
 //
 // The coalition rows split ONE budget across both pipeline stages
 // (CoalitionPlan on the ScenarioSpec): 50/50 beacon-flooders + walk-hunters

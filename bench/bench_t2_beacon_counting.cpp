@@ -58,8 +58,8 @@ int main() {
   for (NodeId n : {512u, 1024u, 2048u, 4096u, 8192u}) {
     const std::size_t budget = byzantineBudget(n, 0.55);
     const double logN = std::log(static_cast<double>(n));
-    for (const auto& attack :
-         {BeaconAttackProfile::none(), BeaconAttackProfile::flooder(), BeaconAttackProfile::full()}) {
+    for (const auto& attack : {BeaconAdversaryProfile::none(), BeaconAdversaryProfile::flooder(),
+                               BeaconAdversaryProfile::full()}) {
       const bool benign = attack.name == "none";
 
       ScenarioSpec spec;
@@ -68,7 +68,7 @@ int main() {
       spec.placement.kind = benign ? Placement::None : Placement::Random;
       spec.placement.count = benign ? 0 : budget;
       spec.protocol = ProtocolKind::Beacon;
-      spec.beaconAttack = attack;
+      spec.beaconAdversary = attack;
       spec.beaconLimits.maxPhase = static_cast<std::uint32_t>(std::ceil(logN)) + 3;
       spec.beaconLimits.maxTotalRounds = 60'000;
       spec.window = window;
@@ -78,7 +78,7 @@ int main() {
       const double bound = 10.0 * std::pow(static_cast<double>(n), 0.45) * logN * logN;
       const auto summary = runScenario(runner, spec.name, trials, [&](std::uint32_t index) {
         MaterializedTrial trial = materializeTrial(spec, index);
-        const BeaconOutcome out = runBeaconCounting(trial.graph, trial.byz, spec.beaconAttack,
+        const BeaconOutcome out = runBeaconCounting(trial.graph, trial.byz, spec.beaconAdversary,
                                                     spec.beaconParams, spec.beaconLimits,
                                                     trial.runRng);
         const auto q = evaluateQuality(out.result, trial.byz, n, window);

@@ -60,7 +60,7 @@ int main() {
     const auto summary = runScenario(runner, spec.name, trials, [&](std::uint32_t index) {
       MaterializedTrial trial = materializeTrial(spec, index);
       BeaconParams params;
-      const auto out = runBeaconCounting(trial.graph, trial.byz, BeaconAttackProfile::none(),
+      const auto out = runBeaconCounting(trial.graph, trial.byz, BeaconAdversaryProfile::none(),
                                          params, {}, trial.runRng);
       const auto s = summarize(out.result, trial.byz, n);
       TrialOutcome t = countingTrialOutcome(out.result, trial.byz, n);

@@ -84,14 +84,14 @@ int main() {
   tinyAgree = runUniformRow("too small (L=1)", 1.0);
   runUniformRow("overshoot (L=3 ln n)", 3.0 * logN);
 
-  for (const auto& attack : {BeaconAttackProfile::none(), BeaconAttackProfile::flooder()}) {
+  for (const auto& attack : {BeaconAdversaryProfile::none(), BeaconAdversaryProfile::flooder()}) {
     ScenarioSpec spec;
     spec.name = "t7-pipeline-" + attack.name;
     spec.graph = {GraphKind::Hnd, n, 8, 0.1};
     spec.placement.kind = Placement::Random;
     spec.placement.count = 8;
     spec.protocol = ProtocolKind::Pipeline;
-    spec.beaconAttack = attack;
+    spec.beaconAdversary = attack;
     spec.pipelineParams.agreement = agreeParams;
     spec.pipelineParams.agreement.walkLengthFactor = 0.5;  // counting phases overshoot ln n
     spec.pipelineParams.estimateSafetyFactor = 1.5;

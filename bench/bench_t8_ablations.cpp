@@ -55,7 +55,7 @@ BeaconLimits standardLimits() {
 
 /// Runs a beacon scenario with per-trial params and returns the summary.
 ExperimentSummary runBeaconRow(ExperimentRunner& runner, const ScenarioSpec& spec,
-                               const BeaconAttackProfile& attack, const BeaconParams& params,
+                               const BeaconAdversaryProfile& attack, const BeaconParams& params,
                                const BeaconLimits& limits) {
   return runScenario(runner, spec.name, spec.trials, [&](std::uint32_t index) {
     MaterializedTrial trial = materializeTrial(spec, index);
@@ -96,7 +96,7 @@ int main() {
       BeaconParams params;
       params.blacklistEnabled = enabled;
       const auto s =
-          runBeaconRow(runner, spec, BeaconAttackProfile::flooder(), params, standardLimits());
+          runBeaconRow(runner, spec, BeaconAdversaryProfile::flooder(), params, standardLimits());
       (enabled ? fracOn : fracOff) = s.fracDecided.mean;
       table.addRow({enabled ? "on" : "off", distPercentCell(s.fracDecided),
                     Table::num(s.extras[kMeanEst].mean, 2),
@@ -120,7 +120,7 @@ int main() {
           baseSpec(std::string("t8b-continue-") + (enabled ? "on" : "off"), seed, false);
       BeaconParams params;
       params.continueEnabled = enabled;
-      const auto s = runBeaconRow(runner, spec, BeaconAttackProfile::none(), params, {});
+      const auto s = runBeaconRow(runner, spec, BeaconAdversaryProfile::none(), params, {});
       (enabled ? meanOn : meanOff) = s.extras[kMeanEst].mean;
       table.addRow({enabled ? "on" : "off", Table::num(s.extras[kMeanEst].mean, 2),
                     Table::num(s.extras[kMaxEst].mean, 1), distCell(s.totalRounds, 0)});
@@ -145,7 +145,7 @@ int main() {
       BeaconParams params;
       params.choice = policy;
       const auto s =
-          runBeaconRow(runner, spec, BeaconAttackProfile::tamperer(), params, standardLimits());
+          runBeaconRow(runner, spec, BeaconAdversaryProfile::tamperer(), params, standardLimits());
       table.addRow({policy == BeaconChoicePolicy::FirstSeen ? "first-seen" : "prefer-acceptable",
                     distPercentCell(s.fracDecided), distPercentCell(s.fracWithinWindow),
                     Table::num(s.extras[kMeanEst].mean, 2)});
@@ -210,7 +210,7 @@ int main() {
           baseSpec("t8e-c1-" + std::to_string(static_cast<int>(c1)), seed, false);
       BeaconParams params;
       params.c1 = c1;
-      const auto s = runBeaconRow(runner, spec, BeaconAttackProfile::none(), params, {});
+      const auto s = runBeaconRow(runner, spec, BeaconAdversaryProfile::none(), params, {});
       table.addRow({Table::num(c1, 0), Table::num(s.extras[kMeanEst].mean, 2),
                     Table::num(s.extras[kAux0].mean, 1), distCell(s.totalRounds, 0)});
     }
@@ -239,8 +239,9 @@ int main() {
         BeaconLimits scheduleLimits;
         scheduleLimits.maxPhase = 16;
         const auto s = runBeaconRow(
-            runner, spec, attacked ? BeaconAttackProfile::flooder() : BeaconAttackProfile::none(),
-            params, scheduleLimits);
+            runner, spec,
+            attacked ? BeaconAdversaryProfile::flooder() : BeaconAdversaryProfile::none(), params,
+            scheduleLimits);
         if (schedule == PhaseSchedule::Doubling) {
           doublingCorrect =
               doublingCorrect && s.fracDecided.mean > 0.7 && s.extras[kAux1].mean < 3.0;

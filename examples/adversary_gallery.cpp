@@ -18,7 +18,7 @@
 // (src/adversary/ for walks, src/adversary/beacon/ for the counting stage),
 // the custom-trial path (with per-trial extra metrics) for Algorithm 1.
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <memory>
 
@@ -27,13 +27,15 @@
 #include "bench/bench_common.hpp"
 #include "counting/beacon/protocol.hpp"
 #include "counting/local/protocol.hpp"
+#include "support/knob.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace bzc;
-  const NodeId n = argc > 1 ? static_cast<NodeId>(std::atoi(argv[1])) : 512;
-  const std::uint32_t trials = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 5;
-  const std::uint64_t seed = argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 3;
+  const auto n = static_cast<NodeId>(argKnob(argc, argv, 1, "n", 512, 3, kNoNode - 1));
+  const auto trials =
+      static_cast<std::uint32_t>(argKnob(argc, argv, 2, "trials", 5, 1, UINT32_MAX));
+  const std::uint64_t seed = argKnob(argc, argv, 3, "seed", 3, 0, UINT64_MAX);
   const std::string beaconFilter = argc > 4 ? argv[4] : "";
 
   const std::size_t budget = byzantineBudget(n, 0.55);

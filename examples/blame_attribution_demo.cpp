@@ -25,11 +25,12 @@
 
 #include "bench/bench_common.hpp"
 #include "obs/provenance.hpp"
+#include "support/knob.hpp"
 
 int main(int argc, char** argv) {
   using namespace bzc;
   using namespace bzc::bench;
-  const std::uint64_t seed = argc > 1 ? static_cast<std::uint64_t>(std::atoll(argv[1])) : 11;
+  const std::uint64_t seed = argKnob(argc, argv, 1, "seed", 11, 0, UINT64_MAX);
 
   const NodeId n = nodeCount(512);
   const NodeId victim = 3;

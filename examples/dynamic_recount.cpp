@@ -20,20 +20,21 @@
 // why continuous recounting (and not a one-shot count) is the deployable
 // primitive.
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.hpp"
 #include "churn/epoch_runner.hpp"
+#include "support/knob.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace bzc;
   using namespace bzc::bench;
   const std::string modelArg = argc > 1 ? argv[1] : "flash";
-  const std::uint64_t seed = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 9;
+  const std::uint64_t seed = argKnob(argc, argv, 2, "seed", 9, 0, UINT64_MAX);
 
   const std::uint32_t epochs = 6;
   ChurnSchedule schedule;
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
   // The path tamperer keeps an active adversary in every epoch without
   // pinning the estimate at the blacklist-exhaustion phase the way the
   // flooder does (see F2's saturation discussion).
-  spec.beaconAttack = BeaconAttackProfile::tamperer();
+  spec.beaconAdversary = BeaconAdversaryProfile::tamperer();
   spec.beaconLimits.maxPhase =
       static_cast<std::uint32_t>(std::ceil(std::log(static_cast<double>(n0)))) + 6;
   spec.churn = schedule;

@@ -14,13 +14,14 @@
 #include "counting/local/protocol.hpp"
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
+#include "support/knob.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace bzc;
-  const NodeId n = argc > 1 ? static_cast<NodeId>(std::atoi(argv[1])) : 512;
+  const auto n = static_cast<NodeId>(argKnob(argc, argv, 1, "n", 512, 3, kNoNode - 1));
   const std::string attack = argc > 2 ? argv[2] : "fake-world";
-  const std::uint64_t seed = argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 7;
+  const std::uint64_t seed = argKnob(argc, argv, 3, "seed", 7, 0, UINT64_MAX);
 
   Rng rng(seed);
   const Graph g = hnd(n, 8, rng);

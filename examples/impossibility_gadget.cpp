@@ -15,12 +15,13 @@
 #include "graph/expansion.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "support/knob.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace bzc;
-  const NodeId m = argc > 1 ? static_cast<NodeId>(std::atoi(argv[1])) : 96;
-  const NodeId t = argc > 2 ? static_cast<NodeId>(std::atoi(argv[2])) : 6;
+  const auto m = static_cast<NodeId>(argKnob(argc, argv, 1, "m", 96, 3, kNoNode - 1));
+  const auto t = static_cast<NodeId>(argKnob(argc, argv, 2, "t", 6, 1, kNoNode - 1));
   const bool wantDot = argc > 3 && std::strcmp(argv[3], "--dot") == 0;
 
   const Graph gadget = gluedCopies(ring(m), 0, t);
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
   limits.maxPhase = 40;
   Rng beaconRng(3);
   const auto beacon =
-      runBeaconCounting(gadget, byz, BeaconAttackProfile::suppressor(), {}, limits, beaconRng);
+      runBeaconCounting(gadget, byz, BeaconAdversaryProfile::suppressor(), {}, limits, beaconRng);
 
   Table table({"copy", "geometric est (ln-scale)", "beacon est (phase)", "nodes"});
   const NodeId perCopy = m - 1;

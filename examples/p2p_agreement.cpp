@@ -18,18 +18,19 @@
 // run aggregates R independent trials (BZC_TRIALS / BZC_THREADS override)
 // on the ExperimentRunner and reports metered round/message/bit costs.
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 
 #include "bench/bench_common.hpp"
+#include "support/knob.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace bzc;
   using namespace bzc::bench;
-  const NodeId n = argc > 1 ? static_cast<NodeId>(std::atoi(argv[1])) : 1024;
-  const std::size_t byzCount = argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 8;
-  const std::uint64_t seed = argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 11;
+  const auto n = static_cast<NodeId>(argKnob(argc, argv, 1, "n", 1024, 3, kNoNode - 1));
+  const std::size_t byzCount = argKnob(argc, argv, 2, "byz", 8, 0, n);
+  const std::uint64_t seed = argKnob(argc, argv, 3, "seed", 11, 0, UINT64_MAX);
   const AgreementAttackProfile attack =
       argc > 4 ? walkAttackProfileByName(argv[4]) : AgreementAttackProfile::adaptiveMinority();
   const double logN = std::log(static_cast<double>(n));
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
   spec.placement.kind = Placement::Random;
   spec.placement.count = byzCount;
   spec.protocol = ProtocolKind::Pipeline;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.pipelineParams.agreement.attack = attack;
   spec.pipelineParams.agreement.initialOnesFraction = 0.65;
   spec.pipelineParams.agreement.walkLengthFactor = 0.5;

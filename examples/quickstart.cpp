@@ -9,20 +9,20 @@
 //   3. run Byzantine-resilient counting against a beacon-forging adversary
 //   4. inspect the per-node estimates of log n
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 
 #include "counting/beacon/protocol.hpp"
 #include "graph/generators.hpp"
+#include "support/knob.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace bzc;
-  const NodeId n = argc > 1 ? static_cast<NodeId>(std::atoi(argv[1])) : 2048;
-  const std::size_t byzCount =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : byzantineBudget(n, 0.55);
-  const std::uint64_t seed = argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 42;
+  const auto n = static_cast<NodeId>(argKnob(argc, argv, 1, "n", 2048, 3, kNoNode - 1));
+  const std::size_t byzCount = argKnob(argc, argv, 2, "byz", byzantineBudget(n, 0.55), 0, n);
+  const std::uint64_t seed = argKnob(argc, argv, 3, "seed", 42, 0, UINT64_MAX);
 
   // 1. The overlay: union of d/2 random Hamiltonian cycles — an expander
   //    w.h.p., and the topology Theorem 2 assumes.
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   BeaconParams params;  // paper defaults: gamma=0.55, delta=0.1, c1=4
   Rng runRng = rng.fork(2);
   const BeaconOutcome outcome = runBeaconCounting(
-      network, byz, BeaconAttackProfile::flooder(), params, BeaconLimits{}, runRng);
+      network, byz, BeaconAdversaryProfile::flooder(), params, BeaconLimits{}, runRng);
 
   // 4. Report.
   const double logN = std::log(static_cast<double>(n));

@@ -16,6 +16,7 @@
 #include <iostream>
 
 #include "bench/bench_common.hpp"
+#include "support/knob.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -26,8 +27,8 @@ using namespace bzc::bench;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const NodeId n = argc > 1 ? static_cast<NodeId>(std::atoi(argv[1])) : 1024;
-  const std::uint64_t seed = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 5;
+  const auto n = static_cast<NodeId>(argKnob(argc, argv, 1, "n", 1024, 3, kNoNode - 1));
+  const std::uint64_t seed = argKnob(argc, argv, 2, "seed", 5, 0, UINT64_MAX);
   const double logN = std::log(static_cast<double>(n));
 
   const std::uint32_t trials = trialCount(5);
@@ -93,7 +94,7 @@ int main(int argc, char** argv) {
     spec.protocol = ProtocolKind::Beacon;
     spec.beaconLimits.maxPhase = static_cast<std::uint32_t>(std::ceil(logN)) + 3;
     runPair("Algorithm 2 (beacons)", spec,
-            [](ScenarioSpec& s) { s.beaconAttack = BeaconAttackProfile::full(); },
+            [](ScenarioSpec& s) { s.beaconAdversary = BeaconAdversaryProfile::full(); },
             "constant factor, survives B(n)", 2);
   }
   table.print(std::cout);

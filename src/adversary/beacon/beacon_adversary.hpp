@@ -40,7 +40,7 @@ struct BeaconFrame {
 };
 
 /// The delivery a transit hook gets to inspect: the first beacon in the
-/// Byzantine node's inbox (the one the legacy flag semantics relayed), with
+/// Byzantine node's inbox (the one the relaying presets forward), with
 /// the sender's true public ID — the unfakeable part a receiver would append.
 struct BeaconSighting {
   NodeId sender = kNoNode;
@@ -125,9 +125,8 @@ struct BeaconContext {
 };
 
 /// Authors a beacon with a fabricated origin and `prefixLen` fabricated path
-/// IDs — the exact draw pattern (origin first, then prefix entries) of the
-/// legacy flag path, kept in one place so flag-era scenarios stay
-/// bit-identical through the gallery.
+/// IDs — one draw pattern (origin first, then prefix entries) kept in one
+/// place, so every forging preset stays pinned by the beacon goldens.
 [[nodiscard]] BeaconFrame forgeFreshBeacon(const BeaconContext& ctx, std::uint32_t prefixLen);
 
 /// Strategy interface. One instance is created per trial and drives every

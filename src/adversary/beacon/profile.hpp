@@ -4,10 +4,10 @@
 // any caller of the beacon protocol) names an attack by kind plus strength
 // knobs, and the per-trial strategy instance is materialised by
 // makeBeaconAdversary (src/adversary/beacon/strategies.hpp). Only the knobs
-// of the selected kind are read. The legacy flag bundle
-// (counting/beacon/attacks.hpp) resolves into these profiles via
-// BeaconAttackProfile::toAdversaryProfile(), pinned bit-identical by the
-// golden fingerprints and the paired-run tests.
+// of the selected kind are read. The presets are the concrete worst cases the
+// paper's analysis singles out (the flooder of §1.3 that blacklisting stops,
+// Lemma 11's tampered prefix); the beacon and pipeline golden fingerprints
+// pin their behaviour.
 #pragma once
 
 #include <cstdint>

@@ -9,7 +9,7 @@
 namespace bzc {
 
 BeaconFrame forgeFreshBeacon(const BeaconContext& ctx, std::uint32_t prefixLen) {
-  // Draw pattern pinned by the flag-era goldens: origin first, then the
+  // Draw pattern pinned by the beacon goldens: origin first, then the
   // prefix entries in path order.
   BeaconFrame forged;
   forged.origin = ctx.fakeRng.next();
@@ -133,8 +133,7 @@ class FullBeaconAdversary final : public BeaconAdversary {
 /// observed Line 32 insertion count since the phase began crosses the
 /// tolerance — saving its forging for the windows where blacklists are
 /// empty. With an unreachable tolerance this is bit-identical to the plain
-/// flooder (same draws in the same order), which the paired tests pin; the
-/// flag bundle cannot express the feedback loop at any setting.
+/// flooder (same draws in the same order), which the paired tests pin.
 class AdaptiveBeaconFlooder final : public BeaconAdversary {
  public:
   AdaptiveBeaconFlooder(std::uint64_t pressureTolerance, std::uint32_t prefixLength)
@@ -164,12 +163,12 @@ class AdaptiveBeaconFlooder final : public BeaconAdversary {
   bool backedOff_ = false;
 };
 
-/// Tamperer variant the flag bundle cannot express: instead of a wholly
-/// fabricated path it keeps the REAL received prefix, appends the sender's
-/// true ID exactly as an honest relay would, and only then grafts a short
-/// fabricated tail under a fabricated origin. Receivers that adopt the
-/// beacon blacklist its prefix (Line 32) — which is now made of honest IDs,
-/// so the defence poisons itself instead of filling with one-shot noise.
+/// Tamperer variant: instead of a wholly fabricated path it keeps the REAL
+/// received prefix, appends the sender's true ID exactly as an honest relay
+/// would, and only then grafts a short fabricated tail under a fabricated
+/// origin. Receivers that adopt the beacon blacklist its prefix (Line 32) —
+/// which is now made of honest IDs, so the defence poisons itself instead of
+/// filling with one-shot noise.
 class PrefixGraftingTamperer final : public BeaconAdversary {
  public:
   explicit PrefixGraftingTamperer(std::uint32_t graftLength) : graftLength_(graftLength) {}

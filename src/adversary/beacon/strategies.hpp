@@ -2,13 +2,9 @@
 //
 // Concrete BeaconAdversary behaviours live in strategies.cpp; callers go
 // through the profile-driven factory (the declarative path) or the named
-// constructors (tests that want a specific strategy object). The six
-// flag-era presets (none, flooder, targeted flooder, tamperer, suppressor,
-// continue spammer, full) reproduce the legacy BeaconAttackProfile semantics
-// bit-identically — every fakeRng draw happens at the same call site with
-// the same pattern — pinned by the beacon golden fingerprints and the
-// paired-run tests. AdaptiveFlooder and PrefixGrafter are behaviours the
-// flag bundle cannot express.
+// constructors (tests that want a specific strategy object). Every fakeRng
+// draw happens at a fixed call site with a fixed pattern, so each preset's
+// behaviour is pinned by the beacon golden fingerprints.
 #pragma once
 
 #include <memory>

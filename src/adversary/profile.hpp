@@ -1,7 +1,7 @@
 // Declarative walk-adversary selection.
 //
-// Mirrors BeaconAttackProfile for the counting stage: a ScenarioSpec (or any
-// caller of the agreement protocol) names an attack by kind plus strength
+// Mirrors BeaconAdversaryProfile for the agreement stage: a ScenarioSpec (or
+// any caller of the agreement protocol) names an attack by kind plus strength
 // knobs, and the per-trial strategy instance is materialised from the profile
 // by makeWalkAdversary (src/adversary/strategies.hpp). Only the knobs of the
 // selected kind are read. The default profile is the adaptive minority

@@ -40,10 +40,9 @@ PipelineOutcome runCountingThenAgreement(const Graph& g, const ByzantineSet& byz
 }
 
 PipelineOutcome runCountingThenAgreement(const Graph& g, const ByzantineSet& byz,
-                                         const BeaconAttackProfile& attack,
+                                         const BeaconAdversaryProfile& attack,
                                          const PipelineParams& params, Rng& rng) {
-  const std::unique_ptr<BeaconAdversary> beacon =
-      makeBeaconAdversary(attack.toAdversaryProfile(), g, byz);
+  const std::unique_ptr<BeaconAdversary> beacon = makeBeaconAdversary(attack, g, byz);
   return runCountingThenAgreement(g, byz, PipelineAdversaries{*beacon, nullptr}, params, rng);
 }
 

@@ -42,7 +42,7 @@ struct PipelineAdversaries {
 };
 
 [[nodiscard]] PipelineOutcome runCountingThenAgreement(const Graph& g, const ByzantineSet& byz,
-                                                       const BeaconAttackProfile& attack,
+                                                       const BeaconAdversaryProfile& attack,
                                                        const PipelineParams& params, Rng& rng);
 
 /// Strategy-driven form: both stage adversaries are caller-materialised

@@ -471,10 +471,9 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
 }
 
 BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
-                                const BeaconAttackProfile& attack, const BeaconParams& params,
+                                const BeaconAdversaryProfile& attack, const BeaconParams& params,
                                 const BeaconLimits& limits, Rng& rng) {
-  const std::unique_ptr<BeaconAdversary> adversary =
-      makeBeaconAdversary(attack.toAdversaryProfile(), g, byz);
+  const std::unique_ptr<BeaconAdversary> adversary = makeBeaconAdversary(attack, g, byz);
   return runBeaconCounting(g, byz, *adversary, params, limits, rng);
 }
 

@@ -21,7 +21,7 @@
 #pragma once
 
 #include "adversary/beacon/beacon_adversary.hpp"
-#include "counting/beacon/attacks.hpp"
+#include "adversary/beacon/profile.hpp"
 #include "counting/beacon/params.hpp"
 #include "counting/common.hpp"
 #include "graph/graph.hpp"
@@ -68,11 +68,11 @@ struct BeaconOutcome {
                                               const BeaconLimits& limits, Rng& rng,
                                               Coalition* coalition = nullptr);
 
-/// Legacy flag-bundle entry point: resolves `attack` to its gallery strategy
-/// (BeaconAttackProfile::toAdversaryProfile) and runs it — bit-identical to
-/// the pre-subsystem flag semantics, pinned by the beacon goldens.
+/// Profile-driven form: materialises `attack`'s gallery strategy
+/// (makeBeaconAdversary) and runs it. A TargetedFlooder profile must name a
+/// concrete victim.
 [[nodiscard]] BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
-                                              const BeaconAttackProfile& attack,
+                                              const BeaconAdversaryProfile& attack,
                                               const BeaconParams& params,
                                               const BeaconLimits& limits, Rng& rng);
 

@@ -170,10 +170,8 @@ TrialOutcome runProtocolTrial(const ScenarioSpec& spec, const Graph& graph,
       return makeCoalitionBeaconAdversary(spec.coalitionPlan, assignment, trial.graph, trial.byz,
                                           victim);
     }
-    const BeaconAdversaryProfile profile = spec.beaconAdversary.kind != BeaconAttackKind::None
-                                               ? spec.beaconAdversary
-                                               : spec.beaconAttack.toAdversaryProfile();
-    return makeBeaconAdversary(anchorBeaconProfile(profile, victim), trial.graph, trial.byz);
+    return makeBeaconAdversary(anchorBeaconProfile(spec.beaconAdversary, victim), trial.graph,
+                               trial.byz);
   };
   const auto planExtras = [&](TrialOutcome& outcome, const PipelineOutcome* pipeline,
                               const AgreementOutcome& agreement) {
@@ -336,6 +334,20 @@ TrialOutcome runProtocolTrial(const ScenarioSpec& spec, const Graph& graph,
   return outcome;
 }
 
+namespace {
+
+/// Quantile q of an ascending-sorted, non-empty sample, interpolated linearly
+/// between the two nearest order statistics.
+double sortedQuantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = lo + 1 < sorted.size() ? lo + 1 : lo;
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+}
+
+}  // namespace
+
 Distribution Distribution::of(std::vector<double> sample) {
   Distribution d;
   if (sample.empty()) return d;
@@ -350,16 +362,9 @@ Distribution Distribution::of(std::vector<double> sample) {
   d.ci95hi = d.mean;
   // Sort once; quantile() would otherwise copy and re-sort per call.
   std::sort(sample.begin(), sample.end());
-  const auto at = [&](double q) {
-    const double pos = q * static_cast<double>(sample.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = lo + 1 < sample.size() ? lo + 1 : lo;
-    const double frac = pos - static_cast<double>(lo);
-    return sample[lo] + (sample[hi] - sample[lo]) * frac;
-  };
-  d.p10 = at(0.10);
-  d.p50 = at(0.50);
-  d.p90 = at(0.90);
+  d.p10 = sortedQuantile(sample, 0.10);
+  d.p50 = sortedQuantile(sample, 0.50);
+  d.p90 = sortedQuantile(sample, 0.90);
   return d;
 }
 
@@ -378,15 +383,8 @@ Distribution Distribution::of(std::vector<double> sample, Rng boot) {
     means[b] = sum / static_cast<double>(n);
   }
   std::sort(means.begin(), means.end());
-  const auto at = [&](double q) {
-    const double pos = q * static_cast<double>(means.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = lo + 1 < means.size() ? lo + 1 : lo;
-    const double frac = pos - static_cast<double>(lo);
-    return means[lo] + (means[hi] - means[lo]) * frac;
-  };
-  d.ci95lo = at(0.025);
-  d.ci95hi = at(0.975);
+  d.ci95lo = sortedQuantile(means, 0.025);
+  d.ci95hi = sortedQuantile(means, 0.975);
   return d;
 }
 

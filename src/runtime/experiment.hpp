@@ -15,13 +15,13 @@
 #include <string>
 #include <vector>
 
+#include "adversary/beacon/profile.hpp"
 #include "adversary/coalition_plan.hpp"
 #include "agreement/pipeline.hpp"
 #include "churn/schedule.hpp"
 #include "counting/baselines/geometric.hpp"
 #include "counting/baselines/spanning_tree.hpp"
 #include "counting/baselines/support_estimation.hpp"
-#include "counting/beacon/attacks.hpp"
 #include "counting/beacon/params.hpp"
 #include "counting/common.hpp"
 #include "counting/local/attacks.hpp"
@@ -117,11 +117,9 @@ struct ScenarioSpec {
   double byzGamma = 0.0;    ///< when > 0, count = byzantineBudget(n, byzGamma)
 
   ProtocolKind protocol = ProtocolKind::Beacon;
-  BeaconAttackProfile beaconAttack = BeaconAttackProfile::none();
-  /// Gallery-native counting-stage adversary (src/adversary/beacon/). A
-  /// non-None kind takes precedence over the legacy beaconAttack flags; the
-  /// default None leaves flag-era scenarios untouched (None and none() are
-  /// the same behaviour).
+  /// Counting-stage adversary (src/adversary/beacon/) for Beacon and
+  /// Pipeline scenarios; a TargetedFlooder left at kScenarioVictim anchors to
+  /// placement.victim.
   BeaconAdversaryProfile beaconAdversary = BeaconAdversaryProfile::none();
   BeaconParams beaconParams;
   BeaconLimits beaconLimits;
@@ -140,14 +138,14 @@ struct ScenarioSpec {
   /// ln n of the trial's graph.
   double agreementEstimate = 0.0;
   /// Counting and agreement stage parameters for ProtocolKind::Pipeline
-  /// (beaconAttack above selects the stage-1 adversary).
+  /// (beaconAdversary above selects the stage-1 adversary).
   PipelineParams pipelineParams;
 
   /// Mixed-coalition axis (src/adversary/coalition_plan.hpp). An empty plan
   /// is inert. When enabled for Beacon/Agreement/Pipeline scenarios, the
   /// Byzantine budget is partitioned into subsets with per-subset stage
-  /// strategies (overriding beaconAttack/beaconAdversary and the agreement
-  /// attack profile), all sharing one per-trial Coalition blackboard.
+  /// strategies (overriding beaconAdversary and the agreement attack
+  /// profile), all sharing one per-trial Coalition blackboard.
   CoalitionPlan coalitionPlan;
 
   /// Dynamic-network axis (src/churn/). The default schedule is inert; when

@@ -1,6 +1,7 @@
 // Strict parsing of the integer environment knobs the benches and examples
-// read (BZC_TRIALS, BZC_THREADS, BZC_N, BZC_SHARDS). atoi-style parsing reads
-// "1e6" as 1 and "abc" as 0; these parsers take the whole string or nothing.
+// read (BZC_TRIALS, BZC_THREADS, BZC_N, BZC_SHARDS) and of the examples'
+// positional arguments. atoi-style parsing reads "1e6" as 1 and "abc" as 0;
+// these parsers take the whole string or nothing.
 #pragma once
 
 #include <cstdint>
@@ -20,5 +21,11 @@ namespace bzc {
 /// prints a message naming the knob to stderr and exits with status 2.
 [[nodiscard]] std::uint64_t envKnob(const char* name, std::uint64_t fallback, std::uint64_t lo,
                                     std::uint64_t hi);
+
+/// Positional argument argv[index], called `name` in messages: `fallback`
+/// when argc <= index, else parsed like envKnob — a value that does not parse
+/// into [lo, hi] prints a message naming the argument and exits with status 2.
+[[nodiscard]] std::uint64_t argKnob(int argc, char** argv, int index, const char* name,
+                                    std::uint64_t fallback, std::uint64_t lo, std::uint64_t hi);
 
 }  // namespace bzc

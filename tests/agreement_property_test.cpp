@@ -220,7 +220,7 @@ TEST(PipelineProperties, FallbackEstimateCoversUndecided) {
   params.countingLimits.maxPhase = 9;
   params.fallbackEstimate = 5.0;
   Rng rng(20);
-  const auto out = runCountingThenAgreement(g, byz, BeaconAttackProfile::flooder(), params, rng);
+  const auto out = runCountingThenAgreement(g, byz, BeaconAdversaryProfile::flooder(), params, rng);
   EXPECT_GT(out.agreement.fracAgreeing, 0.85);
 }
 
@@ -231,9 +231,9 @@ TEST(PipelineProperties, DeterministicEndToEnd) {
   const ByzantineSet none(n, {});
   PipelineParams params;
   Rng r1(22);
-  const auto a = runCountingThenAgreement(g, none, BeaconAttackProfile::none(), params, r1);
+  const auto a = runCountingThenAgreement(g, none, BeaconAdversaryProfile::none(), params, r1);
   Rng r2(22);
-  const auto b = runCountingThenAgreement(g, none, BeaconAttackProfile::none(), params, r2);
+  const auto b = runCountingThenAgreement(g, none, BeaconAdversaryProfile::none(), params, r2);
   EXPECT_EQ(a.agreement.fracAgreeing, b.agreement.fracAgreeing);
   EXPECT_EQ(a.totalRounds, b.totalRounds);
 }

@@ -149,7 +149,7 @@ TEST(Pipeline, CountingFeedsAgreement) {
   params.estimateSafetyFactor = 1.5;
   Rng rng(18);
   const auto out =
-      runCountingThenAgreement(g, byz, BeaconAttackProfile::flooder(), params, rng);
+      runCountingThenAgreement(g, byz, BeaconAdversaryProfile::flooder(), params, rng);
   // Counting produced workable estimates for most nodes...
   std::size_t decided = 0;
   for (NodeId u = 0; u < n; ++u) decided += out.counting.result.decisions[u].decided ? 1 : 0;
@@ -167,7 +167,7 @@ TEST(Pipeline, BenignEndToEnd) {
   const ByzantineSet none(n, {});
   PipelineParams params;
   Rng rng(20);
-  const auto out = runCountingThenAgreement(g, none, BeaconAttackProfile::none(), params, rng);
+  const auto out = runCountingThenAgreement(g, none, BeaconAdversaryProfile::none(), params, rng);
   EXPECT_TRUE(out.agreement.almostEverywhere(0.01));
   EXPECT_TRUE(out.counting.stats.quiesced);
   // Both stages are engine-metered; the pipeline totals must be their sum.
@@ -278,7 +278,7 @@ TEST(AgreementEquivalence, PipelineFlooderMatchesPreRefactor) {
   spec.placement.kind = Placement::Random;
   spec.placement.count = 6;
   spec.protocol = ProtocolKind::Pipeline;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.pipelineParams.agreement.initialOnesFraction = 0.7;
   spec.pipelineParams.agreement.walkLengthFactor = 0.5;
   spec.pipelineParams.estimateSafetyFactor = 1.5;

@@ -1,7 +1,6 @@
 // Tests for the beacon-adversary subsystem (src/adversary/beacon/) and the
-// mixed-coalition layer (src/adversary/coalition*): preset migration pinning
-// (every legacy BeaconAttackProfile preset == its gallery strategy,
-// bit-for-bit), the strategies the flag bundle cannot express, the
+// mixed-coalition layer (src/adversary/coalition*): the behaviour signatures
+// of the presets, the adaptive and grafting strategies, the
 // deterministic budget partition, cross-stage blackboard sharing, and
 // thread-count invariance of a mixed cross-stage coalition selected purely
 // from the ScenarioSpec.
@@ -40,14 +39,6 @@ struct BeaconRun {
     return {std::move(g), std::move(byz)};
   }
 
-  [[nodiscard]] BeaconOutcome runLegacy(const BeaconAttackProfile& attack) const {
-    BeaconLimits limits;
-    limits.maxPhase = 8;
-    limits.maxTotalRounds = 20'000;
-    Rng rng(72);
-    return runBeaconCounting(g, byz, attack, {}, limits, rng);
-  }
-
   [[nodiscard]] BeaconOutcome runGallery(const BeaconAdversaryProfile& profile) const {
     const auto adversary = makeBeaconAdversary(profile, g, byz);
     BeaconLimits limits;
@@ -57,58 +48,6 @@ struct BeaconRun {
     return runBeaconCounting(g, byz, *adversary, {}, limits, rng);
   }
 };
-
-TEST(PresetMigration, EveryLegacyPresetMatchesItsGalleryStrategyBitForBit) {
-  const BeaconRun fx = BeaconRun::make();
-  const struct {
-    BeaconAttackProfile legacy;
-    BeaconAdversaryProfile gallery;
-  } pairs[] = {
-      {BeaconAttackProfile::none(), BeaconAdversaryProfile::none()},
-      {BeaconAttackProfile::flooder(), BeaconAdversaryProfile::flooder()},
-      {BeaconAttackProfile::tamperer(), BeaconAdversaryProfile::tamperer()},
-      {BeaconAttackProfile::suppressor(), BeaconAdversaryProfile::suppressor()},
-      {BeaconAttackProfile::continueSpammer(), BeaconAdversaryProfile::continueSpammer()},
-      {BeaconAttackProfile::full(), BeaconAdversaryProfile::full()},
-      {BeaconAttackProfile::targetedFlooder(7, 3),
-       BeaconAdversaryProfile::targetedFlooder(7, 3)},
-  };
-  for (const auto& [legacy, gallery] : pairs) {
-    const BeaconOutcome viaLegacy = fx.runLegacy(legacy);
-    const BeaconOutcome viaGallery = fx.runGallery(gallery);
-    const NodeId n = fx.g.numNodes();
-    EXPECT_EQ(fingerprint(viaLegacy.result, n), fingerprint(viaGallery.result, n))
-        << legacy.name << " diverged from gallery strategy " << gallery.name;
-    EXPECT_EQ(viaLegacy.stats.beaconsForged, viaGallery.stats.beaconsForged) << legacy.name;
-    EXPECT_EQ(viaLegacy.stats.blacklistInsertions, viaGallery.stats.blacklistInsertions)
-        << legacy.name;
-  }
-}
-
-TEST(PresetMigration, ShimResolvesEachPresetToItsKind) {
-  EXPECT_EQ(BeaconAttackProfile::none().toAdversaryProfile().kind, BeaconAttackKind::None);
-  EXPECT_EQ(BeaconAttackProfile::flooder().toAdversaryProfile().kind, BeaconAttackKind::Flooder);
-  EXPECT_EQ(BeaconAttackProfile::tamperer().toAdversaryProfile().kind,
-            BeaconAttackKind::Tamperer);
-  EXPECT_EQ(BeaconAttackProfile::suppressor().toAdversaryProfile().kind,
-            BeaconAttackKind::Suppressor);
-  EXPECT_EQ(BeaconAttackProfile::continueSpammer().toAdversaryProfile().kind,
-            BeaconAttackKind::ContinueSpammer);
-  EXPECT_EQ(BeaconAttackProfile::full().toAdversaryProfile().kind, BeaconAttackKind::Full);
-  const BeaconAdversaryProfile targeted =
-      BeaconAttackProfile::targetedFlooder(42, 3).toAdversaryProfile();
-  EXPECT_EQ(targeted.kind, BeaconAttackKind::TargetedFlooder);
-  EXPECT_EQ(targeted.victim, 42u);
-  EXPECT_EQ(targeted.forgeRadius, 3u);
-  // The legacy name rides along so tables and JSON rows keep their labels.
-  EXPECT_EQ(BeaconAttackProfile::continueSpammer().toAdversaryProfile().name,
-            "continue-spammer");
-  // Ad-hoc flag combinations outside the preset space are rejected.
-  BeaconAttackProfile adHoc;
-  adHoc.forgeBeacons = true;
-  adHoc.relayBeacons = false;
-  EXPECT_THROW((void)adHoc.toAdversaryProfile(), std::invalid_argument);
-}
 
 TEST(PresetMigration, StrategyStatsExposeTheBehaviourSignatures) {
   const BeaconRun fx = BeaconRun::make();
@@ -127,7 +66,7 @@ TEST(PresetMigration, StrategyStatsExposeTheBehaviourSignatures) {
 }
 
 // ---------------------------------------------------------------------------
-// The strategies the flag bundle cannot express.
+// Strategies beyond the fixed presets: adaptive flooding and prefix grafting.
 // ---------------------------------------------------------------------------
 
 TEST(AdaptiveFlooder, UnreachableToleranceIsThePlainFlooderBitForBit) {
@@ -160,8 +99,8 @@ TEST(PrefixGrafter, SplicesHonestPrefixesInsteadOfFreshIds) {
   const BeaconOutcome tampered = fx.runGallery(BeaconAdversaryProfile::tamperer());
   // The grafter replaces relays like the tamperer...
   EXPECT_GT(grafted.stats.adversary.relaysTampered, 0u);
-  // ...but carries real honest IDs into its forged prefixes, which the flag
-  // bundle (fresh fabricated IDs only) cannot do.
+  // ...but carries real honest IDs into its forged prefixes, where the
+  // tamperer uses fresh fabricated IDs only.
   EXPECT_GT(grafted.stats.adversary.prefixGrafts, 0u);
   EXPECT_EQ(tampered.stats.adversary.prefixGrafts, 0u);
   EXPECT_NE(fingerprint(grafted.result, fx.g.numNodes()),
@@ -388,7 +327,6 @@ TEST(Profiles, BeaconNamesAndKnobsRoundTrip) {
   EXPECT_EQ(BeaconAdversaryProfile::adaptiveFlooder(17).pressureTolerance, 17u);
   EXPECT_EQ(BeaconAdversaryProfile::prefixGrafter(4).graftLength, 4u);
   EXPECT_EQ(BeaconAdversaryProfile::adaptiveFlooder().name, "adaptive-flooder");
-  // The spec-level gallery profile wins over the legacy flags only when set.
   ScenarioSpec spec;
   EXPECT_EQ(spec.beaconAdversary.kind, BeaconAttackKind::None);
 }

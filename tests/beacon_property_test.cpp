@@ -19,7 +19,7 @@ struct Run {
   BeaconOutcome out;
 };
 
-Run runWith(NodeId n, NodeId d, std::uint64_t seed, const BeaconAttackProfile& attack,
+Run runWith(NodeId n, NodeId d, std::uint64_t seed, const BeaconAdversaryProfile& attack,
             std::size_t byzCount, BeaconParams params = {}, BeaconLimits limits = {}) {
   Rng rng(seed);
   Graph g = hnd(n, d, rng);
@@ -39,7 +39,7 @@ Run runWith(NodeId n, NodeId d, std::uint64_t seed, const BeaconAttackProfile& a
 // Invariant: the estimate of a decided node equals its decided phase, and
 // the stats vector agrees with the decision records.
 TEST(BeaconInvariants, DecidedPhaseMatchesEstimate) {
-  const auto run = runWith(512, 8, 1, BeaconAttackProfile::flooder(), 16);
+  const auto run = runWith(512, 8, 1, BeaconAdversaryProfile::flooder(), 16);
   for (NodeId u = 0; u < 512; ++u) {
     const auto& rec = run.out.result.decisions[u];
     if (rec.decided) {
@@ -56,7 +56,7 @@ TEST(BeaconInvariants, DecidedPhaseMatchesEstimate) {
 // node is adjacent to a Byzantine node (the beta-shell characterisation that
 // EXPERIMENTS.md reports for T2).
 TEST(BeaconInvariants, UndecidedNodesAreByzantineAdjacent) {
-  const auto run = runWith(1024, 8, 2, BeaconAttackProfile::flooder(), 22);
+  const auto run = runWith(1024, 8, 2, BeaconAdversaryProfile::flooder(), 22);
   const auto dist = run.byz.distanceToByzantine(run.g);
   for (NodeId u = 0; u < 1024; ++u) {
     if (run.byz.contains(u)) continue;
@@ -68,7 +68,7 @@ TEST(BeaconInvariants, UndecidedNodesAreByzantineAdjacent) {
 
 // Invariant: Byzantine nodes never have decision records.
 TEST(BeaconInvariants, ByzantineNodesNeverDecide) {
-  const auto run = runWith(256, 8, 3, BeaconAttackProfile::full(), 12);
+  const auto run = runWith(256, 8, 3, BeaconAdversaryProfile::full(), 12);
   for (NodeId b : run.byz.members()) {
     EXPECT_FALSE(run.out.result.decisions[b].decided);
   }
@@ -77,7 +77,7 @@ TEST(BeaconInvariants, ByzantineNodesNeverDecide) {
 // Invariant: forged beacon counting matches the attack schedule (every
 // Byzantine node forges once per iteration it participates in).
 TEST(BeaconInvariants, ForgeryCounterPlausible) {
-  const auto run = runWith(256, 8, 4, BeaconAttackProfile::flooder(), 10);
+  const auto run = runWith(256, 8, 4, BeaconAdversaryProfile::flooder(), 10);
   EXPECT_GT(run.out.stats.beaconsForged, 0u);
   EXPECT_EQ(run.out.stats.beaconsForged % 10, 0u);  // 10 Byzantine nodes, all forge each iteration
 }
@@ -85,7 +85,7 @@ TEST(BeaconInvariants, ForgeryCounterPlausible) {
 // Invariant: meter totals are consistent (honest nodes sent something,
 // Byzantine rows are zero).
 TEST(BeaconInvariants, MeterOnlyCountsHonestTraffic) {
-  const auto run = runWith(256, 8, 5, BeaconAttackProfile::flooder(), 10);
+  const auto run = runWith(256, 8, 5, BeaconAdversaryProfile::flooder(), 10);
   for (NodeId b : run.byz.members()) {
     EXPECT_EQ(run.out.result.meter.bitsSent(b), 0u);
   }
@@ -111,8 +111,8 @@ TEST(BeaconAttacks, TargetedFlooderIsLocal) {
   BeaconLimits limits;
   limits.maxPhase = 10;
   Rng r1 = rng.fork(3);
-  const auto targeted = runBeaconCounting(g, byz, BeaconAttackProfile::targetedFlooder(victim, 3),
-                                          {}, limits, r1);
+  const auto targeted = runBeaconCounting(
+      g, byz, BeaconAdversaryProfile::targetedFlooder(victim, 3), {}, limits, r1);
   // Damage localises to the Byzantine cluster packed around the victim:
   // every permanently undecided node sits within 2 hops of a Byzantine
   // node, and everything 3+ hops away decides.
@@ -133,8 +133,8 @@ TEST(BeaconAttacks, TargetedFlooderIsLocal) {
 TEST(BeaconSchedule, DoublingBenignCorrect) {
   BeaconParams doubling;
   doubling.schedule = PhaseSchedule::Doubling;
-  const auto lin = runWith(1024, 8, 7, BeaconAttackProfile::none(), 0);
-  const auto dbl = runWith(1024, 8, 7, BeaconAttackProfile::none(), 0, doubling);
+  const auto lin = runWith(1024, 8, 7, BeaconAdversaryProfile::none(), 0);
+  const auto dbl = runWith(1024, 8, 7, BeaconAdversaryProfile::none(), 0, doubling);
   double linMean = 0;
   double dblMean = 0;
   for (NodeId u = 0; u < 1024; ++u) {
@@ -173,7 +173,7 @@ TEST(BeaconRobustness, RunsOnRingTorusAndWs) {
     limits.maxPhase = 24;
     limits.maxTotalRounds = 30'000;
     Rng rng(9);
-    const auto out = runBeaconCounting(g, none, BeaconAttackProfile::none(), {}, limits, rng);
+    const auto out = runBeaconCounting(g, none, BeaconAdversaryProfile::none(), {}, limits, rng);
     for (NodeId u = 0; u < g.numNodes(); ++u) {
       if (out.result.decisions[u].decided) {
         EXPECT_GT(out.result.decisions[u].estimate, 0.0);
@@ -191,14 +191,14 @@ TEST(BeaconRobustness, DegenerateInputs) {
   limits.maxPhase = 3;
   limits.maxTotalRounds = 100;
   Rng rng(10);
-  const auto out = runBeaconCounting(tiny, none, BeaconAttackProfile::none(), {}, limits, rng);
+  const auto out = runBeaconCounting(tiny, none, BeaconAdversaryProfile::none(), {}, limits, rng);
   EXPECT_LE(out.result.totalRounds, 100u);
   // n = 1 is rejected (model needs >= 2 nodes).
   const Graph solo(2, {{0, 1}});
   const ByzantineSet mismatch(3, {});
   Rng rng2(11);
   EXPECT_THROW(
-      (void)runBeaconCounting(solo, mismatch, BeaconAttackProfile::none(), {}, {}, rng2),
+      (void)runBeaconCounting(solo, mismatch, BeaconAdversaryProfile::none(), {}, {}, rng2),
       std::invalid_argument);
 }
 
@@ -218,7 +218,7 @@ class DegreeSweep : public ::testing::TestWithParam<NodeId> {};
 
 TEST_P(DegreeSweep, EstimateShrinksWithDegree) {
   const NodeId d = GetParam();
-  const auto run = runWith(1024, d, 100 + d, BeaconAttackProfile::none(), 0);
+  const auto run = runWith(1024, d, 100 + d, BeaconAdversaryProfile::none(), 0);
   double mean = 0;
   for (NodeId u = 0; u < 1024; ++u) {
     EXPECT_TRUE(run.out.result.decisions[u].decided);
@@ -235,10 +235,10 @@ INSTANTIATE_TEST_SUITE_P(Degrees, DegreeSweep, ::testing::Values<NodeId>(4, 6, 8
 class AttackDeterminism : public ::testing::TestWithParam<int> {};
 
 TEST_P(AttackDeterminism, SameSeedSameOutcome) {
-  const BeaconAttackProfile profiles[] = {
-      BeaconAttackProfile::none(),           BeaconAttackProfile::flooder(),
-      BeaconAttackProfile::tamperer(),       BeaconAttackProfile::suppressor(),
-      BeaconAttackProfile::continueSpammer(), BeaconAttackProfile::full()};
+  const BeaconAdversaryProfile profiles[] = {
+      BeaconAdversaryProfile::none(),           BeaconAdversaryProfile::flooder(),
+      BeaconAdversaryProfile::tamperer(),       BeaconAdversaryProfile::suppressor(),
+      BeaconAdversaryProfile::continueSpammer(), BeaconAdversaryProfile::full()};
   const auto& attack = profiles[GetParam()];
   BeaconLimits limits;
   limits.maxPhase = 8;

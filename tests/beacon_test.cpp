@@ -140,7 +140,7 @@ BenignRun runBenign(NodeId n, std::uint64_t seed, BeaconParams params = {}) {
   Graph g = hnd(n, 8, rng);
   const ByzantineSet none(n, {});
   Rng runRng = rng.fork(5);
-  BenignRun r{runBeaconCounting(g, none, BeaconAttackProfile::none(), params, {}, runRng), n};
+  BenignRun r{runBeaconCounting(g, none, BeaconAdversaryProfile::none(), params, {}, runRng), n};
   return r;
 }
 
@@ -196,7 +196,7 @@ TEST(BeaconProtocol, BenignMessagesAreSmall) {
   EXPECT_GT(out.result.meter.fractionWithin(honest, 64 * 21), 0.99);
 }
 
-BeaconOutcome runAttacked(NodeId n, std::uint64_t seed, const BeaconAttackProfile& attack,
+BeaconOutcome runAttacked(NodeId n, std::uint64_t seed, const BeaconAdversaryProfile& attack,
                           BeaconParams params = {}, double gammaPlacement = 0.55) {
   Rng rng(seed);
   Graph g = hnd(n, 8, rng);
@@ -213,7 +213,7 @@ BeaconOutcome runAttacked(NodeId n, std::uint64_t seed, const BeaconAttackProfil
 
 TEST(BeaconProtocol, FlooderMostNodesDecideInWindow) {
   const NodeId n = 1024;
-  auto out = runAttacked(n, 31, BeaconAttackProfile::flooder());
+  auto out = runAttacked(n, 31, BeaconAdversaryProfile::flooder());
   const double logN = std::log(static_cast<double>(n));
   std::size_t decided = 0;
   std::size_t honest = 0;
@@ -246,7 +246,7 @@ TEST(BeaconProtocol, FlooderMostNodesDecideInWindow) {
 TEST(BeaconProtocol, FlooderRaisesEstimatesAboveBenign) {
   const NodeId n = 512;
   const auto benign = runBenign(n, 41);
-  auto attacked = runAttacked(n, 41, BeaconAttackProfile::flooder());
+  auto attacked = runAttacked(n, 41, BeaconAdversaryProfile::flooder());
   double benignMean = 0;
   double attackedMean = 0;
   std::size_t cb = 0;
@@ -274,11 +274,11 @@ TEST(BeaconProtocol, BlacklistingIsWhatStopsTheFlooder) {
   const NodeId n = 256;
   BeaconParams noBlacklist;
   noBlacklist.blacklistEnabled = false;
-  auto out = runAttacked(n, 51, BeaconAttackProfile::flooder(), noBlacklist);
+  auto out = runAttacked(n, 51, BeaconAdversaryProfile::flooder(), noBlacklist);
   std::size_t decided = 0;
   for (NodeId u = 0; u < n; ++u) decided += out.result.decisions[u].decided ? 1 : 0;
   BeaconParams withBlacklist;
-  auto ok = runAttacked(n, 51, BeaconAttackProfile::flooder(), withBlacklist);
+  auto ok = runAttacked(n, 51, BeaconAdversaryProfile::flooder(), withBlacklist);
   std::size_t decidedOk = 0;
   for (NodeId u = 0; u < n; ++u) decidedOk += ok.result.decisions[u].decided ? 1 : 0;
   EXPECT_LT(decided, decidedOk / 4) << "blacklisting off should stall decisions";
@@ -287,7 +287,7 @@ TEST(BeaconProtocol, BlacklistingIsWhatStopsTheFlooder) {
 TEST(BeaconProtocol, SuppressorCausesEarlyDecisions) {
   const NodeId n = 512;
   const auto benign = runBenign(n, 61);
-  auto suppressed = runAttacked(n, 61, BeaconAttackProfile::suppressor());
+  auto suppressed = runAttacked(n, 61, BeaconAdversaryProfile::suppressor());
   // Suppression removes beacons, so estimates can only shrink (earlier
   // decisions), never grow.
   double benignMax = 0;
@@ -305,7 +305,7 @@ TEST(BeaconProtocol, SuppressorCausesEarlyDecisions) {
 
 TEST(BeaconProtocol, ContinueSpamPreventsQuiescenceNotDecisions) {
   const NodeId n = 256;
-  auto out = runAttacked(n, 71, BeaconAttackProfile::continueSpammer());
+  auto out = runAttacked(n, 71, BeaconAdversaryProfile::continueSpammer());
   EXPECT_FALSE(out.stats.quiesced);  // Remark 3: adversary controls termination
   std::size_t decided = 0;
   for (NodeId u = 0; u < n; ++u) decided += out.result.decisions[u].decided ? 1 : 0;
@@ -323,9 +323,10 @@ TEST(BeaconProtocol, ContinueMessagesPreventEarlyExit) {
   Graph g = hnd(n, 8, rng);
   const ByzantineSet none(n, {});
   Rng r1 = rng.fork(1);
-  const auto without = runBeaconCounting(g, none, BeaconAttackProfile::none(), noContinue, {}, r1);
+  const auto without =
+      runBeaconCounting(g, none, BeaconAdversaryProfile::none(), noContinue, {}, r1);
   Rng r2 = rng.fork(1);
-  const auto with = runBeaconCounting(g, none, BeaconAttackProfile::none(), {}, {}, r2);
+  const auto with = runBeaconCounting(g, none, BeaconAdversaryProfile::none(), {}, {}, r2);
   double meanWithout = 0;
   double meanWith = 0;
   for (NodeId u = 0; u < n; ++u) {
@@ -345,7 +346,7 @@ TEST(BeaconProtocol, ChoicePoliciesBothSolveBenign) {
     Graph g = hnd(n, 8, rng);
     const ByzantineSet none(n, {});
     Rng runRng = rng.fork(2);
-    const auto out = runBeaconCounting(g, none, BeaconAttackProfile::none(), params, {}, runRng);
+    const auto out = runBeaconCounting(g, none, BeaconAdversaryProfile::none(), params, {}, runRng);
     for (NodeId u = 0; u < n; ++u) EXPECT_TRUE(out.result.decisions[u].decided);
   }
 }
@@ -358,7 +359,7 @@ TEST(BeaconProtocol, RoundCapReported) {
   Graph g = hnd(n, 8, rng);
   const ByzantineSet none(n, {});
   Rng runRng = rng.fork(2);
-  const auto out = runBeaconCounting(g, none, BeaconAttackProfile::none(), {}, limits, runRng);
+  const auto out = runBeaconCounting(g, none, BeaconAdversaryProfile::none(), {}, limits, runRng);
   EXPECT_TRUE(out.result.hitRoundCap);
 }
 

@@ -211,7 +211,7 @@ ScenarioSpec staticPipelineSpec() {
   spec.placement.kind = Placement::Random;
   spec.placement.count = 4;
   spec.protocol = ProtocolKind::Pipeline;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.pipelineParams.agreement.initialOnesFraction = 0.7;
   spec.pipelineParams.agreement.walkLengthFactor = 0.5;
   spec.pipelineParams.estimateSafetyFactor = 1.5;

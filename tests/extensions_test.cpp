@@ -23,7 +23,7 @@ TEST(ConfigModelContiguity, BeaconCountingWorksOnPairingModel) {
   const Graph g = configurationModel(n, 8, gen);
   const ByzantineSet none(n, {});
   Rng rng(2);
-  const auto out = runBeaconCounting(g, none, BeaconAttackProfile::none(), {}, {}, rng);
+  const auto out = runBeaconCounting(g, none, BeaconAdversaryProfile::none(), {}, {}, rng);
   const double logdN = std::log(static_cast<double>(n)) / std::log(8.0);
   for (NodeId u = 0; u < n; ++u) {
     ASSERT_TRUE(out.result.decisions[u].decided);
@@ -44,7 +44,7 @@ TEST(ConfigModelContiguity, FlooderResilienceTransfers) {
   BeaconLimits limits;
   limits.maxPhase = static_cast<std::uint32_t>(std::ceil(std::log(static_cast<double>(n)))) + 3;
   Rng rng(5);
-  const auto out = runBeaconCounting(g, byz, BeaconAttackProfile::flooder(), {}, limits, rng);
+  const auto out = runBeaconCounting(g, byz, BeaconAdversaryProfile::flooder(), {}, limits, rng);
   const auto q = evaluateQuality(out.result, byz, n, {0.3, 1.8});
   EXPECT_GT(q.fracWithinWindow, 0.75);
 }
@@ -66,7 +66,8 @@ TEST(DoublingSchedule, FlooderResilienceRetained) {
   BeaconLimits limits;
   limits.maxPhase = 16;
   Rng rng(8);
-  const auto out = runBeaconCounting(g, byz, BeaconAttackProfile::flooder(), params, limits, rng);
+  const auto out =
+      runBeaconCounting(g, byz, BeaconAdversaryProfile::flooder(), params, limits, rng);
   std::size_t decided = 0;
   std::size_t honest = 0;
   for (NodeId u = 0; u < n; ++u) {
@@ -95,14 +96,6 @@ TEST(DoublingSchedule, VisitsLogLogPhases) {
   EXPECT_EQ(steps, 5);  // 2 -> 4 -> 8 -> 16 -> 32 -> 64
 }
 
-TEST(TargetedFlooder, ProfileFields) {
-  const auto p = BeaconAttackProfile::targetedFlooder(42, 3);
-  EXPECT_TRUE(p.forgeBeacons);
-  EXPECT_EQ(p.victim, 42u);
-  EXPECT_EQ(p.forgeRadius, 3u);
-  EXPECT_EQ(p.name, "targeted-flooder");
-}
-
 TEST(TargetedFlooder, CheaperThanGlobalFlooder) {
   // Forging only near the victim produces far fewer forged beacons while
   // still denying the victim's neighbourhood a decision.
@@ -118,14 +111,15 @@ TEST(TargetedFlooder, CheaperThanGlobalFlooder) {
   limits.maxPhase = 9;
   Rng r1(11);
   const auto global =
-      runBeaconCounting(g, byz, BeaconAttackProfile::flooder(), {}, limits, r1);
+      runBeaconCounting(g, byz, BeaconAdversaryProfile::flooder(), {}, limits, r1);
   Rng r2(11);
   const auto targeted = runBeaconCounting(
-      g, byz, BeaconAttackProfile::targetedFlooder(/*victim=*/7, /*radius=*/2), {}, limits, r2);
+      g, byz, BeaconAdversaryProfile::targetedFlooder(/*victim=*/7, /*radius=*/2), {}, limits, r2);
   EXPECT_LT(targeted.stats.beaconsForged, global.stats.beaconsForged);
 }
 
-TEST(TargetedFlooder, RadiusZeroMeansEveryoneForges) {
+// The untargeted baseline: every Byzantine node forges in every iteration.
+TEST(TargetedFlooder, UntargetedBaselineHasEveryNodeForge) {
   const NodeId n = 256;
   Rng gen(12);
   const Graph g = hnd(n, 8, gen);
@@ -136,9 +130,8 @@ TEST(TargetedFlooder, RadiusZeroMeansEveryoneForges) {
   const auto byz = placeByzantine(g, spec, prng);
   BeaconLimits limits;
   limits.maxPhase = 7;
-  BeaconAttackProfile untargeted = BeaconAttackProfile::flooder();  // forgeRadius = 0
   Rng rng(14);
-  const auto out = runBeaconCounting(g, byz, untargeted, {}, limits, rng);
+  const auto out = runBeaconCounting(g, byz, BeaconAdversaryProfile::flooder(), {}, limits, rng);
   EXPECT_EQ(out.stats.beaconsForged % byz.count(), 0u);
   EXPECT_GT(out.stats.beaconsForged, 0u);
 }
@@ -154,7 +147,7 @@ TEST(CrossTopology, BeaconCountingOnWattsStrogatz) {
   BeaconLimits limits;
   limits.maxPhase = 14;
   Rng rng(16);
-  const auto out = runBeaconCounting(g, none, BeaconAttackProfile::none(), {}, limits, rng);
+  const auto out = runBeaconCounting(g, none, BeaconAdversaryProfile::none(), {}, limits, rng);
   std::size_t decided = 0;
   double mean = 0;
   for (NodeId u = 0; u < n; ++u) {

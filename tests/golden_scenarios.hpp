@@ -39,7 +39,7 @@ inline ByzantineSet place(const Graph& g, Placement kind, std::size_t count, std
 }
 
 inline std::uint64_t beaconFingerprint(BeaconChoicePolicy policy,
-                                       const BeaconAttackProfile& attack, std::size_t byzCount,
+                                       const BeaconAdversaryProfile& attack, std::size_t byzCount,
                                        unsigned shards = 1) {
   const NodeId n = 192;
   const Graph g = graph(n, 8, 21);
@@ -115,7 +115,7 @@ inline std::uint64_t agreementFingerprint(std::size_t byzCount, double estimateF
   return fingerprint(out, n);
 }
 
-inline std::uint64_t pipelineFingerprint(const BeaconAttackProfile& attack, std::size_t byzCount,
+inline std::uint64_t pipelineFingerprint(const BeaconAdversaryProfile& attack, std::size_t byzCount,
                                          unsigned shards = 1) {
   const NodeId n = 192;
   const Graph g = graph(n, 8, 27);

@@ -62,7 +62,7 @@ TEST(TheoremTwo, FlooderScenarioMeetsDefinitionTwo) {
   limits.maxPhase = static_cast<std::uint32_t>(std::ceil(std::log(static_cast<double>(n)))) + 3;
   Rng runRng = rng.fork(6);
   const auto out =
-      runBeaconCounting(g, byz, BeaconAttackProfile::full(), params, limits, runRng);
+      runBeaconCounting(g, byz, BeaconAdversaryProfile::full(), params, limits, runRng);
 
   const QualityWindow window{0.3, 1.8};
   const auto q = evaluateQuality(out.result, byz, n, window);
@@ -89,7 +89,7 @@ TEST(TheoremTwo, MostNodesSendSmallMessages) {
   limits.maxPhase = static_cast<std::uint32_t>(std::ceil(std::log(static_cast<double>(n)))) + 2;
   Rng runRng = rng.fork(9);
   const auto out =
-      runBeaconCounting(g, byz, BeaconAttackProfile::flooder(), params, limits, runRng);
+      runBeaconCounting(g, byz, BeaconAdversaryProfile::flooder(), params, limits, runRng);
   // Beacon paths carry O(i+2) = O(log n) IDs: with the fake prefix, the
   // largest message stays below ~(log n + 6) IDs' worth of bits.
   const auto honest = byz.honestNodes();
@@ -162,8 +162,8 @@ TEST(TheoremThree, EstimatesTrackNOnExpanderButNotOnGadget) {
     const Graph g = hnd(n, 8, rng);
     const ByzantineSet none(n, {});
     Rng run = rng.fork(1);
-    expanderMeans.push_back(
-        meanEstimate(runBeaconCounting(g, none, BeaconAttackProfile::none(), {}, {}, run), none));
+    expanderMeans.push_back(meanEstimate(
+        runBeaconCounting(g, none, BeaconAdversaryProfile::none(), {}, {}, run), none));
   }
   EXPECT_GE(expanderMeans[1] - expanderMeans[0], 0.9);
 
@@ -180,7 +180,7 @@ TEST(TheoremThree, EstimatesTrackNOnExpanderButNotOnGadget) {
       BeaconLimits limits;
       limits.maxPhase = 40;
       mean += meanEstimate(
-          runBeaconCounting(g, byz, BeaconAttackProfile::suppressor(), {}, limits, run), byz);
+          runBeaconCounting(g, byz, BeaconAdversaryProfile::suppressor(), {}, limits, run), byz);
     }
     gadgetMeans.push_back(mean / 4.0);
   }
@@ -197,7 +197,7 @@ TEST(CrossCheck, BothAlgorithmsTrackLogN) {
   Graph g = hnd(n, 8, rng);
   const ByzantineSet none(n, {});
   Rng r1 = rng.fork(1);
-  const auto beacon = runBeaconCounting(g, none, BeaconAttackProfile::none(), {}, {}, r1);
+  const auto beacon = runBeaconCounting(g, none, BeaconAdversaryProfile::none(), {}, {}, r1);
   auto adv = makeHonestLocalAdversary();
   LocalParams params;
   Rng r2 = rng.fork(2);

@@ -299,7 +299,7 @@ TEST(MetricsIdentity, GoldenFamiliesIdenticalWithMetricsDerived) {
   // fingerprint to match the untraced constant exactly.
   {
     const std::uint64_t untraced = golden::beaconFingerprint(
-        BeaconChoicePolicy::PreferAcceptable, BeaconAttackProfile::flooder(), 10);
+        BeaconChoicePolicy::PreferAcceptable, BeaconAdversaryProfile::flooder(), 10);
     EXPECT_EQ(untraced, 0x29553b28fa4d5ddcULL);
     for (const unsigned shards : {1U, 4U}) {
       obs::TrialTrace trace;
@@ -307,7 +307,7 @@ TEST(MetricsIdentity, GoldenFamiliesIdenticalWithMetricsDerived) {
       {
         const obs::TraceScope scope(&trace);
         traced = golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                           BeaconAttackProfile::flooder(), 10, shards);
+                                           BeaconAdversaryProfile::flooder(), 10, shards);
       }
       EXPECT_EQ(traced, untraced) << "shards=" << shards;
       std::ostringstream os;
@@ -327,12 +327,13 @@ TEST(MetricsIdentity, GoldenFamiliesIdenticalWithMetricsDerived) {
     EXPECT_NE(metricsFpOfTrace(trace), 0U);
   }
   {
-    const std::uint64_t untraced = golden::pipelineFingerprint(BeaconAttackProfile::flooder(), 10);
+    const std::uint64_t untraced =
+        golden::pipelineFingerprint(BeaconAdversaryProfile::flooder(), 10);
     obs::TrialTrace trace;
     std::uint64_t traced = 0;
     {
       const obs::TraceScope scope(&trace);
-      traced = golden::pipelineFingerprint(BeaconAttackProfile::flooder(), 10);
+      traced = golden::pipelineFingerprint(BeaconAdversaryProfile::flooder(), 10);
     }
     EXPECT_EQ(traced, untraced);
   }

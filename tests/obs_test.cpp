@@ -75,14 +75,14 @@ std::vector<std::string> projection(const obs::TrialTrace& t) {
 
 TEST(ObsIdentity, BeaconGoldenIdenticalTraced) {
   const std::uint64_t untraced = golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                                           BeaconAttackProfile::flooder(), 10);
+                                                           BeaconAdversaryProfile::flooder(), 10);
   EXPECT_EQ(untraced, 0x29553b28fa4d5ddcULL);
   obs::TrialTrace trace;
   std::uint64_t traced = 0;
   {
     const obs::TraceScope scope(&trace);
     traced = golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                       BeaconAttackProfile::flooder(), 10);
+                                       BeaconAdversaryProfile::flooder(), 10);
   }
   EXPECT_EQ(traced, untraced);
   EXPECT_FALSE(trace.events.empty());
@@ -90,7 +90,7 @@ TEST(ObsIdentity, BeaconGoldenIdenticalTraced) {
 
 TEST(ObsIdentity, ShardedBeaconGoldenIdenticalTraced) {
   const std::uint64_t untraced = golden::beaconFingerprint(
-      BeaconChoicePolicy::PreferAcceptable, BeaconAttackProfile::flooder(), 10, /*shards=*/4);
+      BeaconChoicePolicy::PreferAcceptable, BeaconAdversaryProfile::flooder(), 10, /*shards=*/4);
   // Sharding itself is fingerprint-invariant (DESIGN.md §10), so the S=4 run
   // must match the serial golden too.
   EXPECT_EQ(untraced, 0x29553b28fa4d5ddcULL);
@@ -99,7 +99,7 @@ TEST(ObsIdentity, ShardedBeaconGoldenIdenticalTraced) {
   {
     const obs::TraceScope scope(&trace);
     traced = golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                       BeaconAttackProfile::flooder(), 10, /*shards=*/4);
+                                       BeaconAdversaryProfile::flooder(), 10, /*shards=*/4);
   }
   EXPECT_EQ(traced, untraced);
   // The sharded engine must have recorded its lane sizes.
@@ -125,12 +125,12 @@ TEST(ObsIdentity, AgreementGoldenIdenticalTraced) {
 }
 
 TEST(ObsIdentity, PipelineGoldenIdenticalTraced) {
-  const std::uint64_t untraced = golden::pipelineFingerprint(BeaconAttackProfile::flooder(), 10);
+  const std::uint64_t untraced = golden::pipelineFingerprint(BeaconAdversaryProfile::flooder(), 10);
   obs::TrialTrace trace;
   std::uint64_t traced = 0;
   {
     const obs::TraceScope scope(&trace);
-    traced = golden::pipelineFingerprint(BeaconAttackProfile::flooder(), 10);
+    traced = golden::pipelineFingerprint(BeaconAdversaryProfile::flooder(), 10);
   }
   EXPECT_EQ(traced, untraced);
   // Both stage spans must be present — the counting engine and the agreement
@@ -258,7 +258,7 @@ TEST(ObsReconcile, RoundRecordsSumToOutcomeTotals) {
   spec.placement.kind = Placement::Random;
   spec.placement.count = 10;
   spec.protocol = ProtocolKind::Beacon;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.beaconLimits.maxPhase = 8;
   spec.beaconLimits.maxTotalRounds = 20'000;
   spec.trials = 1;

@@ -334,7 +334,7 @@ TEST(ProvenanceChurn, ByzantineRejoinsLeaveLineageEdges)  {
   spec.placement.kind = Placement::Random;
   spec.placement.count = 8;
   spec.protocol = ProtocolKind::Beacon;
-  spec.beaconAttack = BeaconAttackProfile::tamperer();
+  spec.beaconAdversary = BeaconAdversaryProfile::tamperer();
   spec.beaconLimits.maxPhase = 7;
   spec.beaconLimits.maxTotalRounds = 20'000;
   spec.churn = ChurnSchedule::byzantine(/*epochs=*/6, /*rate=*/0.10, /*rejoinBoost=*/3.0);

@@ -27,19 +27,33 @@ namespace {
 
 TEST(GoldenMigration, BeaconMatchesPreRefactorDecisions) {
   EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                      BeaconAttackProfile::none(), 0),
+                                      BeaconAdversaryProfile::none(), 0),
             0x01ad738b6673bf86ULL);
   EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                      BeaconAttackProfile::flooder(), 10),
+                                      BeaconAdversaryProfile::flooder(), 10),
             0x29553b28fa4d5ddcULL);
   // FirstSeen resolves ties by inbox position, so this one pins the engine's
   // delivery-order contract, not just the protocol logic.
-  EXPECT_EQ(
-      golden::beaconFingerprint(BeaconChoicePolicy::FirstSeen, BeaconAttackProfile::flooder(), 10),
-      0xf3b6aab96a9aed6cULL);
+  EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::FirstSeen,
+                                      BeaconAdversaryProfile::flooder(), 10),
+            0xf3b6aab96a9aed6cULL);
   EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                      BeaconAttackProfile::full(), 10),
+                                      BeaconAdversaryProfile::full(), 10),
             0xe7cb8414934dcdefULL);
+  // The remaining presets, captured before the gallery became the only way
+  // to name them.
+  EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
+                                      BeaconAdversaryProfile::tamperer(), 10),
+            0x1a0ac9c1ba29d3f8ULL);
+  EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
+                                      BeaconAdversaryProfile::suppressor(), 10),
+            0x95299c8341f26bfdULL);
+  EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
+                                      BeaconAdversaryProfile::continueSpammer(), 10),
+            0xb974b6d5ca5538c9ULL);
+  EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
+                                      BeaconAdversaryProfile::targetedFlooder(7, 3), 10),
+            0x7a928cad0a407c84ULL);
 }
 
 TEST(GoldenMigration, LocalMatchesPreRefactorDecisions) {
@@ -70,8 +84,8 @@ TEST(GoldenMigration, AgreementOnEngineIsPinned) {
 }
 
 TEST(GoldenMigration, PipelineOnEngineIsPinned) {
-  EXPECT_EQ(golden::pipelineFingerprint(BeaconAttackProfile::none(), 0), 0xf702f76c8582c57bULL);
-  EXPECT_EQ(golden::pipelineFingerprint(BeaconAttackProfile::flooder(), 8),
+  EXPECT_EQ(golden::pipelineFingerprint(BeaconAdversaryProfile::none(), 0), 0xf702f76c8582c57bULL);
+  EXPECT_EQ(golden::pipelineFingerprint(BeaconAdversaryProfile::flooder(), 8),
             0x559fbf52906663baULL);
 }
 
@@ -294,7 +308,7 @@ TEST(ExperimentRunner, BeaconScenarioParallelTrialsAggregates) {
   spec.placement.kind = Placement::Random;
   spec.byzGamma = 0.55;
   spec.protocol = ProtocolKind::Beacon;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.beaconLimits.maxPhase = 8;
   spec.beaconLimits.maxTotalRounds = 20'000;
   spec.trials = 32;
@@ -324,7 +338,7 @@ TEST(ExperimentRunner, PipelineScenarioThreadCountInvariant) {
   spec.placement.kind = Placement::Random;
   spec.placement.count = 4;
   spec.protocol = ProtocolKind::Pipeline;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.pipelineParams.agreement.initialOnesFraction = 0.7;
   spec.pipelineParams.agreement.walkLengthFactor = 0.5;
   spec.pipelineParams.estimateSafetyFactor = 1.5;

@@ -52,17 +52,17 @@ TEST(GoldenSharding, AgreementGoldensAreShardCountInvariant) {
 TEST(GoldenSharding, BeaconGoldensAreShardCountInvariant) {
   for (unsigned s : kShardCounts) {
     EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                        BeaconAttackProfile::none(), 0, s),
+                                        BeaconAdversaryProfile::none(), 0, s),
               0x01ad738b6673bf86ULL)
         << "benign beacon diverged at " << s << " shards";
     EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                        BeaconAttackProfile::flooder(), 10, s),
+                                        BeaconAdversaryProfile::flooder(), 10, s),
               0x29553b28fa4d5ddcULL)
         << "flooder beacon diverged at " << s << " shards";
     // FirstSeen resolves ties by inbox position: this one pins the sharded
     // scatter's per-inbox delivery order, not just the protocol logic.
     EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::FirstSeen,
-                                        BeaconAttackProfile::flooder(), 10, s),
+                                        BeaconAdversaryProfile::flooder(), 10, s),
               0xf3b6aab96a9aed6cULL)
         << "FirstSeen beacon diverged at " << s << " shards";
   }
@@ -76,10 +76,10 @@ TEST(GoldenSharding, RecvDrawingBeaconProfilesAreShardCountInvariant) {
   // (fresh random IDs are never blacklisted either way) — so the legacy
   // golden carries over rather than being re-captured.
   EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                      BeaconAttackProfile::full(), 10, 1),
+                                      BeaconAdversaryProfile::full(), 10, 1),
             0xe7cb8414934dcdefULL);
-  for (const BeaconAttackProfile& attack :
-       {BeaconAttackProfile::full(), BeaconAttackProfile::tamperer()}) {
+  for (const BeaconAdversaryProfile& attack :
+       {BeaconAdversaryProfile::full(), BeaconAdversaryProfile::tamperer()}) {
     const std::uint64_t serial =
         golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable, attack, 10, 1);
     for (unsigned s : {2u, 4u, 8u}) {
@@ -92,10 +92,10 @@ TEST(GoldenSharding, RecvDrawingBeaconProfilesAreShardCountInvariant) {
 
 TEST(GoldenSharding, PipelineGoldensAreShardCountInvariant) {
   for (unsigned s : kShardCounts) {
-    EXPECT_EQ(golden::pipelineFingerprint(BeaconAttackProfile::none(), 0, s),
+    EXPECT_EQ(golden::pipelineFingerprint(BeaconAdversaryProfile::none(), 0, s),
               0xf702f76c8582c57bULL)
         << "benign pipeline diverged at " << s << " shards";
-    EXPECT_EQ(golden::pipelineFingerprint(BeaconAttackProfile::flooder(), 8, s),
+    EXPECT_EQ(golden::pipelineFingerprint(BeaconAdversaryProfile::flooder(), 8, s),
               0x559fbf52906663baULL)
         << "flooder pipeline diverged at " << s << " shards";
   }
@@ -147,7 +147,7 @@ TEST(ShardedScenarios, PipelineFlooderScenarioIsShardCountInvariant) {
   spec.placement.kind = Placement::Random;
   spec.placement.count = 4;
   spec.protocol = ProtocolKind::Pipeline;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.pipelineParams.agreement.initialOnesFraction = 0.7;
   spec.pipelineParams.agreement.walkLengthFactor = 0.5;
   spec.pipelineParams.estimateSafetyFactor = 1.5;
@@ -257,7 +257,7 @@ TEST(ShardedScenarios, TrialsTimesShardsOversubscriptionMatchesSerial) {
   spec.placement.kind = Placement::Random;
   spec.placement.count = 4;
   spec.protocol = ProtocolKind::Pipeline;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.pipelineParams.agreement.initialOnesFraction = 0.7;
   spec.pipelineParams.agreement.walkLengthFactor = 0.5;
   spec.pipelineParams.countingLimits.maxPhase = 8;

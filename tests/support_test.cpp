@@ -350,6 +350,15 @@ TEST(Knob, EnvKnobFallsBackWhenUnsetAndReadsValidValues) {
   ::unsetenv("BZC_TEST_KNOB");
 }
 
+TEST(Knob, ArgKnobFallsBackPastArgcAndReadsValidValues) {
+  char prog[] = "prog";
+  char value[] = "42";
+  char* argv[] = {prog, value, nullptr};
+  EXPECT_EQ(argKnob(2, argv, 1, "n", 5, 1, 100), 42u);
+  EXPECT_EQ(argKnob(2, argv, 2, "seed", 5, 1, 100), 5u);
+  EXPECT_EQ(argKnob(1, argv, 1, "n", 5, 1, 100), 5u);
+}
+
 TEST(KnobDeathTest, EnvKnobExitsOnGarbage) {
   for (const char* bad : {"1e6", "abc", "0", ""}) {
     ::setenv("BZC_TEST_KNOB", bad, 1);
@@ -357,6 +366,17 @@ TEST(KnobDeathTest, EnvKnobExitsOnGarbage) {
                 "BZC_TEST_KNOB");
   }
   ::unsetenv("BZC_TEST_KNOB");
+}
+
+TEST(KnobDeathTest, ArgKnobExitsOnGarbage) {
+  // "1e3" is the case atoi read as 1; "4096x" the one it read as 4096.
+  for (const char* bad : {"1e3", "4096x", "abc", "0", "101", ""}) {
+    std::string text = bad;
+    char prog[] = "prog";
+    char* argv[] = {prog, text.data(), nullptr};
+    EXPECT_EXIT((void)argKnob(2, argv, 1, "n", 5, 1, 100), ::testing::ExitedWithCode(2),
+                "n='" + text + "'");
+  }
 }
 
 // BZC_ASSERT is live in debug builds and in -DBZC_CHECKED=ON builds, and
