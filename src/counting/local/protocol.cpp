@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "graph/bfs.hpp"
 #include "runtime/sync_engine.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sim/ids.hpp"
 #include "support/require.hpp"
 
@@ -20,7 +22,11 @@ std::size_t recordBits(const RecordPool& pool, RecordIdx r) {
 
 /// One round's broadcast from a node: a slice of the sender's integration log
 /// (the records it learned last round) plus any adversarial fabrications.
-/// Views live in a stable vector, so the pointers outlive the round.
+/// Receivers read the slice during the end-of-round hook, while every view
+/// appends to its own log, so no log's storage may move inside the hook: the
+/// parallel integration pass reserves each live log before it starts, and
+/// the `views` vector itself never grows after set-up. A message without a
+/// log has an empty slice.
 struct DeltaMsg {
   const std::vector<RecordIdx>* log = nullptr;
   std::uint32_t begin = 0;
@@ -121,69 +127,111 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
   };
 
   // --- Integration + checks, run once per round over all nodes. ---
+  // Both passes are per-node pure work (DESIGN.md §2): node u reads its own
+  // inbox, its senders' delta slices and its own view and monitor, and writes
+  // only its own view, its own monitor and pending[u]. They run over the
+  // trial's worker budget on a pool the trial owns; the decisions are applied
+  // afterwards, serially and in node order, so the outcome is bit-identical
+  // at any budget. At budget 1 both passes run inline.
+  const unsigned workers = std::min<unsigned>(trialWorkerBudget(), n);
+  const std::unique_ptr<ThreadPool> workerPool =
+      workers > 1 ? std::make_unique<ThreadPool>(workers) : nullptr;
+  auto forEachNode = [&](const auto& body) {
+    if (workerPool == nullptr) {
+      for (NodeId u = 0; u < n; ++u) body(u);
+    } else {
+      workerPool->parallelFor(n, [&](std::size_t u) { body(static_cast<NodeId>(u)); });
+    }
+  };
+  const bool relays = adversary.relaysHonest();
+  // Byzantine nodes keep a view only when their strategy relays.
+  auto keepsView = [&](NodeId u) { return !decided[u] && (relays || !byz.contains(u)); };
+  std::vector<LocalDecideReason> pending(n, LocalDecideReason::Undecided);
+
+  // Line 5 mute check, then integration of every delivered record; returns
+  // the decision it forces (Undecided when none).
+  auto integrateNode = [&](NodeId u, Round round) {
+    if (!keepsView(u)) return LocalDecideReason::Undecided;
+    const bool isByz = byz.contains(u);
+    const std::span<const Engine::Delivery> box = engine.inboxOf(u);
+    // Line 5: a mute neighbour triggers an immediate decision. Every sending
+    // neighbour contributes one delivery per incident edge, so a short inbox
+    // means someone stayed silent.
+    if (!isByz && box.size() < g.degree(u)) return LocalDecideReason::MuteNeighbor;
+    LocalView& view = views[u];
+    // False when an honest node integrates anything worse than Duplicate.
+    auto absorb = [&](RecordIdx rec) {
+      if (view.knows(rec)) return true;
+      const IntegrationVerdict v = view.integrate(rec, round);
+      return isByz || v == IntegrationVerdict::Ok || v == IntegrationVerdict::Duplicate;
+    };
+    for (const Engine::Delivery& in : box) {
+      const DeltaMsg& m = in.payload;
+      for (std::uint32_t k = m.begin; k < m.end; ++k) {
+        if (!absorb((*m.log)[k])) return LocalDecideReason::Inconsistency;
+      }
+      if (m.extra == nullptr) continue;
+      for (const RecordIdx rec : *m.extra) {
+        if (!absorb(rec)) return LocalDecideReason::Inconsistency;
+      }
+    }
+    return LocalDecideReason::Undecided;
+  };
+
+  // Expansion checks (Lines 9-13).
+  auto checkNode = [&](NodeId u, Round round) {
+    if (byz.contains(u) || decided[u]) return LocalDecideReason::Undecided;
+    switch (monitors[u].inspect(views[u], round)) {
+      case ExpansionVerdict::Healthy: break;
+      case ExpansionVerdict::BallGrowthViolation: return LocalDecideReason::BallGrowth;
+      case ExpansionVerdict::SparseCutDetected: return LocalDecideReason::SparseCut;
+    }
+    return LocalDecideReason::Undecided;
+  };
+
   auto endOfRound = [&](Round) {
     const auto round = static_cast<Round>(engine.round());
-    for (NodeId u = 0; u < n; ++u) {
-      if (decided[u]) continue;
-      const bool isByz = byz.contains(u);
-      if (isByz && !adversary.relaysHonest()) continue;  // no view upkeep needed
-      const std::span<const Engine::Delivery> box = engine.inboxOf(u);
-      // Line 5: a mute neighbour triggers an immediate decision. Every sending
-      // neighbour contributes one delivery per incident edge, so a short inbox
-      // means someone stayed silent.
-      if (!isByz && box.size() < g.degree(u)) {
-        decide(u, round, LocalDecideReason::MuteNeighbor);
-        continue;
+    {
+      const obs::ScopedTimer span("local.integrate", round);
+      // Receivers read their senders' log slices while each appends to its
+      // own log, so no log may move inside a parallel pass: every live view
+      // first reserves room for all it was sent.
+      std::vector<const RecordIdx*> logData;
+      if (workerPool != nullptr) {
+        for (NodeId u = 0; u < n; ++u) {
+          if (keepsView(u)) {
+            std::size_t incoming = 0;
+            for (const Engine::Delivery& in : engine.inboxOf(u)) {
+              const DeltaMsg& m = in.payload;
+              incoming += (m.end - m.begin) + (m.extra != nullptr ? m.extra->size() : 0);
+            }
+            views[u].reserveLog(incoming);
+          }
+          if constexpr (kAssertsLive) logData.push_back(views[u].integrationLog().data());
+        }
       }
-      LocalView& view = views[u];
-      bool decidedNow = false;
-      for (const Engine::Delivery& in : box) {
-        const DeltaMsg& m = in.payload;
-        if (m.log != nullptr) {
-          const auto& log = *m.log;
-          for (std::uint32_t k = m.begin; k < m.end && !decidedNow; ++k) {
-            const RecordIdx rec = log[k];
-            if (view.knows(rec)) continue;
-            const IntegrationVerdict v = view.integrate(rec, round);
-            if (!isByz && v != IntegrationVerdict::Ok && v != IntegrationVerdict::Duplicate) {
-              decide(u, round, LocalDecideReason::Inconsistency);
-              decidedNow = true;
-            }
-          }
+      forEachNode([&](NodeId u) { pending[u] = integrateNode(u, round); });
+      if constexpr (kAssertsLive) {
+        for (NodeId u = 0; u < logData.size(); ++u) {
+          BZC_ASSERT(views[u].integrationLog().data() == logData[u]);
         }
-        if (m.extra != nullptr) {
-          const auto& extra = *m.extra;
-          for (std::size_t k = 0; k < extra.size() && !decidedNow; ++k) {
-            const RecordIdx rec = extra[k];
-            if (view.knows(rec)) continue;
-            const IntegrationVerdict v = view.integrate(rec, round);
-            if (!isByz && v != IntegrationVerdict::Ok && v != IntegrationVerdict::Duplicate) {
-              decide(u, round, LocalDecideReason::Inconsistency);
-              decidedNow = true;
-            }
-          }
-        }
-        if (decidedNow) break;
       }
     }
-
-    // --- Expansion checks (Lines 9-13). ---
+    {
+      const obs::ScopedTimer span("local.checks", round);
+      forEachNode([&](NodeId u) {
+        if (pending[u] == LocalDecideReason::Undecided) pending[u] = checkNode(u, round);
+      });
+    }
     for (NodeId u = 0; u < n; ++u) {
-      if (byz.contains(u) || decided[u]) continue;
-      switch (monitors[u].inspect(views[u], round)) {
-        case ExpansionVerdict::Healthy: break;
-        case ExpansionVerdict::BallGrowthViolation:
-          decide(u, round, LocalDecideReason::BallGrowth);
-          break;
-        case ExpansionVerdict::SparseCutDetected:
-          decide(u, round, LocalDecideReason::SparseCut);
-          break;
-      }
+      if (pending[u] == LocalDecideReason::Undecided) continue;
+      decide(u, round, pending[u]);
+      pending[u] = LocalDecideReason::Undecided;
     }
 
-    // Trace probes (DESIGN.md §12): the end hook is a serial point, so the
-    // per-round undecided count and decide-reason running totals land on the
-    // same timeline as the engine's round records.
+    // Trace probes (DESIGN.md §12): emitted on the trial's thread after the
+    // passes, so the per-round undecided count and decide-reason running
+    // totals land on the same timeline as the engine's round records.
     if (obs::TrialTrace* trace = obs::currentTrace()) {
       trace->counter("local.undecidedHonest", static_cast<double>(undecidedHonest), round);
       trace->counter("local.decided.inconsistency",

@@ -157,6 +157,14 @@ IntegrationVerdict LocalView::integrate(RecordIdx r, Round round) {
   return IntegrationVerdict::Ok;
 }
 
+void LocalView::reserveLog(std::size_t records) {
+  const std::size_t room = pool_->numNames() - integrated_.size();
+  const std::size_t need = integrated_.size() + std::min(records, room);
+  if (need > integrated_.capacity()) {
+    integrated_.reserve(std::max(need, 2 * integrated_.capacity()));
+  }
+}
+
 std::size_t LocalView::roundMark(Round round) const {
   return round < roundMarks_.size() ? roundMarks_[round] : integrated_.size();
 }

@@ -127,6 +127,11 @@ class LocalView {
   [[nodiscard]] const std::vector<RecordIdx>& integrationLog() const noexcept {
     return integrated_;
   }
+  /// Makes room for up to `records` more log entries, so that integrating
+  /// them cannot move integrationLog()'s storage. The count is capped by the
+  /// names the pool knows (a view integrates at most one record per name);
+  /// capacity grows geometrically.
+  void reserveLog(std::size_t records);
   /// Index into integrationLog() of the first record integrated at `round`.
   [[nodiscard]] std::size_t roundMark(Round round) const;
 

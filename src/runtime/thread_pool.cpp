@@ -2,6 +2,18 @@
 
 namespace bzc {
 
+namespace {
+thread_local unsigned t_workerBudget = 1;
+}  // namespace
+
+unsigned trialWorkerBudget() noexcept { return t_workerBudget; }
+
+WorkerBudgetScope::WorkerBudgetScope(unsigned workers) noexcept : prev_(t_workerBudget) {
+  t_workerBudget = workers > 0 ? workers : 1;
+}
+
+WorkerBudgetScope::~WorkerBudgetScope() { t_workerBudget = prev_; }
+
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();

@@ -98,4 +98,24 @@ class ThreadPool {
   std::deque<std::function<void()>> tasks_;  ///< submit() queue, drained before stop
 };
 
+/// Worker budget of the trial this thread is running: how many threads the
+/// trial may occupy for its own intra-trial passes. ExperimentRunner installs
+/// max(1, pool threads / trials) around every trial (DESIGN.md §5); anywhere
+/// else it is 1. Like the pool's index contract, the budget may decide how
+/// many threads compute a result, never what the result is.
+[[nodiscard]] unsigned trialWorkerBudget() noexcept;
+
+/// RAII install of a worker budget on this thread (nests: restores the
+/// previous budget, like obs::TraceScope).
+class WorkerBudgetScope {
+ public:
+  explicit WorkerBudgetScope(unsigned workers) noexcept;
+  ~WorkerBudgetScope();
+  WorkerBudgetScope(const WorkerBudgetScope&) = delete;
+  WorkerBudgetScope& operator=(const WorkerBudgetScope&) = delete;
+
+ private:
+  unsigned prev_;
+};
+
 }  // namespace bzc

@@ -56,7 +56,7 @@ TEST(GoldenMigration, BeaconMatchesPreRefactorDecisions) {
             0x7a928cad0a407c84ULL);
 }
 
-TEST(GoldenMigration, LocalMatchesPreRefactorDecisions) {
+void expectLocalGoldens() {
   {
     auto adv = makeHonestLocalAdversary();
     EXPECT_EQ(golden::localFingerprint(*adv, Placement::Random), 0xbc818467520a5f14ULL);
@@ -73,6 +73,21 @@ TEST(GoldenMigration, LocalMatchesPreRefactorDecisions) {
     auto adv = makeFakeWorldLocalAdversary({});
     EXPECT_EQ(golden::localFingerprint(*adv, Placement::Surround), 0x6babc33f76dd3e65ULL);
   }
+}
+
+TEST(GoldenMigration, LocalMatchesPreRefactorDecisions) { expectLocalGoldens(); }
+
+// Algorithm 1's end-of-round passes run over the trial's worker budget; the
+// goldens must not see it. Fake-world grows the name pool mid-run and relays,
+// so its logs are the ones a careless reservation would let move.
+TEST(GoldenMigration, LocalGoldensHoldAtAnyWorkerBudget) {
+  for (const unsigned budget : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "worker budget " << budget);
+    const WorkerBudgetScope scope(budget);
+    ASSERT_EQ(trialWorkerBudget(), budget);
+    expectLocalGoldens();
+  }
+  EXPECT_EQ(trialWorkerBudget(), 1u);
 }
 
 TEST(GoldenMigration, AgreementOnEngineIsPinned) {
@@ -387,6 +402,59 @@ TEST(ExperimentRunner, AgreementScenarioThreadCountInvariant) {
   // convergence is partial; the invariance above is what this test pins.
   EXPECT_GT(a.extras[kAgreementFracAgreeing].mean, 0.5);
   EXPECT_GT(a.extras[kAgreementCompromised].mean, 0.0);
+}
+
+TEST(ExperimentRunner, TrialWorkerBudgetSharesThePoolAmongTrials) {
+  // max(1, threads / trials), installed around every trial.
+  const auto budgets = [](unsigned threads, std::uint32_t trials) {
+    ExperimentRunner runner(threads);
+    const ExperimentSummary s = runner.runCustom("budget", trials, [](std::uint32_t) {
+      TrialOutcome t;
+      t.extra = {static_cast<double>(trialWorkerBudget())};
+      return t;
+    });
+    return std::make_pair(s.extras[0].min, s.extras[0].max);
+  };
+  EXPECT_EQ(budgets(1, 1), std::make_pair(1.0, 1.0));
+  EXPECT_EQ(budgets(8, 1), std::make_pair(8.0, 8.0));
+  EXPECT_EQ(budgets(8, 3), std::make_pair(2.0, 2.0));
+  EXPECT_EQ(budgets(4, 4), std::make_pair(1.0, 1.0));
+  EXPECT_EQ(budgets(2, 9), std::make_pair(1.0, 1.0));
+  EXPECT_EQ(trialWorkerBudget(), 1u);  // the calling thread keeps its own
+}
+
+TEST(ExperimentRunner, LocalSingleTrialInvariantAcrossRunnerWidths) {
+  // One trial in flight gets the whole pool as its worker budget, so this
+  // runs Algorithm 1's end-of-round passes on 1, 2, 4 and 8 threads.
+  ScenarioSpec spec;
+  spec.name = "local-one-trial";
+  spec.graph = {GraphKind::Hnd, 256, 8, 0.1};
+  spec.placement.kind = Placement::Random;
+  spec.byzGamma = 0.5;
+  spec.protocol = ProtocolKind::Local;
+  spec.trials = 1;
+  spec.masterSeed = 0x10ca1;
+
+  // Protocol-following Byzantine nodes (the honest control), then fake-world.
+  for (const bool fakeWorld : {false, true}) {
+    SCOPED_TRACE(fakeWorld ? "fake-world" : "honest");
+    if (fakeWorld) spec.localAdversary = [] { return makeFakeWorldLocalAdversary({}); };
+    std::uint64_t reference = 0;
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      ExperimentRunner runner(threads);
+      const ExperimentSummary declarative = runner.run(spec);
+      const ExperimentSummary custom = runner.runCustom(
+          spec.name, 1, [&spec](std::uint32_t i) { return ExperimentRunner::runTrial(spec, i); });
+      ASSERT_EQ(declarative.perTrial.size(), 1u);
+      ASSERT_EQ(custom.perTrial.size(), 1u);
+      const std::uint64_t fp = declarative.perTrial[0].resultFingerprint;
+      if (threads == 1) reference = fp;
+      EXPECT_EQ(fp, reference) << "run() diverged at " << threads << " threads";
+      EXPECT_EQ(custom.perTrial[0].resultFingerprint, reference)
+          << "runCustom() diverged at " << threads << " threads";
+      EXPECT_GT(declarative.fracDecided.mean, 0.0);
+    }
+  }
 }
 
 TEST(ExperimentRunner, MaterializeTrialIsAPureFunctionOfSpecAndIndex) {
