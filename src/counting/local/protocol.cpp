@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "graph/bfs.hpp"
 #include "runtime/sync_engine.hpp"
@@ -23,10 +22,11 @@ std::size_t recordBits(const RecordPool& pool, RecordIdx r) {
 /// One round's broadcast from a node: a slice of the sender's integration log
 /// (the records it learned last round) plus any adversarial fabrications.
 /// Receivers read the slice during the end-of-round hook, while every view
-/// appends to its own log, so no log's storage may move inside the hook: the
-/// parallel integration pass reserves each live log before it starts, and
-/// the `views` vector itself never grows after set-up. A message without a
-/// log has an empty slice.
+/// appends to its own log, so no log's storage may move inside a parallel
+/// pass: the pass reserves each live log before it starts and receivers read
+/// through the storage pointers noted then, never through `log` itself. The
+/// `views` vector never grows after set-up. A message without a log has an
+/// empty slice.
 struct DeltaMsg {
   const std::vector<RecordIdx>* log = nullptr;
   std::uint32_t begin = 0;
@@ -132,17 +132,14 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
   // only its own view, its own monitor and pending[u]. They run over the
   // trial's worker budget on a pool the trial owns; the decisions are applied
   // afterwards, serially and in node order, so the outcome is bit-identical
-  // at any budget. At budget 1 both passes run inline.
+  // at any budget. A one-worker pool starts no threads and runs both passes
+  // inline on the trial's thread.
   const unsigned workers = std::min<unsigned>(trialWorkerBudget(), n);
-  const std::unique_ptr<ThreadPool> workerPool =
-      workers > 1 ? std::make_unique<ThreadPool>(workers) : nullptr;
-  auto forEachNode = [&](const auto& body) {
-    if (workerPool == nullptr) {
-      for (NodeId u = 0; u < n; ++u) body(u);
-    } else {
-      workerPool->parallelFor(n, [&](std::size_t u) { body(static_cast<NodeId>(u)); });
-    }
-  };
+  ThreadPool workerPool(workers);
+  // Each sender's log storage as of the start of a parallel integration
+  // pass, indexed by node: receivers read slices through these, never
+  // through another node's vector, which its owner appends to meanwhile.
+  std::vector<const RecordIdx*> logData(workers > 1 ? n : 0, nullptr);
   const bool relays = adversary.relaysHonest();
   // Byzantine nodes keep a view only when their strategy relays.
   auto keepsView = [&](NodeId u) { return !decided[u] && (relays || !byz.contains(u)); };
@@ -167,8 +164,13 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
     };
     for (const Engine::Delivery& in : box) {
       const DeltaMsg& m = in.payload;
-      for (std::uint32_t k = m.begin; k < m.end; ++k) {
-        if (!absorb((*m.log)[k])) return LocalDecideReason::Inconsistency;
+      if (m.begin < m.end) {
+        // At budget 1 the pass is serial and a sender's log may have moved
+        // since the round began, so the slice is read through the vector.
+        const RecordIdx* log = logData.empty() ? m.log->data() : logData[in.sender];
+        for (std::uint32_t k = m.begin; k < m.end; ++k) {
+          if (!absorb(log[k])) return LocalDecideReason::Inconsistency;
+        }
       }
       if (m.extra == nullptr) continue;
       for (const RecordIdx rec : *m.extra) {
@@ -195,9 +197,8 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
       const obs::ScopedTimer span("local.integrate", round);
       // Receivers read their senders' log slices while each appends to its
       // own log, so no log may move inside a parallel pass: every live view
-      // first reserves room for all it was sent.
-      std::vector<const RecordIdx*> logData;
-      if (workerPool != nullptr) {
+      // first reserves room for all it was sent, then its storage is noted.
+      if (workers > 1) {
         for (NodeId u = 0; u < n; ++u) {
           if (keepsView(u)) {
             std::size_t incoming = 0;
@@ -207,20 +208,22 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
             }
             views[u].reserveLog(incoming);
           }
-          if constexpr (kAssertsLive) logData.push_back(views[u].integrationLog().data());
+          logData[u] = views[u].integrationLog().data();
         }
       }
-      forEachNode([&](NodeId u) { pending[u] = integrateNode(u, round); });
-      if constexpr (kAssertsLive) {
-        for (NodeId u = 0; u < logData.size(); ++u) {
-          BZC_ASSERT(views[u].integrationLog().data() == logData[u]);
-        }
+      workerPool.parallelFor(n, [&](std::size_t u) {
+        pending[u] = integrateNode(static_cast<NodeId>(u), round);
+      });
+      for (NodeId u = 0; u < logData.size(); ++u) {
+        BZC_ASSERT(views[u].integrationLog().data() == logData[u]);
       }
     }
     {
       const obs::ScopedTimer span("local.checks", round);
-      forEachNode([&](NodeId u) {
-        if (pending[u] == LocalDecideReason::Undecided) pending[u] = checkNode(u, round);
+      workerPool.parallelFor(n, [&](std::size_t u) {
+        if (pending[u] == LocalDecideReason::Undecided) {
+          pending[u] = checkNode(static_cast<NodeId>(u), round);
+        }
       });
     }
     for (NodeId u = 0; u < n; ++u) {
