@@ -171,8 +171,7 @@ inline void appendJsonSamples(std::ostringstream& os, const char* key,
 /// labels to report and to orient lower-is-better metrics like staleness).
 inline void maybeEmitJson(const ExperimentSummary& s,
                           const std::vector<std::string>& extraNames = {},
-                          unsigned shards = 0, unsigned pipelineDepth = 0,
-                          double wallMs = -1.0) {
+                          unsigned shards = 0, double wallMs = -1.0) {
   if (!jsonOutputEnabled()) return;
   std::ostringstream os;
   os.precision(12);
@@ -183,13 +182,11 @@ inline void maybeEmitJson(const ExperimentSummary& s,
   // flagging), peak_rss_kb the process high-water mark at emission.
   if (wallMs >= 0.0) os << ",\"wall_ms\":" << wallMs;
   os << ",\"peak_rss_kb\":" << peakRssKb();
-  // Emitted only for sharded/pipelined rows so legacy trajectories stay
-  // byte-stable; tools/diff_bench_json.py reports shard-count and
-  // pipeline-depth changes alongside the metric deltas (a 1 -> 4 shard or
-  // depth bump is a config change, not a regression — the fingerprints are
-  // invariant either way).
+  // Emitted only for sharded rows so legacy trajectories stay byte-stable;
+  // tools/diff_bench_json.py reports shard-count changes alongside the metric
+  // deltas (a 1 -> 4 shard bump is a config change, not a regression — the
+  // fingerprints are invariant either way).
   if (shards > 0) os << ",\"shards\":" << shards;
-  if (pipelineDepth > 0) os << ",\"pipelineDepth\":" << pipelineDepth;
   os << ",\"combinedFingerprint\":\"0x" << std::hex << s.combinedFingerprint << std::dec
      << "\",";
   if (!extraNames.empty()) {
@@ -250,18 +247,14 @@ inline void maybeEmitJson(const ExperimentSummary& s,
   }
 }
 
-/// Declarative row: run spec on the runner and emit the JSON line. Depth-1
-/// churn rows omit the pipelineDepth key so pre-pipeline trajectories stay
-/// byte-stable.
+/// Declarative row: run spec on the runner and emit the JSON line.
 inline ExperimentSummary runScenario(ExperimentRunner& runner, const ScenarioSpec& spec,
                                      const std::vector<std::string>& extraNames = {}) {
   const auto t0 = std::chrono::steady_clock::now();
   ExperimentSummary s = runner.run(spec);
   const double wallMs =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  const unsigned depth =
-      spec.churn.enabled() && spec.churn.pipelineDepth > 1 ? spec.churn.pipelineDepth : 0;
-  maybeEmitJson(s, extraNames, spec.shards, depth, wallMs);
+  maybeEmitJson(s, extraNames, spec.shards, wallMs);
   return s;
 }
 
@@ -283,7 +276,7 @@ inline ExperimentSummary runScenario(ExperimentRunner& runner, const std::string
   ExperimentSummary s = runner.runCustom(name, trials, fn);
   const double wallMs =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  maybeEmitJson(s, extraNames, 0, 0, wallMs);
+  maybeEmitJson(s, extraNames, 0, wallMs);
   return s;
 }
 

@@ -1,23 +1,25 @@
 // T13 — pipelined epoch execution (DESIGN.md §11): the churn runner's
 // overlay-evolution stage overlapped with the protocol recounts of earlier
-// epochs, at pipeline depth D = 1, 2, 4 over identical streams.
+// epochs. The pipeline depth is the trial's worker budget, swept here at
+// D = 1, 2, 4 over identical streams.
 //
 // Two row families, both T10-shaped steady-churn sweeps on the full
 // counting->agreement pipeline: recounting every epoch (the recount-dominated
 // regime where the pipeline has the most exposed work) and cadence 2 (sparse
 // recounts, where the ring-buffer backpressure path is exercised instead).
-// Every depth runs the *same* rowSeed — pipelineDepth is a pure performance
-// knob, so the combined fingerprints must be bit-identical down the sweep
-// (pinned at test scale by tests/epoch_pipeline_test.cpp, shape-checked here
-// at bench scale). 'speedup' is wall-clock vs D = 1 on this machine: ~D× when
-// >= D idle cores and recounts dominate the epoch loop, <= 1× on a single
-// core, where the table shows the future/ring bookkeeping overhead instead.
+// Each row runs its trials one after another on a one-thread runner, with
+// budget D installed around each trial (WorkerBudgetScope), so a trial
+// occupies at most D threads whatever BZC_THREADS says. Every budget runs the
+// *same* rowSeed — the budget only schedules, so the combined fingerprints
+// must be bit-identical down the sweep (pinned at test scale by
+// tests/epoch_pipeline_test.cpp, checked here at bench scale; the bench exits
+// non-zero when they differ). 'speedup' is wall-clock vs D = 1 on this
+// machine: ~D× when >= D idle cores and recounts dominate the epoch loop,
+// <= 1× on a single core, where the table shows the future/ring bookkeeping
+// overhead instead.
 //
-// BZC_TRIALS / BZC_THREADS / BZC_N override; CI smoke runs BZC_N=2048
-// BZC_TRIALS=2, the nightly measures the n = 65536 sweep on 4-core runners.
-// JSON rows (BZC_OUTPUT=json) carry pipelineDepth so
-// tools/diff_bench_json.py reports depth bumps as config changes, not
-// regressions.
+// BZC_TRIALS / BZC_N override; CI smoke runs BZC_N=2048 BZC_TRIALS=2, the
+// nightly measures the n = 65536 sweep on 4-core runners.
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -25,6 +27,7 @@
 
 #include "bench_common.hpp"
 #include "churn/epoch_runner.hpp"
+#include "runtime/thread_pool.hpp"
 
 int main() {
   using namespace bzc;
@@ -37,14 +40,15 @@ int main() {
 
   experimentHeader(
       "T13 — pipelined epochs (n0 = " + std::to_string(n) + ", H(n,8), " +
-          std::to_string(epochs) + " epochs, steady churn, D = 1, 2, 4)",
+          std::to_string(epochs) + " epochs, steady churn, worker budget D = 1, 2, 4)",
       "Overlay evolution for epoch e+1..e+D overlaps the recounts of epochs <= e;\n"
       "a serial finalization pass folds recount outputs in epoch order, so every\n"
-      "depth is bit-identical to the serial path. 'speedup' is wall-clock vs D = 1\n"
-      "on this machine; fingerprints must match across the sweep regardless.");
+      "budget is bit-identical to the serial path. Trials run one at a time, each\n"
+      "on a budget of D threads. 'speedup' is wall-clock vs D = 1 on this\n"
+      "machine; fingerprints must match across the sweep regardless.");
 
-  ExperimentRunner runner(threadCount());
-  std::cout << "trials/row=" << trials << "  threads=" << runner.threadCount() << "\n\n";
+  ExperimentRunner runner(1);
+  std::cout << "trials/row=" << trials << "  (one at a time, budget D each)\n\n";
 
   const struct {
     const char* tag;
@@ -53,7 +57,7 @@ int main() {
       {"recount-every", 1},
       {"cadence-2", 2},
   };
-  const std::uint32_t depths[] = {1, 2, 4};
+  const unsigned budgets[] = {1, 2, 4};
 
   bool fingerprintsMatch = true;
   double speedupBest = 0.0;
@@ -62,10 +66,10 @@ int main() {
   for (const auto& family : families) {
     std::uint64_t baseFp = 0;
     double baseWall = 0.0;
-    for (const std::uint32_t depth : depths) {
+    for (const unsigned budget : budgets) {
       ScenarioSpec spec;
-      spec.name = "t13-" + std::string(family.tag) + "-n" + std::to_string(n) + "-d" +
-                  std::to_string(depth);
+      spec.name = "t13-" + std::string(family.tag) + "-n" + std::to_string(n) + "-b" +
+                  std::to_string(budget);
       spec.graph = {GraphKind::Hnd, n, 8, 0.1};
       spec.placement.kind = Placement::Random;
       spec.placement.count = 8;
@@ -76,28 +80,34 @@ int main() {
       spec.pipelineParams.countingLimits.maxPhase =
           static_cast<std::uint32_t>(std::ceil(std::log(static_cast<double>(n)))) + 4;
       spec.churn = ChurnSchedule::steady(epochs, /*rate=*/0.06, family.cadence);
-      spec.churn.pipelineDepth = depth;
       spec.trials = trials;
-      // One seed per family: the sweep varies D only, never the workload.
+      // One seed per family: the sweep varies the budget only, never the
+      // workload.
       spec.masterSeed = rowSeed(13, familyIdx);
 
       const auto start = Clock::now();
-      const ExperimentSummary s = runScenario(runner, spec, churnExtraNames());
+      const ExperimentSummary s = runScenario(
+          runner, spec.name, trials,
+          [&spec, budget](std::uint32_t i) {
+            const WorkerBudgetScope scope(budget);
+            return ExperimentRunner::runTrial(spec, i);
+          },
+          churnExtraNames());
       const double wall = std::chrono::duration<double>(Clock::now() - start).count();
-      if (depth == 1) {
+      if (budget == 1) {
         baseFp = s.combinedFingerprint;
         baseWall = wall;
       } else {
         fingerprintsMatch = fingerprintsMatch && s.combinedFingerprint == baseFp;
         if (wall > 0) speedupBest = std::max(speedupBest, baseWall / wall);
       }
-      table.addRow({family.tag, Table::integer(depth),
+      table.addRow({family.tag, Table::integer(budget),
                     Table::num(s.extras[kChurnFinalN].mean, 0),
                     Table::num(s.extras[kChurnMeanStaleness].mean, 3),
                     distPercentCell(s.extras[kChurnLastAgree]), distCell(s.totalRounds, 0),
                     Table::num(wall, 1),
-                    depth == 1 ? std::string("1.00x")
-                               : (wall > 0 ? Table::num(baseWall / wall, 2) + "x" : "-")});
+                    budget == 1 ? std::string("1.00x")
+                                : (wall > 0 ? Table::num(baseWall / wall, 2) + "x" : "-")});
     }
     ++familyIdx;
   }
@@ -106,5 +116,5 @@ int main() {
                " correctness, the nightly 4-core runners measure the overlap win)\n";
   shapeCheck("bit-identical fingerprints at D = 1, 2, 4 in both families", fingerprintsMatch);
   std::cout << "best observed speedup vs D = 1: " << speedupBest << "x\n";
-  return 0;
+  return fingerprintsMatch ? 0 : 1;
 }

@@ -74,10 +74,10 @@ struct EpochStage {
   EpochReport report;
   double trueLogN = 0.0;
   bool recount = false;
-  TrialOutcome out;                ///< recount result (inline, or retired from fut)
+  TrialOutcome out;                ///< recount result, retired from fut
   std::future<TrialOutcome> fut;   ///< valid while the recount is in flight
   /// Child probe buffer for traced trials (DESIGN.md §12): the recount traces
-  /// into it on whichever thread runs (inline or a pool worker — same buffer
+  /// into it on whichever thread runs it (inline or a pool worker — same buffer
   /// either way, so the deterministic projection is depth-invariant) and the
   /// serial finalization fold splices it back in epoch order.
   std::unique_ptr<obs::TrialTrace> trace;
@@ -127,13 +127,15 @@ const char* churnExtraSlotName(std::size_t slot) {
 //     snapshot. A pure function of (epochSpec, snapshot, per-epoch forked
 //     Rng), so recounts of different epochs are mutually independent.
 //
-// The overlay stage runs ahead, keeping up to pipelineDepth recounts in
-// flight; every fold that *reads* recount outputs (estimate, staleness,
-// drift, the fingerprint chain, the totals) is deferred to a serial
-// finalization pass over the stages in epoch order, which is what makes the
-// pipelined schedule bit-identical to the sequential one at any depth.
-// Depth 1 runs the recount inline on this thread (no pool at all) — the
-// legacy serial schedule through the same code.
+// The pipeline depth is the trial's worker budget (trialWorkerBudget(),
+// DESIGN.md §5): the overlay stage runs ahead, keeping up to that many
+// recounts in flight; every fold that *reads* recount outputs (estimate,
+// staleness, drift, the fingerprint chain, the totals) is deferred to a
+// serial finalization pass over the stages in epoch order, which is what
+// makes the pipelined schedule bit-identical to the sequential one at any
+// depth. Every recount goes through the recount pool; at depth 1 (or with a
+// single recount) that pool has no workers and submit() runs the recount
+// inline on this thread.
 ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t index) {
   BZC_REQUIRE(spec.churn.enabled(), "runChurnTrial needs an enabled ChurnSchedule");
   BZC_REQUIRE(spec.churn.epochs >= 1, "churn schedule needs at least one epoch");
@@ -154,7 +156,9 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
   std::unique_ptr<ChurnModel> model =
       spec.churn.kind != ChurnModelKind::None ? makeChurnModel(spec.churn) : nullptr;
 
-  const std::uint32_t depth = std::max<std::uint32_t>(1, spec.churn.pipelineDepth);
+  // Epochs 1, 1 + recountEvery, ... recount; more depth than that buys nothing.
+  const std::uint32_t recountEpochs = (spec.churn.epochs - 1) / spec.churn.recountEvery + 1;
+  const std::uint32_t depth = std::min(trialWorkerBudget(), recountEpochs);
 
   double gapSum = 0.0;
   double firstGap = 0.0, lastGap = 0.0;
@@ -173,10 +177,10 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
   // slots alive.
   std::vector<SnapshotSlot> ring(static_cast<std::size_t>(depth) + 1);
   std::deque<std::size_t> inflight;  ///< stage indices with unretired futures
-  std::unique_ptr<ThreadPool> recountPool;
-  if (depth > 1 && spec.churn.epochs > 1) {
-    recountPool = std::make_unique<ThreadPool>(depth);
-  }
+  // The overlay stage keeps this thread, so depth - 1 workers run recounts
+  // and the trial occupies at most its budget. Workers see the thread-local
+  // default budget of 1; an inline recount sees the trial's.
+  ThreadPool recountPool(depth);
   const auto retire = [&stages](std::size_t s) {
     if (stages[s].fut.valid()) stages[s].out = stages[s].fut.get();
   };
@@ -295,35 +299,28 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
         stage.trace->trial = trace->trial;
       }
       obs::TrialTrace* const childTrace = stage.trace.get();
-      if (recountPool) {
-        while (inflight.size() >= depth) {  // cap in-flight recounts at depth
-          retire(inflight.front());
-          inflight.pop_front();
-        }
-        const OverlaySnapshot* snapPtr = &snap;
-        stage.fut = recountPool->submit(
-            [es = std::move(epochSpec), snapPtr, rng = std::move(protoRng), childTrace]() mutable {
-              const obs::TraceScope scope(childTrace);
-              const obs::ScopedTimer timer("epoch.recount");
-              TrialOutcome o = runProtocolTrial(es, snapPtr->graph, snapPtr->byz, std::move(rng));
-              // Blame edges carry dense per-epoch node ids; remap to global
-              // overlay ids while the snapshot slot is still alive (it is
-              // reused once this recount retires). Epoch 1's empty map is
-              // the identity, keeping zero-churn blame bit-identical to the
-              // static path.
-              o.blame.remapNodes(snapPtr->denseToId);
-              return o;
-            });
-        slot.stage = epoch - 1;
-        inflight.push_back(epoch - 1);
-      } else {
-        // Inline (depth 1): the child scope shadows the trial buffer so the
-        // recount's events land in the same place they would from a worker.
-        const obs::TraceScope scope(childTrace);
-        const obs::ScopedTimer timer("epoch.recount");
-        stage.out = runProtocolTrial(epochSpec, snap.graph, snap.byz, std::move(protoRng));
-        stage.out.blame.remapNodes(snap.denseToId);
+      while (inflight.size() >= depth) {  // cap in-flight recounts at depth
+        retire(inflight.front());
+        inflight.pop_front();
       }
+      const OverlaySnapshot* snapPtr = &snap;
+      stage.fut = recountPool.submit(
+          [es = std::move(epochSpec), snapPtr, rng = std::move(protoRng), childTrace]() mutable {
+            // The child scope shadows the trial buffer when the recount runs
+            // inline, so its events land where they would from a worker.
+            const obs::TraceScope scope(childTrace);
+            const obs::ScopedTimer timer("epoch.recount");
+            TrialOutcome o = runProtocolTrial(es, snapPtr->graph, snapPtr->byz, std::move(rng));
+            // Blame edges carry dense per-epoch node ids; remap to global
+            // overlay ids while the snapshot slot is still alive (it is
+            // reused once this recount retires). Epoch 1's empty map is the
+            // identity, keeping zero-churn blame bit-identical to the static
+            // path.
+            o.blame.remapNodes(snapPtr->denseToId);
+            return o;
+          });
+      slot.stage = epoch - 1;
+      inflight.push_back(epoch - 1);
     }
   }
   while (!inflight.empty()) {

@@ -17,13 +17,14 @@
 // is the static kProtocolStream fork, which is what makes the zero-churn
 // identity exact rather than statistical.
 //
-// Execution is a depth-bounded software pipeline (ChurnSchedule::
-// pipelineDepth, DESIGN.md §11): the serial overlay stage (events, repair,
-// snapshot, warm-started gap probe) runs ahead while up to `depth` recounts
-// — pure functions of their materialised snapshots — execute on pool
-// workers; the estimate/staleness/drift fold is a serial finalization pass
-// in epoch order, so every depth produces the identical ChurnTrialResult
-// (epoch_pipeline_test pins depth 1 == depth D, report by report).
+// Execution is a depth-bounded software pipeline (DESIGN.md §11) whose depth
+// is the trial's worker budget (trialWorkerBudget(), DESIGN.md §5): the
+// serial overlay stage (events, repair, snapshot, warm-started gap probe)
+// runs ahead while up to `depth` recounts — pure functions of their
+// materialised snapshots — execute on pool workers; the estimate/staleness/
+// drift fold is a serial finalization pass in epoch order, so every budget
+// produces the identical ChurnTrialResult (epoch_pipeline_test pins budget 1
+// == budget D, report by report).
 //
 // Reporting: per-trial aggregates land in TrialOutcome::extra under
 // ChurnExtraSlot (deliberately outside fingerprint(), like the adversary

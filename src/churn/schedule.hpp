@@ -62,18 +62,6 @@ struct ChurnSchedule {
   /// churn_test); disable to force fresh full-depth probes every epoch.
   bool gapWarmStart = true;
 
-  /// Epoch-pipeline depth (perf lever, DESIGN.md §11): how many epochs the
-  /// overlay stage may hold in flight — while epoch e's recount executes on a
-  /// pool worker, the caller pre-materializes up to this many epochs ahead
-  /// (churn events, repair, snapshot, gap probe). 1 = fully serial, the
-  /// legacy path through the same code. Results are bit-identical at every
-  /// depth: all RNG streams fork per (masterSeed, trial, epoch) and the
-  /// estimate/staleness fold runs as a serial finalization pass in epoch
-  /// order (pinned by epoch_pipeline_test). Depths beyond the epoch count
-  /// are harmless. Interacts with ExperimentRunner core budgeting: the trial
-  /// fan-out narrows so trials × shards × pipelineDepth ≲ cores.
-  std::uint32_t pipelineDepth = 1;
-
   /// True when the scenario should route through the EpochRunner. A default
   /// schedule is inert: every existing ScenarioSpec behaves exactly as before.
   [[nodiscard]] bool enabled() const noexcept {

@@ -397,19 +397,16 @@ unsigned ExperimentRunner::threadCount() const noexcept { return pool_->threadCo
 
 ExperimentSummary ExperimentRunner::run(const ScenarioSpec& spec) {
   const TrialFn fn = [&spec](std::uint32_t index) { return runTrial(spec, index); };
-  // trials × shards × pipelineDepth ≤ cores policy: each trial's engine spins
-  // up its own shard workers and each churn trial its own recount-pipeline
-  // workers, so the trial-level fan-out narrows to compensate. runWith then
-  // hands each trial a worker budget of max(1, pool threads / trials), which
-  // Algorithm 1 spends on its per-node end-of-round passes: fan-out wins
-  // whenever trials >= threads (the budget is 1). The outcome is unchanged
-  // either way (trials are pure functions of their index, and the budget
-  // never changes what a trial computes) — only scheduling shifts.
-  const unsigned pipeline =
-      spec.churn.enabled() ? std::max<std::uint32_t>(1, spec.churn.pipelineDepth) : 1;
-  const unsigned perTrial = std::max(1u, spec.shards) * pipeline;
-  if (perTrial > 1) {
-    ThreadPool narrowed(std::max(1u, threadCount() / perTrial));
+  // trials × shards ≤ cores policy: each trial's engine spins up its own
+  // shard workers, so the trial-level fan-out narrows to compensate. runWith
+  // then hands each trial a worker budget of max(1, pool threads / trials),
+  // which Algorithm 1 spends on its per-node end-of-round passes and the
+  // epoch runner on its recount pipeline depth: fan-out wins whenever
+  // trials >= threads (the budget is 1). The outcome is unchanged either way
+  // (trials are pure functions of their index, and the budget never changes
+  // what a trial computes) — only scheduling shifts.
+  if (spec.shards > 1) {
+    ThreadPool narrowed(std::max(1u, threadCount() / spec.shards));
     return runWith(narrowed, spec.name, spec.trials, fn, spec.traceTrials);
   }
   return runWith(*pool_, spec.name, spec.trials, fn, spec.traceTrials);
@@ -443,8 +440,9 @@ ExperimentSummary ExperimentRunner::runWith(ThreadPool& pool, const std::string&
   }
   std::vector<TrialOutcome> outcomes(trials);
   // Each trial may occupy its share of the pool's threads for its own
-  // intra-trial passes (Algorithm 1's end-of-round hook uses it): the whole
-  // pool for a single trial, 1 once trials >= threads.
+  // intra-trial passes (Algorithm 1's end-of-round hook and the epoch
+  // pipeline use it): the whole pool for a single trial, 1 once
+  // trials >= threads.
   const unsigned budget = std::max(1u, pool.threadCount() / trials);
   // Chunked dispatch: one std::function call per worker instead of one per
   // trial. Which worker runs a trial never matters (pure function of the

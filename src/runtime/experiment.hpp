@@ -160,11 +160,9 @@ struct ScenarioSpec {
 
   /// Intra-trial engine shards (DESIGN.md §10) for the sharded protocols
   /// (Beacon, Agreement, Pipeline — incl. their churn recounts). 0 leaves the
-  /// protocol params untouched; > 0 overrides them. When the product of
-  /// shards and churn.pipelineDepth exceeds 1, run() narrows the trial-level
-  /// pool to threadCount() / (shards × pipelineDepth) so
-  /// trials × shards × pipelineDepth stays within the core budget
-  /// (DESIGN.md §11).
+  /// protocol params untouched; > 0 overrides them. When shards exceeds 1,
+  /// run() narrows the trial-level pool to threadCount() / shards so
+  /// trials × shards stays within the core budget (DESIGN.md §5).
   std::uint32_t shards = 0;
 
   /// How many leading trials to trace when a TraceSink is installed

@@ -1,9 +1,10 @@
-// Tests for pipelined epoch execution (ChurnSchedule::pipelineDepth): paired
-// bit-identity of the depth-D pipeline against the depth-1 serial path across
-// every churn model, thread-count invariance with pipelining on, and the
-// depth-greater-than-epochs edge case. These are the pins behind the claim in
-// DESIGN.md §11 that pipelineDepth is a pure performance knob — every field of
-// ChurnTrialResult, including each EpochReport, must match exactly.
+// Tests for pipelined epoch execution, whose depth is the trial's worker
+// budget (DESIGN.md §11): paired bit-identity of budgets 2/4/8 against the
+// budget-1 serial path across every churn model, the budget-beyond-recounts
+// edge case, and invariance across runner widths (which set the budget). These
+// are the pins behind the claim in DESIGN.md §11 that the depth is a pure
+// scheduling choice — every field of ChurnTrialResult, including each
+// EpochReport, must match exactly.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +13,7 @@
 #include "churn/epoch_runner.hpp"
 #include "churn/schedule.hpp"
 #include "runtime/experiment.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace bzc {
 namespace {
@@ -77,9 +79,16 @@ void expectTrialResultsIdentical(const ChurnTrialResult& a, const ChurnTrialResu
   }
 }
 
-TEST(EpochPipeline, PipelinedMatchesSequentialAcrossModelsAndDepths) {
-  // The tentpole pin: depth {2, 4} against the depth-1 serial path, for each
-  // churn model, comparing the full detailed trajectory field by field.
+/// runChurnTrialDetailed with `budget` installed as the trial's worker budget,
+/// as ExperimentRunner does around every trial.
+ChurnTrialResult runAtBudget(const ScenarioSpec& spec, std::uint32_t trial, unsigned budget) {
+  const WorkerBudgetScope scope(budget);
+  return runChurnTrialDetailed(spec, trial);
+}
+
+TEST(EpochPipeline, PipelinedMatchesSequentialAcrossModelsAndBudgets) {
+  // The tentpole pin: budgets {2, 4, 8} against the budget-1 serial path, for
+  // each churn model, comparing the full detailed trajectory field by field.
   struct Model {
     const char* name;
     ChurnSchedule schedule;
@@ -94,99 +103,63 @@ TEST(EpochPipeline, PipelinedMatchesSequentialAcrossModelsAndDepths) {
                                              /*rejoinBoost=*/1.5, /*recountEvery=*/1)},
   };
   for (const Model& model : models) {
-    ScenarioSpec serialSpec = basePipelineSpec();
-    serialSpec.masterSeed = 0xd1f0;
-    serialSpec.churn = model.schedule;
-    serialSpec.churn.pipelineDepth = 1;
+    ScenarioSpec spec = basePipelineSpec();
+    spec.masterSeed = 0xd1f0;
+    spec.churn = model.schedule;
     for (std::uint32_t trial = 0; trial < 3; ++trial) {
-      const ChurnTrialResult serial = runChurnTrialDetailed(serialSpec, trial);
-      for (std::uint32_t depth : {2u, 4u}) {
-        ScenarioSpec deepSpec = serialSpec;
-        deepSpec.churn.pipelineDepth = depth;
-        const ChurnTrialResult piped = runChurnTrialDetailed(deepSpec, trial);
+      const ChurnTrialResult serial = runAtBudget(spec, trial, 1);
+      for (const unsigned budget : {2u, 4u, 8u}) {
+        const ChurnTrialResult piped = runAtBudget(spec, trial, budget);
         expectTrialResultsIdentical(serial, piped,
-                                    std::string(model.name) + " depth " +
-                                        std::to_string(depth) + " trial " +
+                                    std::string(model.name) + " budget " +
+                                        std::to_string(budget) + " trial " +
                                         std::to_string(trial));
       }
     }
   }
+  EXPECT_EQ(trialWorkerBudget(), 1u);  // every scope restored the default
 }
 
-TEST(EpochPipeline, DepthBeyondEpochCountIsIdentity) {
-  // depth > epochs (and depth >> recount count under cadence) must clamp to
+TEST(EpochPipeline, BudgetBeyondRecountCountIsIdentity) {
+  // budget > epochs (and budget >> recount count under cadence) must clamp to
   // the available work without deadlock or divergence.
   ScenarioSpec spec = basePipelineSpec();
   spec.masterSeed = 0xdee9;
   spec.churn = ChurnSchedule::steady(/*epochs=*/3, /*rate=*/0.08, /*recountEvery=*/2);
   for (std::uint32_t trial = 0; trial < 2; ++trial) {
-    ScenarioSpec serialSpec = spec;
-    serialSpec.churn.pipelineDepth = 1;
-    const ChurnTrialResult serial = runChurnTrialDetailed(serialSpec, trial);
-    ScenarioSpec deepSpec = spec;
-    deepSpec.churn.pipelineDepth = 8;  // deeper than the 3-epoch trajectory
-    const ChurnTrialResult piped = runChurnTrialDetailed(deepSpec, trial);
-    expectTrialResultsIdentical(serial, piped, "depth 8 over 3 epochs trial " +
-                                                   std::to_string(trial));
+    const ChurnTrialResult serial = runAtBudget(spec, trial, 1);
+    const ChurnTrialResult piped = runAtBudget(spec, trial, 8);  // > the 3-epoch trajectory
+    expectTrialResultsIdentical(serial, piped,
+                                "budget 8 over 3 epochs trial " + std::to_string(trial));
   }
 }
 
-TEST(EpochPipeline, PipelinedChurnScenarioIsThreadCountInvariant) {
-  // The T10-shaped invariance row with pipelining ON: 48 trials, depth 2,
-  // bit-identical at 1, 2 and 8 runner threads. The runner narrows its trial
-  // pool by trials x shards x depth, so this also exercises oversubscription
-  // (8 threads / depth 2 -> 4 trial workers each owning a 2-thread pipeline).
+TEST(EpochPipeline, ScenarioRunIsInvariantAcrossRunnerWidths) {
+  // End-to-end through ExperimentRunner: 2 trials on 1/2/4/8-thread runners
+  // get budgets 1/1/2/4, so the aggregated summary (fingerprints, cost
+  // distributions, churn extras) is pinned across pipeline depths.
   ScenarioSpec spec = basePipelineSpec();
   spec.name = "pipelined-churn-invariance";
-  spec.graph = {GraphKind::Hnd, 96, 8, 0.1};
-  spec.churn = ChurnSchedule::steady(/*epochs=*/4, /*rate=*/0.08, /*recountEvery=*/2);
-  spec.churn.pipelineDepth = 2;
-  spec.trials = 48;
-  spec.masterSeed = 0x10c4;  // same row churn_test pins at depth 1
-
-  ExperimentSummary byThreads[3];
-  const unsigned counts[3] = {1, 2, 8};
-  for (int t = 0; t < 3; ++t) {
-    ExperimentRunner runner(counts[t]);
-    byThreads[t] = runner.run(spec);
-  }
-  ASSERT_EQ(byThreads[0].perTrial.size(), 48u);
-  for (int t = 1; t < 3; ++t) {
-    EXPECT_EQ(byThreads[0].combinedFingerprint, byThreads[t].combinedFingerprint)
-        << "pipelined churn scenario diverged at " << counts[t] << " threads";
-    for (std::size_t i = 0; i < 48; ++i) {
-      EXPECT_EQ(byThreads[0].perTrial[i].resultFingerprint,
-                byThreads[t].perTrial[i].resultFingerprint)
-          << "trial " << i << " diverged at " << counts[t] << " threads";
-    }
-  }
-}
-
-TEST(EpochPipeline, ScenarioRunMatchesDepthOneAtEveryDepth) {
-  // End-to-end through ExperimentRunner: the aggregated summary (fingerprints,
-  // cost distributions, churn extras) is depth-invariant, so a sweep can bump
-  // pipelineDepth without invalidating any recorded numbers.
-  ScenarioSpec spec = basePipelineSpec();
   spec.churn = ChurnSchedule::steady(/*epochs=*/4, /*rate=*/0.08, /*recountEvery=*/1);
-  spec.trials = 8;
+  spec.trials = 2;
   spec.masterSeed = 0x51de;
 
-  ExperimentRunner runner(4);
-  spec.churn.pipelineDepth = 1;
-  const ExperimentSummary base = runner.run(spec);
-  for (std::uint32_t depth : {2u, 4u}) {
-    spec.churn.pipelineDepth = depth;
-    const ExperimentSummary deep = runner.run(spec);
-    EXPECT_EQ(base.combinedFingerprint, deep.combinedFingerprint) << "depth " << depth;
-    ASSERT_EQ(base.perTrial.size(), deep.perTrial.size());
+  ExperimentRunner serialRunner(1);
+  const ExperimentSummary base = serialRunner.run(spec);
+  ASSERT_EQ(base.perTrial.size(), 2u);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    ExperimentRunner runner(threads);
+    const ExperimentSummary wide = runner.run(spec);
+    EXPECT_EQ(base.combinedFingerprint, wide.combinedFingerprint) << threads << " threads";
+    ASSERT_EQ(base.perTrial.size(), wide.perTrial.size());
     for (std::size_t i = 0; i < base.perTrial.size(); ++i) {
-      EXPECT_EQ(base.perTrial[i].resultFingerprint, deep.perTrial[i].resultFingerprint)
-          << "depth " << depth << " trial " << i;
+      EXPECT_EQ(base.perTrial[i].resultFingerprint, wide.perTrial[i].resultFingerprint)
+          << threads << " threads, trial " << i;
     }
-    ASSERT_EQ(base.extras.size(), deep.extras.size());
+    ASSERT_EQ(base.extras.size(), wide.extras.size());
     for (std::size_t s = 0; s < base.extras.size(); ++s) {
-      EXPECT_DOUBLE_EQ(base.extras[s].mean, deep.extras[s].mean)
-          << "depth " << depth << " extra slot " << s;
+      EXPECT_DOUBLE_EQ(base.extras[s].mean, wide.extras[s].mean)
+          << threads << " threads, extra slot " << s;
     }
   }
 }

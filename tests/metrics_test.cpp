@@ -2,9 +2,10 @@
 // LogHistogram buckets are a pure function of (precision, data) with exact
 // associative merges — any merge grouping yields identical buckets; the
 // TrialMetrics deterministic projection (non-wall histograms + all series)
-// is invariant across runner threads, engine shards and pipeline depth;
-// deriving/exporting metrics never moves a golden fingerprint; and the
-// seeded-bootstrap CIs on Distribution are thread-count invariant.
+// is invariant across runner threads, engine shards and pipeline depth (set
+// by the runner width); deriving/exporting metrics never moves a golden
+// fingerprint; and the seeded-bootstrap CIs on Distribution are thread-count
+// invariant.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -356,11 +357,11 @@ TEST(MetricsIdentity, GoldenFamiliesIdenticalWithMetricsDerived) {
 
 // ---------------------------------------------------------------------------
 // Runner-level invariance: the metrics projection is a pure function of the
-// trial at any thread count, shard count or pipeline depth; installing the
-// metrics exporter moves no result.
+// trial at any thread count or shard count (the runner width also sets the
+// epoch pipeline's depth); installing the metrics exporter moves no result.
 // ---------------------------------------------------------------------------
 
-ScenarioSpec metricsChurnSpec(std::uint32_t shards, std::uint32_t pipelineDepth) {
+ScenarioSpec metricsChurnSpec(std::uint32_t shards) {
   ScenarioSpec spec;
   spec.name = "metrics-churn";
   spec.graph = {GraphKind::Hnd, 128, 8, 0.1};
@@ -370,7 +371,6 @@ ScenarioSpec metricsChurnSpec(std::uint32_t shards, std::uint32_t pipelineDepth)
   spec.beaconLimits.maxPhase = 8;
   spec.beaconLimits.maxTotalRounds = 20'000;
   spec.churn = ChurnSchedule::steady(/*epochs=*/6, /*rate=*/0.08, /*recountEvery=*/2);
-  spec.churn.pipelineDepth = pipelineDepth;
   spec.shards = shards;
   spec.trials = 2;
   spec.masterSeed = 0xb5;
@@ -381,43 +381,42 @@ ScenarioSpec metricsChurnSpec(std::uint32_t shards, std::uint32_t pipelineDepth)
 TEST(MetricsInvariance, ProjectionInvariantAcrossThreadsShardsDepth) {
   std::vector<std::uint64_t> baseline;
   std::uint64_t baselineFp = 0;
-  for (const unsigned threads : {1U, 2U, 8U}) {
+  // Two trials on 1/2/4/8 threads get worker budgets 1/1/2/4 at one shard,
+  // which set the epoch pipeline's depth.
+  for (const unsigned threads : {1U, 2U, 4U, 8U}) {
     for (const std::uint32_t shards : {1U, 4U}) {
-      for (const std::uint32_t depth : {1U, 2U}) {
-        auto sink = std::make_shared<obs::CapturingTraceSink>();
-        obs::setTraceSink(sink, 2);
-        ExperimentRunner runner(threads);
-        const ExperimentSummary summary = runner.run(metricsChurnSpec(shards, depth));
-        obs::setTraceSink(nullptr);
-        const std::string cfg = "threads=" + std::to_string(threads) +
-                                " shards=" + std::to_string(shards) +
-                                " depth=" + std::to_string(depth);
-        ASSERT_EQ(sink->traces().size(), 2U) << cfg;
-        std::vector<std::uint64_t> fps;
-        fps.reserve(2);
-        for (const obs::TrialTrace& t : sink->traces()) fps.push_back(metricsFpOfTrace(t));
-        if (baseline.empty()) {
-          baseline = std::move(fps);
-          baselineFp = summary.combinedFingerprint;
-          continue;
-        }
-        // Engine sharding and epoch pipelining are fingerprint-invariant
-        // (DESIGN.md §10/§11), so one protocol baseline covers the matrix —
-        // and the metrics projection must be equally immovable even though
-        // the raw trace differs across shard counts (laneSends, rd.shards).
-        EXPECT_EQ(summary.combinedFingerprint, baselineFp) << cfg;
-        EXPECT_EQ(fps, baseline) << cfg;
+      auto sink = std::make_shared<obs::CapturingTraceSink>();
+      obs::setTraceSink(sink, 2);
+      ExperimentRunner runner(threads);
+      const ExperimentSummary summary = runner.run(metricsChurnSpec(shards));
+      obs::setTraceSink(nullptr);
+      const std::string cfg =
+          "threads=" + std::to_string(threads) + " shards=" + std::to_string(shards);
+      ASSERT_EQ(sink->traces().size(), 2U) << cfg;
+      std::vector<std::uint64_t> fps;
+      fps.reserve(2);
+      for (const obs::TrialTrace& t : sink->traces()) fps.push_back(metricsFpOfTrace(t));
+      if (baseline.empty()) {
+        baseline = std::move(fps);
+        baselineFp = summary.combinedFingerprint;
+        continue;
       }
+      // Engine sharding and epoch pipelining are fingerprint-invariant
+      // (DESIGN.md §10/§11), so one protocol baseline covers the matrix —
+      // and the metrics projection must be equally immovable even though
+      // the raw trace differs across shard counts (laneSends, rd.shards).
+      EXPECT_EQ(summary.combinedFingerprint, baselineFp) << cfg;
+      EXPECT_EQ(fps, baseline) << cfg;
     }
   }
 }
 
 TEST(MetricsInvariance, ExporterInstalledMovesNoResult) {
   ExperimentRunner runner(2);
-  const ExperimentSummary off = runner.run(metricsChurnSpec(1, 1));
+  const ExperimentSummary off = runner.run(metricsChurnSpec(1));
   std::ostringstream os;
   obs::setTraceSink(std::make_shared<obs::MetricsJsonlSink>(os), 2);
-  const ExperimentSummary on = runner.run(metricsChurnSpec(1, 1));
+  const ExperimentSummary on = runner.run(metricsChurnSpec(1));
   obs::setTraceSink(nullptr);
   EXPECT_EQ(on.combinedFingerprint, off.combinedFingerprint);
   // Two sampled trials → two JSONL lines.
@@ -433,7 +432,7 @@ TEST(MetricsInvariance, ExporterInstalledMovesNoResult) {
 // ---------------------------------------------------------------------------
 
 TEST(BootstrapCi, ThreadCountInvariantBitwise) {
-  ScenarioSpec spec = metricsChurnSpec(1, 1);
+  ScenarioSpec spec = metricsChurnSpec(1);
   spec.churn = ChurnSchedule{};  // static run; trial count is what matters
   spec.trials = 6;
   spec.traceTrials = 0;
@@ -460,7 +459,7 @@ TEST(BootstrapCi, ThreadCountInvariantBitwise) {
 }
 
 TEST(BootstrapCi, SingleTrialDegeneratesToMean) {
-  ScenarioSpec spec = metricsChurnSpec(1, 1);
+  ScenarioSpec spec = metricsChurnSpec(1);
   spec.churn = ChurnSchedule{};
   spec.trials = 1;
   spec.traceTrials = 0;

@@ -167,7 +167,7 @@ TEST(ObsIdentity, LocalGoldenIdenticalTraced) {
 // Runner integration: sampling, thread-count determinism, depth invariance.
 // ---------------------------------------------------------------------------
 
-ScenarioSpec obsChurnSpec(std::uint32_t pipelineDepth) {
+ScenarioSpec obsChurnSpec() {
   ScenarioSpec spec;
   spec.name = "obs-churn";
   spec.graph = {GraphKind::Hnd, 128, 8, 0.1};
@@ -177,7 +177,6 @@ ScenarioSpec obsChurnSpec(std::uint32_t pipelineDepth) {
   spec.beaconLimits.maxPhase = 8;
   spec.beaconLimits.maxTotalRounds = 20'000;
   spec.churn = ChurnSchedule::steady(/*epochs=*/6, /*rate=*/0.08, /*recountEvery=*/2);
-  spec.churn.pipelineDepth = pipelineDepth;
   spec.trials = 2;
   spec.masterSeed = 0xb5;
   spec.traceTrials = 2;
@@ -185,22 +184,25 @@ ScenarioSpec obsChurnSpec(std::uint32_t pipelineDepth) {
 }
 
 TEST(ObsRunner, ChurnTracedIdenticalAndDepthInvariantProjection) {
+  // 2 trials on 2 threads run at budget 1 (pipeline depth 1); on 8 threads
+  // they run at budget 4, so the 3 recounts of each trial overlap.
   ExperimentRunner runner(2);
-  const ExperimentSummary untraced = runner.run(obsChurnSpec(1));
+  ExperimentRunner wideRunner(8);
+  const ExperimentSummary untraced = runner.run(obsChurnSpec());
 
   SinkGuard guard;
-  const ExperimentSummary depth1 = runner.run(obsChurnSpec(1));
+  const ExperimentSummary depth1 = runner.run(obsChurnSpec());
   ASSERT_EQ(guard.sink().traces().size(), 2U);
   const std::vector<std::vector<std::string>> proj1 = {projection(guard.sink().traces()[0]),
                                                        projection(guard.sink().traces()[1])};
   guard.sink().clear();
 
-  const ExperimentSummary depth2 = runner.run(obsChurnSpec(2));
+  const ExperimentSummary deep = wideRunner.run(obsChurnSpec());
   ASSERT_EQ(guard.sink().traces().size(), 2U);
 
   // Tracing must not move a single result, with or without pipelining.
   EXPECT_EQ(depth1.combinedFingerprint, untraced.combinedFingerprint);
-  EXPECT_EQ(depth2.combinedFingerprint, untraced.combinedFingerprint);
+  EXPECT_EQ(deep.combinedFingerprint, untraced.combinedFingerprint);
 
   // The deterministic projection is pipeline-depth invariant: epoch recount
   // children splice back in epoch order at the serial fold whichever worker
@@ -216,7 +218,7 @@ TEST(ObsRunner, TraceProjectionInvariantAcrossRunnerThreadCounts) {
   for (const unsigned threads : {1U, 2U, 8U}) {
     SinkGuard guard;
     ExperimentRunner runner(threads);
-    const ExperimentSummary summary = runner.run(obsChurnSpec(1));
+    const ExperimentSummary summary = runner.run(obsChurnSpec());
     ASSERT_EQ(guard.sink().traces().size(), 2U) << "threads=" << threads;
     std::vector<std::vector<std::string>> projections;
     projections.reserve(2);
@@ -233,7 +235,7 @@ TEST(ObsRunner, TraceProjectionInvariantAcrossRunnerThreadCounts) {
 
 TEST(ObsRunner, SampleWidthLimitsTracedTrials) {
   SinkGuard guard;
-  ScenarioSpec spec = obsChurnSpec(1);
+  ScenarioSpec spec = obsChurnSpec();
   spec.churn = ChurnSchedule{};  // static run is enough here
   spec.trials = 4;
   spec.traceTrials = 1;

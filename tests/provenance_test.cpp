@@ -4,8 +4,8 @@
 // every blame-edge family reconciles bit-for-bit against the protocol-side
 // AdversaryStats / BeaconRunStats counters (recorder and counter increment at
 // the same program point), and the canonical blame projection is a pure
-// function of the trial across runner threads x engine shards x epoch
-// pipeline depth.
+// function of the trial across runner threads x engine shards (the runner
+// width also sets the epoch pipeline's depth).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -360,15 +360,15 @@ TEST(ProvenanceChurn, ByzantineRejoinsLeaveLineageEdges)  {
 
 // ---------------------------------------------------------------------------
 // Determinism matrix: the canonical blame projection is invariant across
-// runner threads {1, 2, 8} x engine shards {1, 4} x pipeline depth {1, 2}.
+// runner threads {1, 2, 4, 8} x engine shards {1, 4}. Two trials get worker
+// budgets 1/1/2/4 at one shard, which set the epoch pipeline's depth.
 // ---------------------------------------------------------------------------
 
-ScenarioSpec matrixSpec(std::uint32_t shards, std::uint32_t depth) {
+ScenarioSpec matrixSpec(std::uint32_t shards) {
   ScenarioSpec spec = coalitionPipelineSpec();
   spec.name = "prov-matrix";
   spec.pipelineParams.countingLimits.maxPhase = 6;
   spec.churn = ChurnSchedule::steady(/*epochs=*/3, /*rate=*/0.08, /*recountEvery=*/2);
-  spec.churn.pipelineDepth = depth;
   spec.shards = shards;
   spec.masterSeed = 0xdead5;
   return spec;
@@ -378,31 +378,28 @@ TEST(ProvenanceDeterminism, BlameProjectionInvariantAcrossThreadsShardsDepth) {
   std::vector<std::vector<std::string>> baseline;
   std::uint64_t baselineFp = 0;
   bool first = true;
-  for (const unsigned threads : {1U, 2U, 8U}) {
+  for (const unsigned threads : {1U, 2U, 4U, 8U}) {
     for (const std::uint32_t shards : {1U, 4U}) {
-      for (const std::uint32_t depth : {1U, 2U}) {
-        ExperimentRunner runner(threads);
-        const ExperimentSummary s = runner.run(matrixSpec(shards, depth));
-        ASSERT_EQ(s.perTrial.size(), 2U);
-        std::vector<std::vector<std::string>> proj;
-        proj.reserve(2);
-        for (const TrialOutcome& t : s.perTrial) proj.push_back(canonLines(t.blame));
-        if (first) {
-          first = false;
-          baseline = std::move(proj);
-          baselineFp = s.combinedFingerprint;
-          // The baseline run must attribute something, or the matrix is
-          // vacuous.
-          EXPECT_GT(s.perTrial[0].blame.attributedCount(), 0U);
-          continue;
-        }
-        const std::string tag = "threads=" + std::to_string(threads) +
-                                " shards=" + std::to_string(shards) +
-                                " depth=" + std::to_string(depth);
-        EXPECT_EQ(s.combinedFingerprint, baselineFp) << tag;
-        for (std::uint32_t i = 0; i < 2; ++i) {
-          EXPECT_EQ(proj[i], baseline[i]) << tag << " trial " << i;
-        }
+      ExperimentRunner runner(threads);
+      const ExperimentSummary s = runner.run(matrixSpec(shards));
+      ASSERT_EQ(s.perTrial.size(), 2U);
+      std::vector<std::vector<std::string>> proj;
+      proj.reserve(2);
+      for (const TrialOutcome& t : s.perTrial) proj.push_back(canonLines(t.blame));
+      if (first) {
+        first = false;
+        baseline = std::move(proj);
+        baselineFp = s.combinedFingerprint;
+        // The baseline run must attribute something, or the matrix is
+        // vacuous.
+        EXPECT_GT(s.perTrial[0].blame.attributedCount(), 0U);
+        continue;
+      }
+      const std::string tag =
+          "threads=" + std::to_string(threads) + " shards=" + std::to_string(shards);
+      EXPECT_EQ(s.combinedFingerprint, baselineFp) << tag;
+      for (std::uint32_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(proj[i], baseline[i]) << tag << " trial " << i;
       }
     }
   }

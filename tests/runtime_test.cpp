@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "churn/schedule.hpp"
 #include "counting/local/attacks.hpp"
 #include "golden_scenarios.hpp"
 #include "graph/generators.hpp"
@@ -452,6 +453,60 @@ TEST(ExperimentRunner, LocalSingleTrialInvariantAcrossRunnerWidths) {
       EXPECT_EQ(fp, reference) << "run() diverged at " << threads << " threads";
       EXPECT_EQ(custom.perTrial[0].resultFingerprint, reference)
           << "runCustom() diverged at " << threads << " threads";
+      EXPECT_GT(declarative.fracDecided.mean, 0.0);
+    }
+  }
+}
+
+TEST(ExperimentRunner, ChurnSingleTrialInvariantAcrossRunnerWidths) {
+  // One churn trial in flight gets the whole pool as its worker budget, which
+  // sets the epoch pipeline's depth: recounts run on pipeline workers on 2, 4
+  // and 8 threads.
+  ScenarioSpec pipeline;
+  pipeline.name = "churn-pipeline-one-trial";
+  pipeline.graph = {GraphKind::Hnd, 128, 8, 0.1};
+  pipeline.placement.kind = Placement::Random;
+  pipeline.placement.count = 4;
+  pipeline.protocol = ProtocolKind::Pipeline;
+  pipeline.pipelineParams.agreement.initialOnesFraction = 0.7;
+  pipeline.pipelineParams.agreement.walkLengthFactor = 0.5;
+  pipeline.pipelineParams.estimateSafetyFactor = 1.5;
+  pipeline.pipelineParams.countingLimits.maxPhase = 8;
+  pipeline.churn = ChurnSchedule::steady(/*epochs=*/4, /*rate=*/0.08, /*recountEvery=*/1);
+  pipeline.trials = 1;
+  pipeline.masterSeed = 0xc1a0;
+
+  // Algorithm 1 recounts: with three recounts they run on pipeline workers
+  // at budget 1; with one they run inline on the trial's own budget.
+  ScenarioSpec local;
+  local.name = "churn-local-one-trial";
+  local.graph = {GraphKind::Hnd, 128, 8, 0.1};
+  local.placement.kind = Placement::Random;
+  local.byzGamma = 0.5;
+  local.protocol = ProtocolKind::Local;
+  local.churn = ChurnSchedule::steady(/*epochs=*/3, /*rate=*/0.08, /*recountEvery=*/1);
+  local.trials = 1;
+  local.masterSeed = 0xc1a1;
+  ScenarioSpec localInline = local;
+  localInline.name = "churn-local-inline-one-trial";
+  localInline.churn = ChurnSchedule::steady(/*epochs=*/2, /*rate=*/0.08, /*recountEvery=*/2);
+
+  for (const ScenarioSpec* spec : {&pipeline, &local, &localInline}) {
+    SCOPED_TRACE(spec->name);
+    std::uint64_t reference = 0;
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      ExperimentRunner runner(threads);
+      const ExperimentSummary declarative = runner.run(*spec);
+      const ExperimentSummary custom = runner.runCustom(
+          spec->name, 1, [spec](std::uint32_t i) { return ExperimentRunner::runTrial(*spec, i); });
+      ASSERT_EQ(declarative.perTrial.size(), 1u);
+      ASSERT_EQ(custom.perTrial.size(), 1u);
+      const std::uint64_t fp = declarative.perTrial[0].resultFingerprint;
+      if (threads == 1) reference = fp;
+      EXPECT_EQ(fp, reference) << "run() diverged at " << threads << " threads";
+      EXPECT_EQ(custom.perTrial[0].resultFingerprint, reference)
+          << "runCustom() diverged at " << threads << " threads";
+      EXPECT_EQ(declarative.combinedFingerprint, custom.combinedFingerprint);
       EXPECT_GT(declarative.fracDecided.mean, 0.0);
     }
   }

@@ -174,13 +174,6 @@ def main() -> int:
         new_shards = row.get("shards", 1)
         if old_shards != new_shards:
             deltas.append(f"shards: {old_shards} → {new_shards} (config change)")
-        # Same for the churn epoch-pipeline depth (bench_t13): depth is a pure
-        # performance knob with pinned bit-identity, so a depth bump can move
-        # wall-clock but never the metrics — flag it as config, not regression.
-        old_depth = old.get("pipelineDepth", 1)
-        new_depth = row.get("pipelineDepth", 1)
-        if old_depth != new_depth:
-            deltas.append(f"pipelineDepth: {old_depth} → {new_depth} (config change)")
         # Wall-clock and peak-RSS telemetry (PR 8): reported outside `deltas`
         # so nondeterministic machine noise never marks a scenario "changed",
         # but a wall_ms rise beyond the noise floor still joins the regression
