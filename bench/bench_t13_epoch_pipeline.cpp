@@ -80,7 +80,6 @@ int main() {
       spec.pipelineParams.countingLimits.maxPhase =
           static_cast<std::uint32_t>(std::ceil(std::log(static_cast<double>(n)))) + 4;
       spec.churn = ChurnSchedule::steady(epochs, /*rate=*/0.06, family.cadence);
-      spec.trials = trials;
       // One seed per family: the sweep varies the budget only, never the
       // workload.
       spec.masterSeed = rowSeed(13, familyIdx);
