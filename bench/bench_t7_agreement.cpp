@@ -247,8 +247,9 @@ int main() {
       // Blame-graph projections (DESIGN.md §14): how concentrated the damage
       // is over individual moat members. The hunter should look diffuse (the
       // whole moat participates); a lone tamperer would approach 1.0.
-      t.extra[kConc] = obs::blameConcentration(out.blame);
-      t.extra[kTopShare] = obs::blameTopShare(out.blame);
+      const obs::BlameExtras blame = out.blame.extras();
+      t.extra[kConc] = blame.concentration;
+      t.extra[kTopShare] = blame.topShare;
       return t;
     });
     remark.addRow({profile.name, distPercentCell(s.extras[kAgree]),

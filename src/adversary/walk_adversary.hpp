@@ -27,9 +27,10 @@ namespace bzc {
 /// One sample query in flight (the agreement protocol's message payload).
 /// Outbound it hops one uniform edge per round, recording the reverse path in
 /// the trial's PathArena; answering it carries the sampled bit back hop by
-/// hop. Strategies receive the token by mutable reference and may rewrite any
-/// field; `path`, `stream` and `compromised` are simulation bookkeeping with
-/// no wire cost (DESIGN.md §6).
+/// hop. Strategies receive the token by mutable reference and may rewrite the
+/// protocol fields; `path`, `slot` and `compromised` are simulation
+/// bookkeeping with no wire cost (DESIGN.md §6). `slot` indexes the run's
+/// per-token forwarding streams and flow ids: strategies must not rewrite it.
 struct WalkToken {
   NodeId origin = kNoNode;
   bool answering = false;
@@ -43,13 +44,11 @@ struct WalkToken {
                                ///< this token (taint/flip/misroute) — stamped by
                                ///< the protocol around the adversary hooks, resolved
                                ///< into blame-graph edges at the origin (DESIGN.md §14)
-  std::uint64_t provId = 0;    ///< provenance: unique token id linking the launch
-                               ///< mark to the answer/drop mark (Chrome flow events)
   std::uint32_t hopsLeft = 0;  ///< outbound hops still to take
   PathRef path = kNullPath;    ///< reverse route, arena-pooled (O(1) token copy)
-  Rng stream{};                ///< this token's private forwarding stream; the NSDMI
-                               ///< keeps the aggregate default-constructible (the
-                               ///< engine's inbox arena value-initializes slots)
+  std::uint32_t slot = 0;      ///< 2 * launching origin + sample index: this token's
+                               ///< forwarding stream and (with the iteration) its
+                               ///< flow id
 };
 
 /// Shared per-trial blackboard through which Byzantine nodes collude. The

@@ -15,7 +15,7 @@ namespace {
 // Honest message framing costs (bits). A deployed node routes answers
 // statefully (it remembers which neighbour handed it each token), so the
 // metered cost is header + origin ID + hop counter for outbound tokens and
-// header + origin ID + the sampled bit for answers. The `path`, `stream` and
+// header + origin ID + the sampled bit for answers. The `path`, `slot` and
 // `compromised` fields of the simulation payload are bookkeeping the real
 // protocol never puts on a wire (DESIGN.md §6).
 constexpr std::size_t kWalkTokenBits = 16 + 64 + 8;
@@ -69,6 +69,11 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
   // neither stream perturbs the caller's sequence).
   Rng walkBase = rng.fork(0x3a1c);
   Rng advRng = rng.fork(0x5adc);
+  // The streams live here, indexed by WalkToken::slot = 2 * origin + sample,
+  // rather than in the payload: the token stays 24 bytes on every hop. A
+  // token sits at exactly one receiver per round, so the shard-parallel recv
+  // touches each slot from one worker only.
+  std::vector<Rng> streams(2 * static_cast<std::size_t>(n));
 
   Engine engine(g, byz, 0, params.shards);
   const unsigned S = engine.shardCount();
@@ -130,12 +135,15 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
   // order. Gated on the flow knob — O(n) marks per iteration otherwise
   // swamp every nightly trace.
   struct TokenMark {
-    std::uint64_t provId;
+    std::uint64_t flowId;
     std::uint64_t round;
     bool answered;
   };
   std::vector<std::vector<TokenMark>> markLane(S);
   const bool flowMarks = obs::currentTrace() != nullptr && obs::traceFlowMarks();
+  // Flow-event id linking a launch to the token's terminal mark: unique per
+  // (iteration, origin, sample) as flowBase + slot = (it * n + origin) * 2 + sample.
+  std::uint64_t flowBase = 0;
 
   const auto recv = [&](Engine::ShardLane& lane, NodeId v, Round w,
                         std::span<const Engine::Delivery> box) {
@@ -168,13 +176,13 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
               compOnes[v] = static_cast<std::uint8_t>(compOnes[v] + t.answer);
               ++compCnt[v];
             }
-            if (flowMarks) markLane[shard].push_back({t.provId, w, true});
+            if (flowMarks) markLane[shard].push_back({flowBase + t.slot, w, true});
           } else {
             ++statsAt(shard).strayAnswers;
             blameAt(shard).add(obs::BlameKind::StrayAnswer,
                                t.taintNode == kNoNode ? obs::kBlameNone : t.taintNode,
                                t.origin);
-            if (flowMarks) markLane[shard].push_back({t.provId, w, false});
+            if (flowMarks) markLane[shard].push_back({flowBase + t.slot, w, false});
           }
           continue;
         }
@@ -188,7 +196,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
           if (act.op == TokenAction::Op::Drop) {
             ++statsAt(shard).droppedAnswers;
             blameAt(shard).add(obs::BlameKind::DroppedAnswer, v, t.origin);
-            if (flowMarks) markLane[shard].push_back({t.provId, w, false});
+            if (flowMarks) markLane[shard].push_back({flowBase + t.slot, w, false});
             continue;
           }
           if (act.op == TokenAction::Op::Redirect) {
@@ -217,7 +225,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
         if (act.op == TokenAction::Op::Drop) {
           ++statsAt(shard).droppedQueries;
           blameAt(shard).add(obs::BlameKind::DroppedQuery, v, t.origin);
-          if (flowMarks) markLane[shard].push_back({t.provId, w, false});
+          if (flowMarks) markLane[shard].push_back({flowBase + t.slot, w, false});
           continue;
         }
       }
@@ -243,7 +251,8 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
         lane.unicast(v, next, std::move(t), kAnswerBits);
       } else {
         const auto nbrs = g.neighbors(v);
-        const NodeId next = nbrs[t.stream.uniform(nbrs.size())];
+        BZC_ASSERT(t.slot < streams.size());
+        const NodeId next = nbrs[streams[t.slot].uniform(nbrs.size())];
         --t.hopsLeft;
         t.path = arena.push(shard, next, t.path);
         lane.unicast(v, next, std::move(t), kWalkTokenBits);
@@ -257,6 +266,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
   obs::TrialTrace* const trace = obs::currentTrace();
 
   for (std::uint32_t it = 0; it < maxIters; ++it) {
+    flowBase = static_cast<std::uint64_t>(it) * streams.size();
     std::uint32_t maxLen = 0;
     bool any = false;
     for (NodeId u = 0; u < n; ++u) {
@@ -287,16 +297,15 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
         WalkToken t;
         t.origin = u;
         t.hopsLeft = walkLen[u];
-        // Unique per (iteration, origin, sample slot): the flow-event id that
-        // links this launch to the token's terminal mark.
-        t.provId = (static_cast<std::uint64_t>(it) * n + u) * 2 + s;
-        t.stream =
+        t.slot = 2 * u + s;
+        Rng& stream = streams[t.slot];
+        stream =
             walkBase.fork((static_cast<std::uint64_t>(it) << 33) ^ (static_cast<std::uint64_t>(u) << 1) ^ s);
-        const NodeId first = nbrs[t.stream.uniform(nbrs.size())];
+        const NodeId first = nbrs[stream.uniform(nbrs.size())];
         --t.hopsLeft;
         t.path = arena.push(first, kNullPath);
         if (flowMarks)
-          trace->mark("walk.launch", static_cast<double>(t.provId), engine.round());
+          trace->mark("walk.launch", static_cast<double>(flowBase + t.slot), engine.round());
         engine.unicast(u, first, std::move(t), kWalkTokenBits);
         ++answersExpected[u];
       }
@@ -351,7 +360,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
       for (unsigned s = 0; s < S; ++s) {
         for (const TokenMark& m : markLane[s])
           trace->mark(m.answered ? "walk.answer" : "walk.drop",
-                      static_cast<double>(m.provId), m.round);
+                      static_cast<double>(m.flowId), m.round);
         markLane[s].clear();
       }
     }

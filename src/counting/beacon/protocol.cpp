@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <vector>
 
 #include "adversary/beacon/strategies.hpp"
+#include "counting/beacon/blacklist.hpp"
 #include "counting/beacon/path.hpp"
 #include "runtime/sync_engine.hpp"
 #include "support/require.hpp"
@@ -30,14 +30,14 @@ using Engine = SyncEngine<BeaconFrame>;
 
 /// Line 21 check for the received message ⟨beacon, o, Q⟩ from `senderPub`:
 /// S = all but the last `suffix` entries of Q' = Q + [sender] must avoid BL.
-[[nodiscard]] bool pathAcceptable(const std::unordered_set<PublicId>& bl,
+[[nodiscard]] bool pathAcceptable(const BlacklistSet& bl,
                                   const BeaconPathArena& arena, const BeaconFrame& beacon,
                                   PublicId senderPub, std::uint32_t suffix) {
   if (bl.empty()) return true;
-  if (suffix == 0 && bl.count(senderPub) > 0) return false;
+  if (suffix == 0 && bl.contains(senderPub)) return false;
   const std::uint32_t effectiveSuffix = suffix > 0 ? suffix - 1 : 0;
   return arena.walkPrefix(beacon.path, effectiveSuffix,
-                          [&](PublicId id) { return bl.count(id) == 0; });
+                          [&](PublicId id) { return !bl.contains(id); });
 }
 
 /// Per-run mutable state, grouped so the step policies stay readable.
@@ -55,7 +55,7 @@ struct RunState {
   // Persistent across iterations.
   std::vector<char> participating;
   std::vector<char> decided;
-  std::vector<std::unordered_set<PublicId>> blacklist;  // reset each phase
+  std::vector<BlacklistSet> blacklist;  // reset each phase
 
   // Per-iteration state.
   std::vector<char> hasShortest;
@@ -332,7 +332,6 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
           } else if (params.blacklistEnabled && !st.ownBeacon[u]) {
             const std::uint32_t len = st.shortest[u].len;
             if (len > suffix) {
-              st.blacklist[u].reserve(st.blacklist[u].size() + (len - suffix));
               // Provenance resolution (DESIGN.md §14): a tainted shortest
               // path blames its forger/tamperer for every id it plants —
               // honest ids are the graft/tamper damage the paper's blacklist
@@ -340,7 +339,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
               // insertions by the same cause.
               const NodeId forger = st.shortest[u].forgeNode;
               arena.walkPrefix(st.shortest[u].path, suffix, [&](PublicId id) {
-                if (st.blacklist[u].insert(id).second) {
+                if (st.blacklist[u].insert(id)) {
                   ++insertDelta[s];
                   if (forger != kNoNode) {
                     const NodeId src = ids.lookup(id);

@@ -116,59 +116,31 @@ void BlameGraph::clear() {
   victimDistance.clear();
 }
 
-std::uint64_t blameTotal(const BlameGraph& g) {
-  std::uint64_t sum = 0;
-  for (const BlameEdge& e : g.canonical()) sum += e.count;
-  return sum;
-}
-
-namespace {
-
-std::map<std::uint64_t, std::uint64_t> perCauseAttributed(const BlameGraph& g) {
+BlameExtras BlameGraph::extras() const {
+  BlameExtras out;
+  // Integer sums are order-free; the HHI's floating-point sum runs over the
+  // cause-keyed map, so it adds in cause order whatever the edge order.
   std::map<std::uint64_t, std::uint64_t> byCause;
-  for (const BlameEdge& e : g.canonical())
-    if (e.cause != kBlameNone) byCause[e.cause] += e.count;
-  return byCause;
-}
-
-}  // namespace
-
-double blameConcentration(const BlameGraph& g) {
-  const auto byCause = perCauseAttributed(g);
-  std::uint64_t total = 0;
-  for (const auto& [cause, count] : byCause) total += count;
-  if (total == 0) return 0.0;
-  double hhi = 0.0;
-  for (const auto& [cause, count] : byCause) {
-    const double share = static_cast<double>(count) / static_cast<double>(total);
-    hhi += share * share;
+  for (const auto& [key, count] : edges_) {
+    out.total += count;
+    if (key.kind == BlameKind::WrongDecision) out.wrongDecisions += count;
+    if (key.cause == kBlameNone) continue;
+    byCause[key.cause] += count;
+    const std::uint8_t subset = key.cause < subsetOf.size() ? subsetOf[key.cause] : 0xff;
+    out.bySubset[subset < kBlameMaxSubsets - 1 ? subset : kBlameMaxSubsets - 1] += count;
   }
-  return hhi;
-}
-
-double blameTopShare(const BlameGraph& g) {
-  const auto byCause = perCauseAttributed(g);
-  std::uint64_t total = 0;
+  std::uint64_t attributed = 0;
   std::uint64_t top = 0;
   for (const auto& [cause, count] : byCause) {
-    total += count;
+    attributed += count;
     top = std::max(top, count);
   }
-  if (total == 0) return 0.0;
-  return static_cast<double>(top) / static_cast<double>(total);
-}
-
-std::vector<std::uint64_t> blameBySubset(const BlameGraph& g) {
-  std::vector<std::uint64_t> out(kBlameMaxSubsets, 0);
-  for (const BlameEdge& e : g.canonical()) {
-    if (e.cause == kBlameNone) continue;
-    std::uint8_t subset = 0xff;
-    if (e.cause < g.subsetOf.size()) subset = g.subsetOf[e.cause];
-    if (subset < kBlameMaxSubsets - 1)
-      out[subset] += e.count;
-    else
-      out[kBlameMaxSubsets - 1] += e.count;
+  if (attributed == 0) return out;
+  for (const auto& [cause, count] : byCause) {
+    const double share = static_cast<double>(count) / static_cast<double>(attributed);
+    out.concentration += share * share;
   }
+  out.topShare = static_cast<double>(top) / static_cast<double>(attributed);
   return out;
 }
 

@@ -15,9 +15,11 @@
 // toggles export only, mirroring BZC_TRACE / BZC_METRICS). Parallel phases
 // record into per-shard BlameGraph lanes that are merge()d at the existing
 // serial sink points; merge is a keyed sum, hence order-invariant, so the
-// canonical projection is identical across runner threads x shards x
-// pipeline depth (pinned by tests/provenance_test.cpp).
+// canonical projection is identical across runner threads x engine shards,
+// and so across the worker budgets the runner width sets (pinned by
+// tests/provenance_test.cpp).
 
+#include <array>
 #include <cstdint>
 #include <cstddef>
 #include <map>
@@ -70,6 +72,26 @@ struct BlameEdge {
   std::uint64_t count;
 };
 
+/// Per-subset attributed blame splits into this many bins; the last pools
+/// causes with no subset mapping.
+inline constexpr std::size_t kBlameMaxSubsets = 4;
+
+/// Scalar projections of a blame graph (TrialOutcome extras 13..20). Every
+/// field is a sum over edges or over per-cause sums, so none depends on edge
+/// order: BlameGraph::extras() folds them in one unsorted pass.
+struct BlameExtras {
+  std::uint64_t wrongDecisions = 0;  ///< Σ WrongDecision edge counts
+  std::uint64_t total = 0;           ///< Σ every edge count (attributed or not)
+  /// Herfindahl–Hirschman concentration of attributed blame over causes:
+  /// Σ over causes of (share of attributed blame)^2. 1.0 = one offender owns
+  /// all damage, ->0 = diffuse. 0 when nothing is attributed.
+  double concentration = 0.0;
+  double topShare = 0.0;  ///< largest single-cause share of attributed blame
+  /// Attributed blame per coalition subset via BlameGraph::subsetOf; the last
+  /// bin pools causes with no subset mapping.
+  std::array<std::uint64_t, kBlameMaxSubsets> bySubset{};
+};
+
 /// Per-trial blame graph: keyed counters + named scalar totals.
 class BlameGraph {
  public:
@@ -94,7 +116,7 @@ class BlameGraph {
   void remapNodes(const std::vector<std::uint64_t>& denseToId);
 
   /// Sorted-by-(kind, cause, victim) edge list: the deterministic
-  /// projection pinned across threads x shards x depth.
+  /// projection pinned across runner threads x engine shards.
   std::vector<BlameEdge> canonical() const;
 
   /// FNV-1a over the canonical projection + totals (test pin).
@@ -105,6 +127,10 @@ class BlameGraph {
 
   /// Sum of all edge counts with an attributed (non-kBlameNone) cause.
   std::uint64_t attributedCount() const;
+
+  /// The extras projections in one pass over the edges, without sorting.
+  /// Reads subsetOf, so call it once that annotation is final.
+  BlameExtras extras() const;
 
   bool empty() const { return edges_.empty() && totals_.empty(); }
   void clear();
@@ -145,21 +171,5 @@ class BlameGraph {
   std::unordered_map<Key, std::uint64_t, KeyHash> edges_;
   std::map<std::string, std::uint64_t> totals_;
 };
-
-/// Sum over every edge (attributed or not).
-std::uint64_t blameTotal(const BlameGraph& g);
-
-/// Herfindahl–Hirschman concentration of attributed blame over causes:
-/// sum over causes of (share of attributed blame)^2. 1.0 = one offender
-/// owns all damage, ->0 = diffuse. 0 when nothing is attributed.
-double blameConcentration(const BlameGraph& g);
-
-/// Largest single-cause share of attributed blame (top-1 offender).
-double blameTopShare(const BlameGraph& g);
-
-/// Per-subset attributed blame via g.subsetOf; index kMaxSubsets-1 pools
-/// causes with no subset mapping.
-inline constexpr std::size_t kBlameMaxSubsets = 4;
-std::vector<std::uint64_t> blameBySubset(const BlameGraph& g);
 
 }  // namespace bzc::obs

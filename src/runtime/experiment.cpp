@@ -110,17 +110,15 @@ void foldAgreementStage(TrialOutcome& outcome, const AgreementOutcome& agreement
 
 /// Scalar projections of the assembled blame graph into the extras (slots
 /// 13..20). Call after outcome.blame is final — subsetOf annotation included,
-/// since blameBySubset reads it.
+/// since the per-subset split reads it.
 void foldBlameExtras(TrialOutcome& outcome) {
-  const obs::BlameGraph& g = outcome.blame;
-  outcome.extra[kAgreementWrongDecisions] =
-      static_cast<double>(g.kindCount(obs::BlameKind::WrongDecision));
-  outcome.extra[kAgreementBlameTotal] = static_cast<double>(blameTotal(g));
-  outcome.extra[kAgreementBlameConcentration] = blameConcentration(g);
-  outcome.extra[kAgreementBlameTopShare] = blameTopShare(g);
-  const std::vector<std::uint64_t> bySubset = blameBySubset(g);
+  const obs::BlameExtras x = outcome.blame.extras();
+  outcome.extra[kAgreementWrongDecisions] = static_cast<double>(x.wrongDecisions);
+  outcome.extra[kAgreementBlameTotal] = static_cast<double>(x.total);
+  outcome.extra[kAgreementBlameConcentration] = x.concentration;
+  outcome.extra[kAgreementBlameTopShare] = x.topShare;
   for (std::size_t s = 0; s < obs::kBlameMaxSubsets; ++s) {
-    outcome.extra[kAgreementBlameSubset0 + s] = static_cast<double>(bySubset[s]);
+    outcome.extra[kAgreementBlameSubset0 + s] = static_cast<double>(x.bySubset[s]);
   }
 }
 

@@ -49,6 +49,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -413,13 +414,7 @@ class SyncEngine {
         if (inboxCount_[p.to]++ == 0) touched_.push_back(p.to);
       }
     }
-    std::size_t total = 0;
-    for (NodeId v : touched_) {
-      inboxStart_[v] = total;
-      inboxCursor_[v] = total;
-      total += inboxCount_[v];
-    }
-    if (inboxArena_.size() < total) inboxArena_.resize(total);
+    layoutInboxes();
     for (PendingSend& p : flushing_) {
       if (p.to == kNoNode) {
         // The final delivery slot gets the payload moved, not copied: message
@@ -438,6 +433,20 @@ class SyncEngine {
         inboxArena_[inboxCursor_[p.to]++] = {p.from, std::move(p.payload)};
       }
     }
+  }
+
+  // Prefix sums over touched_ in first-delivery order: each touched node's
+  // arena offset and scatter cursor; grows the arena to the round's total.
+  void layoutInboxes() {
+    std::uint64_t total = 0;
+    for (NodeId v : touched_) {
+      inboxStart_[v] = static_cast<std::uint32_t>(total);
+      inboxCursor_[v] = static_cast<std::uint32_t>(total);
+      total += inboxCount_[v];
+    }
+    BZC_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
+                "a round's deliveries overflow the 32-bit inbox offsets");
+    if (inboxArena_.size() < total) inboxArena_.resize(total);
   }
 
   // Shard-parallel recv: each worker serves its shard's touched nodes (global
@@ -516,13 +525,7 @@ class SyncEngine {
         }
       }
     }
-    std::size_t total = 0;
-    for (NodeId v : touched_) {
-      inboxStart_[v] = total;
-      inboxCursor_[v] = total;
-      total += inboxCount_[v];
-    }
-    if (inboxArena_.size() < total) inboxArena_.resize(total);
+    layoutInboxes();
     if (trace_ != nullptr) {
       // The serial counting/metering pass belongs with the canonical merge
       // (both are the Amdahl-serial fraction); the pool pass below is scatter.
@@ -569,9 +572,10 @@ class SyncEngine {
   std::vector<PendingSend> sendQueue_;
   std::vector<PendingSend> flushing_;
   std::vector<Delivery> inboxArena_;        ///< one round's deliveries, receiver-contiguous
-  std::vector<std::size_t> inboxCount_;     ///< per node; nonzero only for touched_ members
-  std::vector<std::size_t> inboxStart_;     ///< arena offset; valid when inboxCount_ > 0
-  std::vector<std::size_t> inboxCursor_;    ///< scatter cursor during flush()
+  // 32-bit bookkeeping: a round's deliveries must fit (layoutInboxes checks).
+  std::vector<std::uint32_t> inboxCount_;   ///< per node; nonzero only for touched_ members
+  std::vector<std::uint32_t> inboxStart_;   ///< arena offset; valid when inboxCount_ > 0
+  std::vector<std::uint32_t> inboxCursor_;  ///< scatter cursor during flush()
   std::vector<NodeId> touched_;
 
   // Sharding state (allocated only at S > 1).

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "support/require.hpp"
 #include "support/rng.hpp"
 #include "support/types.hpp"
 
@@ -24,7 +25,12 @@ class ByzantineSet {
   ByzantineSet() = default;
   ByzantineSet(NodeId numNodes, std::vector<NodeId> members);
 
-  [[nodiscard]] bool contains(NodeId u) const { return mask_.at(u) != 0; }
+  /// Called per send and per delivery on the engine's hot path: checked only
+  /// where BZC_ASSERT is live.
+  [[nodiscard]] bool contains(NodeId u) const {
+    BZC_ASSERT(u < mask_.size());
+    return mask_[u] != 0;
+  }
   [[nodiscard]] const std::vector<NodeId>& members() const noexcept { return members_; }
   [[nodiscard]] std::size_t count() const noexcept { return members_.size(); }
   [[nodiscard]] NodeId numNodes() const noexcept { return static_cast<NodeId>(mask_.size()); }

@@ -13,7 +13,7 @@ namespace bzc {
 
 class MessageMeter {
  public:
-  explicit MessageMeter(NodeId numNodes = 0) : maxMessageBits_(numNodes, 0), bitsSent_(numNodes, 0), messagesSent_(numNodes, 0) {}
+  explicit MessageMeter(NodeId numNodes = 0) : nodes_(numNodes) {}
 
   /// Records node u placing one message of `bits` bits on one edge.
   void record(NodeId u, std::size_t bits) noexcept { recordBroadcast(u, bits, 1); }
@@ -21,17 +21,18 @@ class MessageMeter {
   /// Records node u placing the same `bits`-bit message on `copies` edges
   /// (a broadcast); cheaper than `copies` record() calls in flooding loops.
   void recordBroadcast(NodeId u, std::size_t bits, std::uint32_t copies) noexcept {
-    if (u >= maxMessageBits_.size() || copies == 0) return;
-    maxMessageBits_[u] = bits > maxMessageBits_[u] ? bits : maxMessageBits_[u];
-    bitsSent_[u] += static_cast<std::uint64_t>(bits) * copies;
-    messagesSent_[u] += copies;
+    if (u >= nodes_.size() || copies == 0) return;
+    NodeRecord& r = nodes_[u];
+    r.maxBits = bits > r.maxBits ? bits : r.maxBits;
+    r.bits += static_cast<std::uint64_t>(bits) * copies;
+    r.messages += copies;
     totalMessages_ += copies;
     totalBits_ += static_cast<std::uint64_t>(bits) * copies;
   }
 
-  [[nodiscard]] std::size_t maxMessageBits(NodeId u) const { return maxMessageBits_.at(u); }
-  [[nodiscard]] std::uint64_t bitsSent(NodeId u) const { return bitsSent_.at(u); }
-  [[nodiscard]] std::uint64_t messagesSent(NodeId u) const { return messagesSent_.at(u); }
+  [[nodiscard]] std::size_t maxMessageBits(NodeId u) const { return nodes_.at(u).maxBits; }
+  [[nodiscard]] std::uint64_t bitsSent(NodeId u) const { return nodes_.at(u).bits; }
+  [[nodiscard]] std::uint64_t messagesSent(NodeId u) const { return nodes_.at(u).messages; }
   [[nodiscard]] std::uint64_t totalMessages() const noexcept { return totalMessages_; }
   [[nodiscard]] std::uint64_t totalBits() const noexcept { return totalBits_; }
 
@@ -44,9 +45,13 @@ class MessageMeter {
   [[nodiscard]] double maxBitsQuantile(const std::vector<NodeId>& nodes, double q) const;
 
  private:
-  std::vector<std::size_t> maxMessageBits_;
-  std::vector<std::uint64_t> bitsSent_;
-  std::vector<std::uint64_t> messagesSent_;
+  /// One record per node, so a send touches one cache line, not three.
+  struct NodeRecord {
+    std::size_t maxBits = 0;
+    std::uint64_t bits = 0;
+    std::uint64_t messages = 0;
+  };
+  std::vector<NodeRecord> nodes_;
   std::uint64_t totalMessages_ = 0;
   std::uint64_t totalBits_ = 0;
 };

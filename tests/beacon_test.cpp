@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
+#include "counting/beacon/blacklist.hpp"
 #include "counting/beacon/params.hpp"
 #include "counting/beacon/path.hpp"
 #include "counting/beacon/protocol.hpp"
@@ -382,6 +384,73 @@ TEST_P(BenignSweep, WindowHolds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BenignSweep, ::testing::Values<NodeId>(128, 256, 512, 1024, 2048));
+
+TEST(BlacklistSet, InsertReportsNewMembersAndClearEmpties) {
+  BlacklistSet bl;
+  EXPECT_TRUE(bl.empty());
+  EXPECT_FALSE(bl.contains(0));
+  EXPECT_TRUE(bl.insert(0));  // zero is an ordinary ID
+  EXPECT_FALSE(bl.insert(0));
+  EXPECT_TRUE(bl.insert(42));
+  EXPECT_TRUE(bl.contains(0));
+  EXPECT_TRUE(bl.contains(42));
+  EXPECT_FALSE(bl.contains(43));
+  EXPECT_EQ(bl.size(), 2U);
+  bl.clear();
+  EXPECT_TRUE(bl.empty());
+  EXPECT_FALSE(bl.contains(0));
+  EXPECT_FALSE(bl.contains(42));
+  EXPECT_TRUE(bl.insert(42));  // a cleared set takes IDs again
+  EXPECT_EQ(bl.size(), 1U);
+}
+
+TEST(BlacklistSet, NoPublicIdIsAMemberLikeAnyOther) {
+  // A forged path may carry the all-ones ID: it must neither be lost nor
+  // match the free slots of a table that does not hold it.
+  BlacklistSet bl;
+  EXPECT_FALSE(bl.contains(kNoPublicId));
+  for (PublicId id = 1; id <= 20; ++id) bl.insert(id);
+  EXPECT_FALSE(bl.contains(kNoPublicId));
+  EXPECT_TRUE(bl.insert(kNoPublicId));
+  EXPECT_FALSE(bl.insert(kNoPublicId));
+  EXPECT_TRUE(bl.contains(kNoPublicId));
+  EXPECT_FALSE(bl.empty());
+  EXPECT_EQ(bl.size(), 21U);
+  bl.clear();
+  EXPECT_FALSE(bl.contains(kNoPublicId));
+
+  BlacklistSet only;
+  EXPECT_TRUE(only.insert(kNoPublicId));
+  EXPECT_FALSE(only.empty());
+  EXPECT_EQ(only.size(), 1U);
+  EXPECT_FALSE(only.contains(0));
+}
+
+TEST(BlacklistSet, GrowthMatchesAReferenceSet) {
+  // Sequential, random and all-ones-adjacent IDs across many doublings,
+  // checked against std::set after every phase-style clear.
+  Rng rng(77);
+  BlacklistSet bl;
+  for (int phase = 0; phase < 3; ++phase) {
+    std::set<PublicId> ref;
+    for (int k = 0; k < 5000; ++k) {
+      PublicId id = 0;
+      switch (rng.uniform(4)) {
+        case 0: id = rng.uniform(3000); break;
+        case 1: id = rng.next(); break;
+        case 2: id = kNoPublicId - rng.uniform(4); break;
+        default: id = static_cast<PublicId>(k) << 32; break;
+      }
+      EXPECT_EQ(bl.insert(id), ref.insert(id).second) << "id " << id;
+    }
+    EXPECT_EQ(bl.size(), ref.size());
+    for (PublicId id = 0; id < 3000; ++id) EXPECT_EQ(bl.contains(id), ref.count(id) > 0);
+    for (const PublicId id : ref) EXPECT_TRUE(bl.contains(id));
+    bl.clear();
+    EXPECT_TRUE(bl.empty());
+    for (const PublicId id : ref) EXPECT_FALSE(bl.contains(id));
+  }
+}
 
 }  // namespace
 }  // namespace bzc

@@ -8,13 +8,17 @@
 // width also sets the epoch pipeline's depth).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "adversary/beacon/strategies.hpp"
+#include "adversary/walk_adversary.hpp"
 #include "churn/schedule.hpp"
 #include "golden_scenarios.hpp"
 #include "graph/bfs.hpp"
@@ -22,6 +26,7 @@
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 #include "runtime/experiment.hpp"
+#include "runtime/fingerprint.hpp"
 
 namespace bzc {
 namespace {
@@ -214,16 +219,17 @@ TEST(ProvenanceCoalition, PipelineTotalsReconcileAndSubsetsPartitionBlame) {
       ASSERT_LT(e.cause, bl.subsetOf.size());
       EXPECT_NE(bl.subsetOf[e.cause], 0xff) << "cause " << e.cause << " unmapped";
     }
-    const std::vector<std::uint64_t> bySubset = blameBySubset(bl);
+    const obs::BlameExtras x = bl.extras();
+    const auto& bySubset = x.bySubset;
     std::uint64_t subsetSum = 0;
     for (const std::uint64_t v : bySubset) subsetSum += v;
     EXPECT_EQ(subsetSum, bl.attributedCount());
     // Extras are exact projections of the same graph.
-    EXPECT_EQ(t.extra[kAgreementBlameTotal], static_cast<double>(blameTotal(bl)));
+    EXPECT_EQ(t.extra[kAgreementBlameTotal], static_cast<double>(x.total));
     EXPECT_EQ(t.extra[kAgreementWrongDecisions],
               static_cast<double>(bl.kindCount(BlameKind::WrongDecision)));
-    EXPECT_EQ(t.extra[kAgreementBlameConcentration], blameConcentration(bl));
-    EXPECT_EQ(t.extra[kAgreementBlameTopShare], blameTopShare(bl));
+    EXPECT_EQ(t.extra[kAgreementBlameConcentration], x.concentration);
+    EXPECT_EQ(t.extra[kAgreementBlameTopShare], x.topShare);
     EXPECT_EQ(t.extra[kAgreementBlameSubset0], static_cast<double>(bySubset[0]));
     EXPECT_EQ(t.extra[kAgreementBlameSubset1], static_cast<double>(bySubset[1]));
     // Both subsets actually did damage in this scenario.
@@ -282,6 +288,10 @@ TEST(ProvenanceIdentity, GoldensBitIdenticalWithAttributionSinkInstalled) {
 // (answer or drop), and turning the marks on moves no result.
 // ---------------------------------------------------------------------------
 
+// Flow ids are derived (iteration, origin, sample), not carried: the token
+// is the wire-sized header plus bookkeeping.
+static_assert(sizeof(WalkToken) <= 24, "walk tokens are copied on every hop");
+
 TEST(ProvenanceFlow, LaunchMarksReconcileWithAnswerPlusDrop) {
   ScenarioSpec spec;
   spec.name = "prov-flow";
@@ -308,13 +318,23 @@ TEST(ProvenanceFlow, LaunchMarksReconcileWithAnswerPlusDrop) {
   EXPECT_EQ(marked.combinedFingerprint, plain.combinedFingerprint);
   ASSERT_EQ(sink->traces().size(), 1U);
   std::uint64_t launches = 0, answers = 0, drops = 0;
+  // FNV-1a over every walk mark's (name, flow id, round) in emission order.
+  std::uint64_t flowDigest = 0xcbf29ce484222325ull;
   for (const obs::TraceEvent& e : sink->traces()[0].events) {
     if (e.kind != obs::EventKind::Mark || e.name == nullptr) continue;
     const std::string name(e.name);
+    if (name.rfind("walk.", 0) != 0) continue;
     if (name == "walk.launch") ++launches;
     if (name == "walk.answer") ++answers;
     if (name == "walk.drop") ++drops;
+    const std::uint64_t id = static_cast<std::uint64_t>(e.value);
+    flowDigest = fnv1a64(name.data(), name.size(), flowDigest);
+    flowDigest = fnv1a64(&id, sizeof id, flowDigest);
+    flowDigest = fnv1a64(&e.round, sizeof e.round, flowDigest);
   }
+  // Flow ids are derived from (iteration, origin, sample) and must not move:
+  // this literal pins every mark of the scenario.
+  EXPECT_EQ(flowDigest, 0x1344b1f5e92a1937ull) << std::hex << flowDigest;
   EXPECT_GT(launches, 0U);
   EXPECT_EQ(launches, answers + drops);
   // The tamperer redirected answers; some landed stray, so drops are real.
@@ -439,6 +459,92 @@ TEST(ProvenanceGraph, MergeSumsAndRemapRewritesNodeIds) {
   EXPECT_TRUE(sawRemapped);
   // Dense-indexed annotations are invalid after a remap and must be dropped.
   EXPECT_TRUE(a.subsetOf.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The one-pass extras fold equals the sorted canonical() projections it
+// replaced, bit for bit, on randomized graphs with subset annotations.
+// ---------------------------------------------------------------------------
+
+/// Extras slots 13..20 computed the way the sorted projections did: every
+/// sum over canonical(), per-cause sums in a cause-keyed map.
+std::vector<double> canonicalExtras(const BlameGraph& g) {
+  std::uint64_t wrong = 0, total = 0;
+  std::map<std::uint64_t, std::uint64_t> byCause;
+  std::vector<std::uint64_t> bySubset(obs::kBlameMaxSubsets, 0);
+  for (const BlameEdge& e : g.canonical()) {
+    total += e.count;
+    if (e.kind == BlameKind::WrongDecision) wrong += e.count;
+    if (e.cause == kBlameNone) continue;
+    byCause[e.cause] += e.count;
+    std::uint8_t subset = 0xff;
+    if (e.cause < g.subsetOf.size()) subset = g.subsetOf[e.cause];
+    if (subset < obs::kBlameMaxSubsets - 1)
+      bySubset[subset] += e.count;
+    else
+      bySubset[obs::kBlameMaxSubsets - 1] += e.count;
+  }
+  std::uint64_t attributed = 0, top = 0;
+  for (const auto& [cause, count] : byCause) {
+    attributed += count;
+    top = std::max(top, count);
+  }
+  double hhi = 0.0;
+  for (const auto& [cause, count] : byCause) {
+    const double share = static_cast<double>(count) / static_cast<double>(attributed);
+    hhi += share * share;
+  }
+  const double topShare =
+      attributed == 0 ? 0.0 : static_cast<double>(top) / static_cast<double>(attributed);
+  std::vector<double> out = {static_cast<double>(wrong), static_cast<double>(total),
+                             attributed == 0 ? 0.0 : hhi, topShare};
+  for (const std::uint64_t v : bySubset) out.push_back(static_cast<double>(v));
+  return out;
+}
+
+std::vector<double> onePassExtras(const BlameGraph& g) {
+  const obs::BlameExtras x = g.extras();
+  std::vector<double> out = {static_cast<double>(x.wrongDecisions), static_cast<double>(x.total),
+                             x.concentration, x.topShare};
+  for (const std::uint64_t v : x.bySubset) out.push_back(static_cast<double>(v));
+  return out;
+}
+
+TEST(ProvenanceGraph, OnePassExtrasMatchCanonicalProjections) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::uint64_t causes = 2 + rng.uniform(60);
+    BlameGraph g;
+    // Subset labels cover only some causes, including the unmapped 0xff and
+    // labels past the last named bin (both pool into it).
+    g.subsetOf.resize(rng.uniform(causes + 1));
+    for (std::uint8_t& s : g.subsetOf) {
+      const std::uint64_t pick = rng.uniform(6);
+      s = pick == 5 ? 0xff : static_cast<std::uint8_t>(pick);
+    }
+    const std::uint64_t edges = rng.uniform(400);
+    for (std::uint64_t e = 0; e < edges; ++e) {
+      const auto kind = static_cast<BlameKind>(rng.uniform(obs::kBlameKinds));
+      const std::uint64_t cause = rng.uniform(8) == 0 ? kBlameNone : rng.uniform(causes);
+      const std::uint64_t victim = rng.uniform(5) == 0 ? kBlameNone : rng.uniform(200);
+      g.add(kind, cause, victim, 1 + rng.uniform(1000));
+    }
+    const std::vector<double> want = canonicalExtras(g);
+    const std::vector<double> got = onePassExtras(g);
+    ASSERT_EQ(got.size(), 8U);  // slots 13..20
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      std::uint64_t wantBits = 0, gotBits = 0;
+      std::memcpy(&wantBits, &want[i], sizeof wantBits);
+      std::memcpy(&gotBits, &got[i], sizeof gotBits);
+      EXPECT_EQ(gotBits, wantBits) << "seed " << seed << " slot " << 13 + i;
+    }
+  }
+  // Nothing attributed: the shares stay 0, the total still counts.
+  BlameGraph none;
+  none.add(BlameKind::ContinueSpam, kBlameNone, kBlameNone, 5);
+  EXPECT_EQ(onePassExtras(none), canonicalExtras(none));
+  EXPECT_EQ(none.extras().total, 5U);
+  EXPECT_EQ(none.extras().concentration, 0.0);
 }
 
 }  // namespace
