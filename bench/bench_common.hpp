@@ -51,13 +51,6 @@ inline NodeId nodeCount(NodeId defaultN) {
   return static_cast<NodeId>(envKnob("BZC_N", defaultN, 1, kNoNode - 1));
 }
 
-/// Intra-trial engine shards (DESIGN.md §10) for benches that wire the knob
-/// through their ScenarioSpecs. BZC_SHARDS overrides — the nightly runners
-/// set BZC_SHARDS=4 so the n=1M rows use all four cores inside one trial.
-inline unsigned shardCount(unsigned defaultShards = 1) {
-  return static_cast<unsigned>(envKnob("BZC_SHARDS", defaultShards, 1, UINT32_MAX));
-}
-
 /// CLI/env attack selection for the walk-adversary gallery (accepts both a
 /// short alias and the canonical profile name, which stays owned by
 /// src/adversary/profile.cpp).
@@ -171,7 +164,7 @@ inline void appendJsonSamples(std::ostringstream& os, const char* key,
 /// labels to report and to orient lower-is-better metrics like staleness).
 inline void maybeEmitJson(const ExperimentSummary& s,
                           const std::vector<std::string>& extraNames = {},
-                          unsigned shards = 0, double wallMs = -1.0) {
+                          double wallMs = -1.0) {
   if (!jsonOutputEnabled()) return;
   std::ostringstream os;
   os.precision(12);
@@ -182,11 +175,6 @@ inline void maybeEmitJson(const ExperimentSummary& s,
   // flagging), peak_rss_kb the process high-water mark at emission.
   if (wallMs >= 0.0) os << ",\"wall_ms\":" << wallMs;
   os << ",\"peak_rss_kb\":" << peakRssKb();
-  // Emitted only for sharded rows so legacy trajectories stay byte-stable;
-  // tools/diff_bench_json.py reports shard-count changes alongside the metric
-  // deltas (a 1 -> 4 shard bump is a config change, not a regression — the
-  // fingerprints are invariant either way).
-  if (shards > 0) os << ",\"shards\":" << shards;
   os << ",\"combinedFingerprint\":\"0x" << std::hex << s.combinedFingerprint << std::dec
      << "\",";
   if (!extraNames.empty()) {
@@ -254,7 +242,7 @@ inline ExperimentSummary runScenario(ExperimentRunner& runner, const ScenarioSpe
   ExperimentSummary s = runner.run(spec);
   const double wallMs =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  maybeEmitJson(s, extraNames, spec.shards, wallMs);
+  maybeEmitJson(s, extraNames, wallMs);
   return s;
 }
 
@@ -276,7 +264,7 @@ inline ExperimentSummary runScenario(ExperimentRunner& runner, const std::string
   ExperimentSummary s = runner.runCustom(name, trials, fn);
   const double wallMs =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  maybeEmitJson(s, extraNames, 0, wallMs);
+  maybeEmitJson(s, extraNames, wallMs);
   return s;
 }
 
@@ -373,8 +361,30 @@ inline void experimentHeader(const std::string& id, const std::string& claim) {
   printBanner(std::cout, id, claim);
 }
 
-inline void shapeCheck(const std::string& what, bool holds) {
-  std::cout << "shape check — " << what << ": " << (holds ? "HOLDS" : "VIOLATED") << '\n';
+/// VIOLATED shape checks printed so far in this process.
+inline std::uint32_t& shapeViolations() {
+  static std::uint32_t count = 0;
+  return count;
 }
+
+/// A shape check's trial floor: below `needs` trials the check is not
+/// statistically meaningful, so it is SKIPPED (neither a pass nor a failure).
+struct TrialFloor {
+  std::uint32_t needs = 0;
+  std::uint32_t ran = 0;
+};
+
+inline void shapeCheck(const std::string& what, bool holds, TrialFloor floor = {}) {
+  std::cout << "shape check — " << what << ": ";
+  if (floor.ran < floor.needs) {
+    std::cout << "SKIPPED (needs ≥" << floor.needs << " trials, ran " << floor.ran << ")\n";
+    return;
+  }
+  std::cout << (holds ? "HOLDS" : "VIOLATED") << '\n';
+  if (!holds) ++shapeViolations();
+}
+
+/// Exit status for a bench main: non-zero iff any shape check was VIOLATED.
+inline int shapeCheckExitCode() { return shapeViolations() > 0 ? 1 : 0; }
 
 }  // namespace bzc::bench

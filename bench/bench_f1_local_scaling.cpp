@@ -79,5 +79,5 @@ int main() {
   // meaningful linearity bar here.
   shapeCheck("rounds grow linearly in log n (R^2 > 0.85)", fit.r2 > 0.85);
   shapeCheck("slope is a small constant (< 2 rounds per ln-unit)", fit.slope < 2.0);
-  return 0;
+  return shapeCheckExitCode();
 }

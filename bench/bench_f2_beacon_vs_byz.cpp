@@ -107,5 +107,5 @@ int main() {
   shapeCheck("decide rounds grow monotonically with B", monotone);
   shapeCheck("decide rounds stay within the O(B log^2 n) bound", bounded);
   shapeCheck("slope positive (more Byzantine nodes => more rounds)", fit.slope > 0.0);
-  return 0;
+  return shapeCheckExitCode();
 }

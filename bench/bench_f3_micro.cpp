@@ -110,8 +110,8 @@ void BM_NullSinkProbe(benchmark::State& state) {
 BENCHMARK(BM_NullSinkProbe);
 
 // Metrics layer (DESIGN.md §13): cost of the streaming histogram hot paths —
-// add is on the per-round distillation path, merge is the per-shard /
-// per-epoch fold. Both must stay trivially cheap next to a protocol round.
+// add is on the per-round distillation path, merge is the per-epoch /
+// per-trial fold. Both must stay trivially cheap next to a protocol round.
 void BM_LogHistogramAdd(benchmark::State& state) {
   obs::LogHistogram h;
   Rng rng(6);

@@ -135,5 +135,5 @@ int main() {
   shapeCheck("flash crowds grow the overlay, exoduses shrink it",
              flashGrowth > 1.5 && exodusGrowth < 0.8);
   shapeCheck("ByzantineChurn inflates the effective budget (byz x > 1.2)", byzInflation > 1.2);
-  return 0;
+  return shapeCheckExitCode();
 }

@@ -221,5 +221,5 @@ int main() {
   shapeCheck("prefix grafter carries honest IDs into forged paths", graftsSeen > 0.0);
   shapeCheck("splitting the budget across stages changes the victim-area damage profile",
              scoreMixed != scorePure);
-  return 0;
+  return shapeCheckExitCode();
 }

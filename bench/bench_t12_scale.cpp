@@ -1,23 +1,15 @@
-// T12 — intra-trial sharding at scale (DESIGN.md §10).
+// T12 — Algorithm 2 at scale on the serial engine.
 //
-// Two halves. (1) The n = 1M rows: Algorithm 2 counting on H(n,8) at one
-// million nodes, benign and under the relay suppressor — the byzantine row
-// uses the suppressor rather than the flooder because a flooded million-node
-// network never decides inside any affordable round cap, while suppression
-// terminates at roughly benign cost and (being recv-draw-free) stays in the
-// shard-count invariance class. One trial per row by default: at this n a
-// trial is minutes, and the determinism story means more trials only buy
+// The n = 1M rows: Algorithm 2 counting on H(n,8) at one million nodes,
+// benign and under the relay suppressor — the byzantine row uses the
+// suppressor rather than the flooder because a flooded million-node network
+// never decides inside any affordable round cap, while suppression
+// terminates at roughly benign cost. One trial per row by default: at this n
+// a trial is minutes, and the determinism story means more trials only buy
 // placement variance, not confidence in the mechanism.
 //
-// (2) The shard sweep: the T7-shaped oracle agreement row at n = 64k run at
-// S = 1, 2, 4, 8 with identical streams. The sweep prints a wall-clock
-// speedup table (meaningful on multi-core runners; on a single core the
-// sharded rows show the bookkeeping overhead instead) and shape-checks that
-// all four shard counts produced bit-identical combined fingerprints — the
-// tentpole invariant, measured at bench scale rather than test scale.
-//
-// BZC_TRIALS / BZC_THREADS / BZC_N / BZC_SHARDS override the defaults; the
-// nightly runs BZC_N=1000000 BZC_SHARDS=4 on 4-core runners.
+// BZC_TRIALS / BZC_THREADS / BZC_N override the defaults; the nightly runs
+// BZC_N=1000000.
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -30,20 +22,16 @@ int main() {
   using Clock = std::chrono::steady_clock;
 
   const NodeId n = nodeCount(1'000'000);
-  const unsigned shards = shardCount(1);
   const std::uint32_t trials = trialCount(1);
   const double logN = std::log(static_cast<double>(n));
 
   experimentHeader(
-      "T12 — sharded trials at scale (n = " + std::to_string(n) + ", H(n,8), S = " +
-          std::to_string(shards) + ")",
-      "Algorithm 2 at n = 1M, one trial sharded across engine workers. Fingerprints\n"
-      "are shard-count invariant (pinned by tests/sharding_test.cpp); the rows here\n"
-      "track the cost trajectory: rounds and message/bit totals are engine-metered.");
+      "T12 — counting at scale (n = " + std::to_string(n) + ", H(n,8), serial engine)",
+      "Algorithm 2 at n = 1M, one trial per row. The rows track the cost\n"
+      "trajectory: rounds and message/bit totals are engine-metered.");
 
   ExperimentRunner runner(threadCount());
-  std::cout << "trials/row=" << trials << "  threads=" << runner.threadCount()
-            << "  shards=" << shards << "\n\n";
+  std::cout << "trials/row=" << trials << "  threads=" << runner.threadCount() << "\n\n";
 
   Table table({"row", "decided", "ratio", "rounds", "messages", "bits", "wall s"});
   std::uint64_t row = 0;
@@ -67,7 +55,6 @@ int main() {
     spec.beaconAdversary = r.profile;
     spec.beaconLimits.maxPhase = static_cast<std::uint32_t>(std::ceil(logN)) + 3;
     spec.beaconLimits.maxTotalRounds = 60'000;
-    spec.shards = shards;
     spec.trials = trials;
     spec.masterSeed = rowSeed(12, row++);
     const auto start = Clock::now();
@@ -83,49 +70,5 @@ int main() {
   shapeCheck("benign counting decides almost everywhere", benignDecided >= 0.9);
   shapeCheck("the suppressor cannot stop decisions at a sublinear budget",
              suppressorDecided >= 0.5);
-
-  // --- shard-speedup sweep (T7-shaped oracle agreement row) -----------------
-  const NodeId nSweep = std::min<NodeId>(n, 65'536);
-  const double logSweep = std::log(static_cast<double>(nSweep));
-  experimentHeader(
-      "T12s — shard sweep (oracle agreement, n = " + std::to_string(nSweep) + ")",
-      "The same row at S = 1, 2, 4, 8 engine shards, identical streams. 'speedup'\n"
-      "is wall-clock vs S = 1 on this machine — ~Sx on >= S idle cores, <= 1x on a\n"
-      "single core (the table then shows the sharding overhead). Fingerprints must\n"
-      "be bit-identical across the sweep regardless.");
-
-  const std::uint32_t sweepTrials = trialCount(2);
-  Table sweep({"S", "agree", "rounds", "messages", "wall s", "speedup"});
-  std::uint64_t fps[4] = {0, 0, 0, 0};
-  double walls[4] = {0, 0, 0, 0};
-  const unsigned sweepShards[4] = {1, 2, 4, 8};
-  for (int i = 0; i < 4; ++i) {
-    ScenarioSpec spec;
-    spec.name = "t12-sweep-n" + std::to_string(nSweep) + "-s" + std::to_string(sweepShards[i]);
-    spec.graph = {GraphKind::Hnd, nSweep, 8, 0.1};
-    spec.placement.kind = Placement::Random;
-    spec.byzGamma = 0.55;
-    spec.protocol = ProtocolKind::Agreement;
-    spec.agreementParams.initialOnesFraction = 0.7;
-    spec.agreementEstimate = 0.0;  // oracle ln n
-    spec.shards = sweepShards[i];
-    spec.trials = sweepTrials;
-    spec.masterSeed = rowSeed(12, 100);  // one seed: the sweep varies S only
-    const auto start = Clock::now();
-    const ExperimentSummary s = runScenario(runner, spec, agreementExtraNames());
-    walls[i] = std::chrono::duration<double>(Clock::now() - start).count();
-    fps[i] = s.combinedFingerprint;
-    sweep.addRow({std::to_string(sweepShards[i]),
-                  distPercentCell(s.extras[kAgreementFracAgreeing]),
-                  distCell(s.extras[kAgreementRounds], 0), distCell(s.totalMessages, 0),
-                  Table::num(walls[i], 1),
-                  walls[i] > 0 ? Table::num(walls[0] / walls[i], 2) + "x" : "-"});
-  }
-  sweep.print(std::cout);
-  std::cout << "(speedup is hardware-relative; CI smoke and single-core local runs"
-               " exercise correctness, the nightly 4-core runners measure scaling)\n";
-  shapeCheck("bit-identical fingerprints at S = 1, 2, 4, 8",
-             fps[0] == fps[1] && fps[0] == fps[2] && fps[0] == fps[3]);
-  std::cout << "sweep log-n sanity: ln n = " << logSweep << '\n';
-  return 0;
+  return shapeCheckExitCode();
 }

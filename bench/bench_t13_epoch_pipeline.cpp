@@ -12,8 +12,8 @@
 // occupies at most D threads whatever BZC_THREADS says. Every budget runs the
 // *same* rowSeed — the budget only schedules, so the combined fingerprints
 // must be bit-identical down the sweep (pinned at test scale by
-// tests/epoch_pipeline_test.cpp, checked here at bench scale; the bench exits
-// non-zero when they differ). 'speedup' is wall-clock vs D = 1 on this
+// tests/epoch_pipeline_test.cpp, checked here at bench scale; like every
+// violated shape check, a mismatch makes the bench exit non-zero). 'speedup' is wall-clock vs D = 1 on this
 // machine: ~D× when >= D idle cores and recounts dominate the epoch loop,
 // <= 1× on a single core, where the table shows the future/ring bookkeeping
 // overhead instead.
@@ -115,5 +115,5 @@ int main() {
                " correctness, the nightly 4-core runners measure the overlap win)\n";
   shapeCheck("bit-identical fingerprints at D = 1, 2, 4 in both families", fingerprintsMatch);
   std::cout << "best observed speedup vs D = 1: " << speedupBest << "x\n";
-  return fingerprintsMatch ? 0 : 1;
+  return shapeCheckExitCode();
 }

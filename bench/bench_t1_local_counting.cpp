@@ -147,5 +147,5 @@ int main() {
   table.print(std::cout);
   shapeCheck("every Good (dist>=2) node decides inside [dist-to-Byz, diam+1]", allGoodInWindow);
   shapeCheck("round complexity stays O(diam) = O(log n)", allRoundsLogarithmic);
-  return 0;
+  return shapeCheckExitCode();
 }

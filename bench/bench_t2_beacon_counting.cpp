@@ -129,5 +129,5 @@ int main() {
   shapeCheck(">75% of honest nodes decide a constant-factor estimate under attack", windowHolds);
   shapeCheck("rounds stay below 10 * B * ln^2 n", roundsBounded);
   shapeCheck("undecided fraction (beta) shrinks as n grows (flooder)", betaShrinks);
-  return 0;
+  return shapeCheckExitCode();
 }

@@ -75,5 +75,5 @@ int main() {
   }
   table.print(std::cout);
   shapeCheck("non-tree-like nodes stay within O(n^0.8) in every trial", allWithin);
-  return 0;
+  return shapeCheckExitCode();
 }

@@ -93,5 +93,5 @@ int main() {
   shapeCheck("every node decides and the network quiesces (all trials)", allQuiesced);
   shapeCheck("total rounds stay O(log^2 n)", roundsPolylog);
   shapeCheck("decided phases differ by at most a constant (Remark 2)", spreadConstant);
-  return 0;
+  return shapeCheckExitCode();
 }

@@ -129,10 +129,14 @@ int main() {
   std::cout << "control on H(n,8): beacon estimate moved "
             << Table::num(controlMeans[1] - controlMeans[0], 2) << " for the same 16x growth\n";
 
-  shapeCheck("gadget expansion collapses (h upper bound < 0.05 at t = 16)", hUpperLast < 0.05);
+  // The gadget checks average a per-trial random quantity (the sweep's cut,
+  // the suppressed estimates): below 4 trials one unlucky trial decides them.
+  const TrialFloor gadgetFloor{4, trials};
+  shapeCheck("gadget expansion collapses (h upper bound < 0.05 at t = 16)", hUpperLast < 0.05,
+             gadgetFloor);
   shapeCheck("estimates on the gadget move < 1/2 of true ln n growth",
-             geoGrowth < 0.5 * lnGrowth && beaconGrowth < 0.5 * lnGrowth);
+             geoGrowth < 0.5 * lnGrowth && beaconGrowth < 0.5 * lnGrowth, gadgetFloor);
   shapeCheck("the expander control tracks n (estimate grows >= 1 phase)",
              controlMeans[1] - controlMeans[0] >= 1.0);
-  return 0;
+  return shapeCheckExitCode();
 }

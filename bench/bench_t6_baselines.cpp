@@ -91,5 +91,5 @@ int main() {
   table.print(std::cout);
   shapeCheck("all baselines accurate with zero Byzantine nodes", benignAccurate);
   shapeCheck("a single Byzantine node poisons >90% of honest nodes", oneByzBreaks);
-  return 0;
+  return shapeCheckExitCode();
 }

@@ -318,5 +318,5 @@ int main() {
              adaptiveDamage[1] > adaptiveDamage[0] + 0.05);
   shapeCheck("at the largest budget consistent lying beats starving (adaptive > dropper)",
              adaptiveDamage[1] > dropperDamageMax);
-  return 0;
+  return shapeCheckExitCode();
 }

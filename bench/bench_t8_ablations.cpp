@@ -296,5 +296,5 @@ int main() {
     shapeCheck("the flipper knob flips more answers at full strength",
                flippedFull > flippedWeak);
   }
-  return 0;
+  return shapeCheckExitCode();
 }

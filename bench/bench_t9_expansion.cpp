@@ -165,5 +165,5 @@ int main() {
   }
   table2.print(std::cout);
   shapeCheck("giant component >= n - 2|F| with near-original expansion (all trials)", lemmaHolds);
-  return 0;
+  return shapeCheckExitCode();
 }

@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
       "grafters", 0.5, BeaconAdversaryProfile::prefixGrafter(2),
       AgreementAttackProfile::adaptiveMinority(), "hunters", BeaconAdversaryProfile::none(),
       AgreementAttackProfile::hunter(2));
-  spec.shards = 2;  // exercise the per-shard blame lanes
   spec.trials = trialCount(4);
   spec.traceTrials = spec.trials;  // export a blame line per trial when a sink is up
   spec.masterSeed = Rng(seed).fork(0xb1a).next();

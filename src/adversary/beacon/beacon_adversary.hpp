@@ -80,17 +80,6 @@ struct BeaconAdversaryStats {
   std::uint64_t continuesSpammed = 0;     ///< continue messages originated
   std::uint64_t prefixGrafts = 0;         ///< honest IDs spliced into forged paths
   std::uint64_t pressureBackoffs = 0;     ///< phases an adaptive forger went quiet in
-
-  /// Folds a per-shard sink into this one (sums are shard-order invariant).
-  void accumulate(const BeaconAdversaryStats& o) noexcept {
-    beaconsForged += o.beaconsForged;
-    relaysSuppressed += o.relaysSuppressed;
-    relaysTampered += o.relaysTampered;
-    continuesSuppressed += o.continuesSuppressed;
-    continuesSpammed += o.continuesSpammed;
-    prefixGrafts += o.prefixGrafts;
-    pressureBackoffs += o.pressureBackoffs;
-  }
 };
 
 /// Aggregated honest state a strategy may observe. The model is
@@ -115,9 +104,7 @@ struct BeaconContext {
   NodeId node = kNoNode;  ///< Byzantine node acting
   Round round = 0;        ///< window round for transit hooks; 0 at boundaries
   const Graph& graph;
-  BeaconPathArena::Lane arena;  ///< append lane for the acting shard (shard 0
-                                ///< in serial contexts); reads go through the
-                                ///< frames' refs, which work across shards
+  BeaconPathArena& arena;
   Coalition& coalition;
   Rng& fakeRng;  ///< fabricated-ID stream (the legacy makeForgedBeacon stream)
   BeaconAdversaryStats& stats;

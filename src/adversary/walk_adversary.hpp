@@ -12,7 +12,6 @@
 // plus a profile constructor; no protocol edit. See DESIGN.md §7.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -57,38 +56,31 @@ struct WalkToken {
 /// once honest opinion starts to drift), and targeted samples are tallied so
 /// experiments can score how much of the budget actually landed.
 ///
-/// Lock-free so strategies may call it from the engine's shard-parallel recv
-/// phase (DESIGN.md §10). Every strategy that locks a bit derives it from
-/// round-constant state (the honest split snapshot), so whichever shard's CAS
-/// wins within a round installs the same bit — shard-count invariant.
+/// One trial (one pipeline, one churn recount) owns each board; nothing
+/// calls it concurrently.
 class Coalition {
  public:
   Coalition() = default;
   Coalition(const Coalition&) = delete;
   Coalition& operator=(const Coalition&) = delete;
 
-  [[nodiscard]] bool hasAgreedBit() const noexcept {
-    return state_.load(std::memory_order_acquire) != 0;
-  }
-  [[nodiscard]] std::uint8_t agreedBit() const noexcept {
-    return static_cast<std::uint8_t>(state_.load(std::memory_order_acquire) & 0xffu);
-  }
+  [[nodiscard]] bool hasAgreedBit() const noexcept { return agreed_; }
+  [[nodiscard]] std::uint8_t agreedBit() const noexcept { return bit_; }
 
   /// First writer wins; later calls are ignored (the coalition stays put).
   void agreeOn(std::uint8_t bit) noexcept {
-    std::uint32_t expected = 0;
-    state_.compare_exchange_strong(expected, 0x100u | bit, std::memory_order_acq_rel,
-                                   std::memory_order_acquire);
+    if (agreed_) return;
+    agreed_ = true;
+    bit_ = bit;
   }
 
-  void recordHit() noexcept { hits_.fetch_add(1, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
+  void recordHit() noexcept { ++hits_; }
+  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
 
  private:
-  std::atomic<std::uint32_t> state_{0};  ///< 0 = unset, else 0x100 | agreed bit
-  std::atomic<std::uint64_t> hits_{0};
+  bool agreed_ = false;
+  std::uint8_t bit_ = 0;
+  std::uint64_t hits_ = 0;
 };
 
 /// What each strategy did to the traffic it touched. Protocol-observed events
@@ -104,17 +96,6 @@ struct AdversaryStats {
   std::uint64_t misroutedAnswers = 0;  ///< answers pushed off their reverse path
   std::uint64_t strayAnswers = 0;      ///< misrouted answers discarded on arrival
   std::uint64_t coalitionHits = 0;     ///< samples targeted via the Coalition blackboard
-
-  /// Folds a per-shard sink into this one (sums are shard-order invariant).
-  void accumulate(const AdversaryStats& o) noexcept {
-    droppedQueries += o.droppedQueries;
-    droppedAnswers += o.droppedAnswers;
-    flippedAnswers += o.flippedAnswers;
-    forgedAnswers += o.forgedAnswers;
-    misroutedAnswers += o.misroutedAnswers;
-    strayAnswers += o.strayAnswers;
-    coalitionHits += o.coalitionHits;
-  }
 };
 
 /// Everything a strategy may observe when handling a token: where it is, the

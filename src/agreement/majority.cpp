@@ -70,14 +70,11 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
   Rng walkBase = rng.fork(0x3a1c);
   Rng advRng = rng.fork(0x5adc);
   // The streams live here, indexed by WalkToken::slot = 2 * origin + sample,
-  // rather than in the payload: the token stays 24 bytes on every hop. A
-  // token sits at exactly one receiver per round, so the shard-parallel recv
-  // touches each slot from one worker only.
+  // rather than in the payload: the token stays 24 bytes on every hop.
   std::vector<Rng> streams(2 * static_cast<std::size_t>(n));
 
-  Engine engine(g, byz, 0, params.shards);
-  const unsigned S = engine.shardCount();
-  PathArena arena(S);
+  Engine engine(g, byz);
+  PathArena arena;
   // Trial-local blackboard and profile-selected strategy unless the caller
   // injected them (mixed coalitions, cross-stage collusion — DESIGN.md §9).
   Coalition localCoalition;
@@ -94,66 +91,46 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
 
   // Per-receiver adversary streams: every node refreshes its own fork of
   // advRng at each iteration (tag order: iteration, then node) and strategy
-  // hooks at node v draw only from v's stream. Each node's deliveries arrive
-  // in canonical inbox order at any shard count (receiver-owned recv, PR 6),
-  // so the whole draw sequence is a pure function of (iteration, node,
-  // delivery order) — shard-count *invariant*, not merely deterministic per
-  // count, which lets sharding_test pin the drawing strategies (tamperer,
-  // fractional dropper/flipper) alongside the draw-free class. Honest nodes
-  // need streams too: forgeAnswer fires wherever a tainted token ends its
-  // walk. Stats stay per-shard and are summed after the run (sums are
-  // shard-order invariant).
+  // hooks at node v draw only from v's stream. A node's deliveries arrive in
+  // inbox order, so the whole draw sequence is a pure function of
+  // (iteration, node, delivery order), independent of the order in which
+  // receivers are served. Honest nodes need streams too: forgeAnswer fires
+  // wherever a tainted token ends its walk.
   std::vector<Rng> recvRng(n);
-  std::vector<AdversaryStats> statsLane(S > 1 ? S : 0);
-  const auto statsAt = [&](unsigned s) -> AdversaryStats& {
-    return S > 1 ? statsLane[s] : out.adversary;
-  };
-  struct SampleCounters {
-    std::uint64_t answered = 0;
-    std::uint64_t compromised = 0;
-  };
-  std::vector<SampleCounters> counterLane(S);
 
-  // Blame-graph lanes (DESIGN.md §14), mirroring statsLane: shard-parallel
-  // phases record keyed edges into their own graph, merged at the end (keyed
-  // sums are shard-order invariant). Collection is unconditional — no RNG, no
-  // control flow change — so goldens are identical attribution on or off.
-  std::vector<obs::BlameGraph> blameLane(S > 1 ? S : 0);
-  const auto blameAt = [&](unsigned s) -> obs::BlameGraph& {
-    return S > 1 ? blameLane[s] : out.blame;
-  };
-  // Per-origin compromised-sample records for the wrong-decision
-  // counterfactual: written only at the origin accept (v is shard-owned, so
-  // race-free), read in the serial decision loop. At most 2 samples/node.
+  // Blame-graph edges (DESIGN.md §14) go straight to out.blame. Collection is
+  // unconditional — no RNG, no control flow change — so goldens are
+  // identical attribution on or off. The per-origin compromised-sample
+  // records below feed the wrong-decision counterfactual: written at the
+  // origin accept, read in the decision loop. At most 2 samples/node.
   std::vector<std::uint8_t> compCnt(n, 0);
   std::vector<std::uint8_t> compOnes(n, 0);
   std::vector<NodeId> compCause(2 * static_cast<std::size_t>(n), kNoNode);
 
-  // Walk-token lifecycle marks for Chrome flow arrows (satellite of §14):
-  // terminal marks happen inside the shard-parallel recv, so they queue in
-  // per-shard lanes and flush serially at the iteration boundary in shard
-  // order. Gated on the flow knob — O(n) marks per iteration otherwise
-  // swamp every nightly trace.
-  struct TokenMark {
-    std::uint64_t flowId;
-    std::uint64_t round;
-    bool answered;
-  };
-  std::vector<std::vector<TokenMark>> markLane(S);
-  const bool flowMarks = obs::currentTrace() != nullptr && obs::traceFlowMarks();
+  // Trace probes (DESIGN.md §12) read committed state only — traced and
+  // untraced runs are bit-identical.
+  obs::TrialTrace* const trace = obs::currentTrace();
+  // Walk-token lifecycle marks for Chrome flow arrows (satellite of §14).
+  // Gated on the flow knob — O(n) marks per iteration otherwise swamp every
+  // nightly trace.
+  const bool flowMarks = trace != nullptr && obs::traceFlowMarks();
   // Flow-event id linking a launch to the token's terminal mark: unique per
   // (iteration, origin, sample) as flowBase + slot = (it * n + origin) * 2 + sample.
   std::uint64_t flowBase = 0;
+  const auto markEnd = [&](const WalkToken& t, Round w, bool answered) {
+    if (flowMarks) {
+      trace->mark(answered ? "walk.answer" : "walk.drop", static_cast<double>(flowBase + t.slot),
+                  w);
+    }
+  };
 
-  const auto recv = [&](Engine::ShardLane& lane, NodeId v, Round w,
-                        std::span<const Engine::Delivery> box) {
-    const unsigned shard = lane.shard();
+  const auto recv = [&](NodeId v, Round w, std::span<const Engine::Delivery> box) {
     // The strategy sees the live honest split (the adaptive adversary is
     // omniscient about honest state); values only commit at window end, so
     // this is constant within an iteration.
     const auto ctxAt = [&](NodeId at) {
       return WalkContext{at,     w,         g,      arena, curOnes, honest,
-                         params.victim, coalition, recvRng[at], statsAt(shard)};
+                         params.victim, coalition, recvRng[at], out.adversary};
     };
     for (const Engine::Delivery& d : box) {
       WalkToken t = d.payload;  // O(1): the reverse path lives in the arena
@@ -164,25 +141,24 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
           if (t.origin == v) {
             tally[v] += t.answer;
             ++answersSeen[v];
-            ++counterLane[shard].answered;
+            ++out.answeredSamples;
             if (t.compromised) {
-              ++counterLane[shard].compromised;
+              ++out.compromisedSamples;
               // Blame the first Byzantine actor that touched this token, and
-              // remember the sample for the serial wrong-decision
-              // counterfactual (v is shard-owned: no race).
-              blameAt(shard).add(obs::BlameKind::CompromisedSample,
-                                 t.taintNode == kNoNode ? obs::kBlameNone : t.taintNode, v);
+              // remember the sample for the wrong-decision counterfactual.
+              out.blame.add(obs::BlameKind::CompromisedSample,
+                            t.taintNode == kNoNode ? obs::kBlameNone : t.taintNode, v);
               compCause[2 * static_cast<std::size_t>(v) + compCnt[v]] = t.taintNode;
               compOnes[v] = static_cast<std::uint8_t>(compOnes[v] + t.answer);
               ++compCnt[v];
             }
-            if (flowMarks) markLane[shard].push_back({flowBase + t.slot, w, true});
+            markEnd(t, w, true);
           } else {
-            ++statsAt(shard).strayAnswers;
-            blameAt(shard).add(obs::BlameKind::StrayAnswer,
-                               t.taintNode == kNoNode ? obs::kBlameNone : t.taintNode,
-                               t.origin);
-            if (flowMarks) markLane[shard].push_back({flowBase + t.slot, w, false});
+            ++out.adversary.strayAnswers;
+            out.blame.add(obs::BlameKind::StrayAnswer,
+                          t.taintNode == kNoNode ? obs::kBlameNone : t.taintNode,
+                          t.origin);
+            markEnd(t, w, false);
           }
           continue;
         }
@@ -192,11 +168,11 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
           const TokenAction act = strategy.onAnswerRelay(ctxAt(v), t);
           if (!wasCompromised && t.compromised && t.taintNode == kNoNode) t.taintNode = v;
           if (t.answer != wasAnswer)
-            blameAt(shard).add(obs::BlameKind::FlippedAnswer, v, t.origin);
+            out.blame.add(obs::BlameKind::FlippedAnswer, v, t.origin);
           if (act.op == TokenAction::Op::Drop) {
-            ++statsAt(shard).droppedAnswers;
-            blameAt(shard).add(obs::BlameKind::DroppedAnswer, v, t.origin);
-            if (flowMarks) markLane[shard].push_back({flowBase + t.slot, w, false});
+            ++out.adversary.droppedAnswers;
+            out.blame.add(obs::BlameKind::DroppedAnswer, v, t.origin);
+            markEnd(t, w, false);
             continue;
           }
           if (act.op == TokenAction::Op::Redirect) {
@@ -204,17 +180,17 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
             // arrives at the target with no path left and is accepted only
             // if the target happens to be its origin.
             BZC_ASSERT(g.hasEdge(v, act.target));
-            blameAt(shard).add(obs::BlameKind::MisroutedAnswer, v, t.origin);
+            out.blame.add(obs::BlameKind::MisroutedAnswer, v, t.origin);
             if (t.taintNode == kNoNode) t.taintNode = v;
             t.path = kNullPath;
-            lane.unicast(v, act.target, std::move(t), kAnswerBits);
+            engine.unicast(v, act.target, std::move(t), kAnswerBits);
             continue;
           }
         }
         BZC_ASSERT(arena.node(t.path) == v);
         t.path = arena.prev(t.path);
         const NodeId next = t.path == kNullPath ? t.origin : arena.node(t.path);
-        lane.unicast(v, next, std::move(t), kAnswerBits);
+        engine.unicast(v, next, std::move(t), kAnswerBits);
         continue;
       }
       if (byz.contains(v)) {
@@ -223,9 +199,9 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
         BZC_ASSERT(act.op != TokenAction::Op::Redirect);  // queries follow their walk
         if (!wasCompromised && t.compromised && t.taintNode == kNoNode) t.taintNode = v;
         if (act.op == TokenAction::Op::Drop) {
-          ++statsAt(shard).droppedQueries;
-          blameAt(shard).add(obs::BlameKind::DroppedQuery, v, t.origin);
-          if (flowMarks) markLane[shard].push_back({flowBase + t.slot, w, false});
+          ++out.adversary.droppedQueries;
+          out.blame.add(obs::BlameKind::DroppedQuery, v, t.origin);
+          markEnd(t, w, false);
           continue;
         }
       }
@@ -240,30 +216,25 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
           if (t.taintNode == kNoNode) t.taintNode = v;  // untainted: the endpoint is byz
           t.answer = strategy.forgeAnswer(ctxAt(v), t);
           t.compromised = true;
-          ++statsAt(shard).forgedAnswers;
-          blameAt(shard).add(obs::BlameKind::ForgedAnswer, t.taintNode, t.origin);
+          ++out.adversary.forgedAnswers;
+          out.blame.add(obs::BlameKind::ForgedAnswer, t.taintNode, t.origin);
         } else {
           t.answer = value[v];
         }
         BZC_ASSERT(t.path != kNullPath && arena.node(t.path) == v);
         t.path = arena.prev(t.path);
         const NodeId next = t.path == kNullPath ? t.origin : arena.node(t.path);
-        lane.unicast(v, next, std::move(t), kAnswerBits);
+        engine.unicast(v, next, std::move(t), kAnswerBits);
       } else {
         const auto nbrs = g.neighbors(v);
         BZC_ASSERT(t.slot < streams.size());
         const NodeId next = nbrs[streams[t.slot].uniform(nbrs.size())];
         --t.hopsLeft;
-        t.path = arena.push(shard, next, t.path);
-        lane.unicast(v, next, std::move(t), kWalkTokenBits);
+        t.path = arena.push(next, t.path);
+        engine.unicast(v, next, std::move(t), kWalkTokenBits);
       }
     }
   };
-
-  // Trace probes (DESIGN.md §12): all emission happens at the serial
-  // iteration boundaries below, reading committed state only — traced and
-  // untraced runs are bit-identical.
-  obs::TrialTrace* const trace = obs::currentTrace();
 
   for (std::uint32_t it = 0; it < maxIters; ++it) {
     flowBase = static_cast<std::uint64_t>(it) * streams.size();
@@ -354,39 +325,20 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
       value[u] = next;
     }
 
-    // Flush queued terminal token marks serially, in shard order — buffer
-    // order stays a pure function of the trial at any shard count.
-    if (flowMarks) {
-      for (unsigned s = 0; s < S; ++s) {
-        for (const TokenMark& m : markLane[s])
-          trace->mark(m.answered ? "walk.answer" : "walk.drop",
-                      static_cast<double>(m.flowId), m.round);
-        markLane[s].clear();
-      }
-    }
-
     if (trace != nullptr) {
       trace->span("agreement.iteration", iterT0, engine.round());
       trace->counter("agreement.tokensLaunched", static_cast<double>(launched), engine.round());
       trace->counter("agreement.maxWalkLen", static_cast<double>(maxLen), engine.round());
       trace->counter("agreement.ones", static_cast<double>(curOnes), engine.round());
-      // Running totals: the serial slot plus the not-yet-reduced shard lanes
-      // (sums are shard-order invariant).
-      SampleCounters samples;
-      for (const SampleCounters& c : counterLane) {
-        samples.answered += c.answered;
-        samples.compromised += c.compromised;
-      }
-      trace->counter("agreement.answered", static_cast<double>(samples.answered),
+      trace->counter("agreement.answered", static_cast<double>(out.answeredSamples),
                      engine.round());
-      trace->counter("agreement.compromised", static_cast<double>(samples.compromised),
+      trace->counter("agreement.compromised", static_cast<double>(out.compromisedSamples),
                      engine.round());
-      AdversaryStats adv = out.adversary;
-      for (const AdversaryStats& st : statsLane) adv.accumulate(st);
-      trace->counter("agreement.adversary.forged", static_cast<double>(adv.forgedAnswers),
-                     engine.round());
+      trace->counter("agreement.adversary.forged",
+                     static_cast<double>(out.adversary.forgedAnswers), engine.round());
       trace->counter("agreement.adversary.dropped",
-                     static_cast<double>(adv.droppedQueries + adv.droppedAnswers),
+                     static_cast<double>(out.adversary.droppedQueries +
+                                         out.adversary.droppedAnswers),
                      engine.round());
     }
   }
@@ -398,12 +350,6 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
   out.fracAgreeing = honest > 0
                          ? static_cast<double>(out.agreeingWithMajority) / static_cast<double>(honest)
                          : 0.0;
-  for (const SampleCounters& c : counterLane) {
-    out.answeredSamples += c.answered;
-    out.compromisedSamples += c.compromised;
-  }
-  for (const AdversaryStats& st : statsLane) out.adversary.accumulate(st);
-  for (const obs::BlameGraph& bl : blameLane) out.blame.merge(bl);
 
   out.totalRounds = static_cast<Round>(engine.round());
   out.adversary.coalitionHits = coalition.hits();

@@ -46,11 +46,6 @@ struct AgreementParams {
   /// Focus node for victim-centric strategies (the declarative runner maps
   /// ScenarioSpec placement.victim here).
   NodeId victim = 0;
-  /// Intra-trial engine shards (DESIGN.md §10). 1 = serial. Observable state
-  /// is shard-count invariant for recv-draw-free strategies; strategies that
-  /// draw from ctx.rng inside recv hooks are deterministic per shard count
-  /// (each shard owns a forked adversary stream).
-  std::uint32_t shards = 1;
 };
 
 struct AgreementOutcome {

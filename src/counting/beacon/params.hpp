@@ -82,12 +82,6 @@ struct BeaconParams {
 struct BeaconLimits {
   std::uint32_t maxPhase = 0;        ///< 0: auto = ceil(2.5*ln n) + 6
   std::uint64_t maxTotalRounds = 0;  ///< 0: auto = 50M
-  /// Intra-trial engine shards (DESIGN.md §10). 1 = serial. Observables are
-  /// shard-count invariant for the whole strategy gallery: recv-hook draws
-  /// come from per-receiver streams forked per (node, phase-iteration), so
-  /// relay-time fabrication consumes the same stream regardless of which
-  /// shard delivers the message (tests/sharding_test.cpp pins this).
-  std::uint32_t shards = 1;
 };
 
 }  // namespace bzc

@@ -90,9 +90,8 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
   out.stats.decidedPhase.assign(n, 0);
 
   RunState st(n);
-  Engine engine(g, byz, maxRounds, limits.shards);
-  const unsigned S = engine.shardCount();
-  BeaconPathArena arena(S);
+  Engine engine(g, byz, maxRounds);
+  BeaconPathArena arena;
 
   std::size_t undecidedHonest = n - byz.count();
 
@@ -113,43 +112,23 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
 
   BeaconObservables obs;
 
-  // Adversary state for the shard-parallel windows (DESIGN.md §10-§11).
-  // Serial slots (activation forging, continue spam — they interleave draws
-  // with honest activation draws) always resolve to the base fakeRng and the
-  // run-total stats via kSerialSlot, at every shard count — which is what
-  // keeps the draw-free/serial-slot goldens (none, flooders) pinned. Recv
-  // hooks draw from per-receiver streams instead: each Byzantine node
-  // refreshes its own fork per (phase, iteration) and consumes it in its
-  // canonical inbox order, so recv-drawing strategies (tamperer, grafter,
-  // full) are shard-count *invariant*, not merely deterministic per count
-  // (sharding_test pins the full gallery). Stats stay per-shard; sums are
-  // shard-order invariant.
-  constexpr unsigned kSerialSlot = ~0u;
+  // Adversary randomness. Serial slots (activation forging, continue spam —
+  // they interleave draws with honest activation draws) use the base
+  // fakeRng. Recv hooks draw from per-receiver streams instead: each
+  // Byzantine node refreshes its own fork per (phase, iteration) and consumes
+  // it in its inbox order, so a recv-drawing strategy (tamperer, grafter,
+  // full) sees a pure function of (phase, iteration, node, delivery order).
   const Rng recvBase = fakeRng.fork(0xbe4c);  // fixed recv-stream tag
   std::vector<Rng> recvRng(n);
-  std::vector<BeaconAdversaryStats> advLane(S > 1 ? S : 0);
-  const auto fakeAt = [&](NodeId at, unsigned s) -> Rng& {
-    return s == kSerialSlot ? fakeRng : recvRng[at];
-  };
-  const auto advStatsAt = [&](unsigned s) -> BeaconAdversaryStats& {
-    return (S > 1 && s != kSerialSlot) ? advLane[s] : out.stats.adversary;
-  };
-  // Blame-graph lanes (DESIGN.md §14), routed exactly like advStatsAt:
-  // serial-context edges (forge boundary, continue spam) go straight to
-  // out.blame, shard-parallel edges to per-shard graphs merged at the end
-  // (keyed sums are shard-order invariant). Collection is unconditional and
-  // reads committed state only, so goldens are identical attribution on/off.
-  std::vector<bzc::obs::BlameGraph> blameLane(S > 1 ? S : 0);
-  const auto blameAt = [&](unsigned s) -> bzc::obs::BlameGraph& {
-    return (S > 1 && s != kSerialSlot) ? blameLane[s] : out.blame;
-  };
+  // Blame-graph edges (DESIGN.md §14) go straight to out.blame. Collection is
+  // unconditional and reads committed state only, so goldens are identical
+  // attribution on/off.
   // Line 32 insertions off honest-authored shortest paths: the collateral
   // the blame graph cannot pin on a cause; reconciled as
   // attributed + untainted == blacklistInsertions.
   std::uint64_t untaintedInsertions = 0;
-  const auto ctxAt = [&](NodeId at, Round r, unsigned s) {
-    return BeaconContext{at,    r, g, arena.lane((S > 1 && s != kSerialSlot) ? s : 0u),
-                         board, fakeAt(at, s), advStatsAt(s), obs};
+  const auto ctxAt = [&](NodeId at, Round r, Rng& fake) {
+    return BeaconContext{at, r, g, arena, board, fake, out.stats.adversary, obs};
   };
 
   bool capped = false;
@@ -208,7 +187,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
       for (NodeId u = 0; u < n; ++u) {
         if (byz.contains(u)) {
           BeaconFrame forged;
-          if (adversary.forgeBeacon(ctxAt(u, 0, kSerialSlot), forged)) {
+          if (adversary.forgeBeacon(ctxAt(u, 0, fakeRng), forged)) {
             ++out.stats.adversary.beaconsForged;
             // Provenance stamp: every id this payload later plants in a
             // blacklist traces back to u (the tag rides honest relays — the
@@ -229,42 +208,38 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
         }
       }
 
-      // --- Beacon window: i+2 rounds of flooding on the engine (shard-
-      // --- parallel: receivers are shard-owned, sends go via the lane). ---
-      auto beaconStep = [&](Engine::ShardLane& lane, NodeId v, Round r,
-                            std::span<const Engine::Delivery> box) {
-        const unsigned shard = lane.shard();
+      // --- Beacon window: i+2 rounds of flooding on the engine. ---
+      auto beaconStep = [&](NodeId v, Round r, std::span<const Engine::Delivery> box) {
         if (byz.contains(v)) {
           if (r < beaconWindow) {
             const Engine::Delivery& in = box.front();
             const BeaconTransit act = adversary.onBeaconRelay(
-                ctxAt(v, r, shard), {in.sender, ids.publicId(in.sender), in.payload});
+                ctxAt(v, r, recvRng[v]), {in.sender, ids.publicId(in.sender), in.payload});
             if (act.op == BeaconTransit::Op::Drop) {
-              ++advStatsAt(shard).relaysSuppressed;
+              ++out.stats.adversary.relaysSuppressed;
               // Victim: the honest author whose beacon died here (fabricated
               // or Byzantine origins resolve to no specific victim).
               const NodeId origin = ids.lookup(in.payload.origin);
-              blameAt(shard).add(bzc::obs::BlameKind::RelaySuppressed, v,
-                                 origin != kNoNode && !byz.contains(origin)
-                                     ? origin
-                                     : bzc::obs::kBlameNone);
+              out.blame.add(bzc::obs::BlameKind::RelaySuppressed, v,
+                            origin != kNoNode && !byz.contains(origin)
+                                ? origin
+                                : bzc::obs::kBlameNone);
               return;
             }
             BeaconFrame fwd;
             if (act.op == BeaconTransit::Op::Replace) {
-              ++advStatsAt(shard).relaysTampered;
-              ++advStatsAt(shard).beaconsForged;
+              ++out.stats.adversary.relaysTampered;
+              ++out.stats.adversary.beaconsForged;
               fwd = act.replacement;
               fwd.forgeNode = v;  // provenance stamp, as at the forge boundary
-              blameAt(shard).add(bzc::obs::BlameKind::RelayTampered, v,
-                                 bzc::obs::kBlameNone);
+              out.blame.add(bzc::obs::BlameKind::RelayTampered, v, bzc::obs::kBlameNone);
             } else {
               // Honest-looking relay: append the sender's unfakeable ID.
               fwd = in.payload;
-              fwd.path = arena.append(shard, fwd.path, ids.publicId(in.sender));
+              fwd.path = arena.append(fwd.path, ids.publicId(in.sender));
               ++fwd.len;
             }
-            lane.broadcast(v, fwd, beaconBits(fwd.len));
+            engine.broadcast(v, fwd, beaconBits(fwd.len));
           }
           return;
         }
@@ -297,7 +272,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
         }
         // Line 16: the receiver appends the sender's (unfakeable) ID.
         BeaconFrame forwarded = chosen->payload;
-        forwarded.path = arena.append(shard, forwarded.path, ids.publicId(chosen->sender));
+        forwarded.path = arena.append(forwarded.path, ids.publicId(chosen->sender));
         ++forwarded.len;
         // Lines 20-25: update shortestPath with the first acceptable beacon.
         if (chosenAcceptable && !st.hasShortest[v]) {
@@ -305,65 +280,51 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
           st.shortest[v] = forwarded;
         }
         // Lines 17-19: keep flooding while the window allows another hop.
-        if (r < beaconWindow) lane.broadcast(v, forwarded, beaconBits(forwarded.len));
+        if (r < beaconWindow) engine.broadcast(v, forwarded, beaconBits(forwarded.len));
       };
       const std::int64_t beaconT0 = trace != nullptr ? bzc::obs::traceClockNs() : 0;
       const WindowResult beaconRun = engine.runWindow(beaconWindow, beaconStep);
       engine.skipRounds(beaconWindow - beaconRun.roundsRun);
       if (trace != nullptr) trace->span("beacon.beaconWindow", beaconT0, engine.round());
 
-      // --- Lines 28-32: decisions and blacklist maintenance. Shard-parallel:
-      // --- every write is to node-indexed state a shard owns; the two global
-      // --- counters reduce over per-shard deltas (sums are order-invariant).
-      std::vector<std::size_t> decidedDelta(S, 0);
-      std::vector<std::uint64_t> insertDelta(S, 0);
-      std::vector<std::uint64_t> untaintedDelta(S, 0);
+      // --- Lines 28-32: decisions and blacklist maintenance. ---
       const std::int64_t decideT0 = trace != nullptr ? bzc::obs::traceClockNs() : 0;
-      engine.forEachShard([&](std::size_t s, NodeId lo, NodeId hi) {
-        for (NodeId u = lo; u < hi; ++u) {
-          if (byz.contains(u) || !st.participating[u] || st.decided[u]) continue;
-          if (!st.hasShortest[u]) {
-            st.decided[u] = 1;
-            ++decidedDelta[s];
-            out.stats.decidedPhase[u] = phase;
-            out.result.decisions[u].decided = true;
-            out.result.decisions[u].round = static_cast<Round>(engine.round());
-            out.result.decisions[u].estimate = static_cast<double>(phase);
-          } else if (params.blacklistEnabled && !st.ownBeacon[u]) {
-            const std::uint32_t len = st.shortest[u].len;
-            if (len > suffix) {
-              // Provenance resolution (DESIGN.md §14): a tainted shortest
-              // path blames its forger/tamperer for every id it plants —
-              // honest ids are the graft/tamper damage the paper's blacklist
-              // defence exists to bound; fabricated/Byzantine ids are noise
-              // insertions by the same cause.
-              const NodeId forger = st.shortest[u].forgeNode;
-              arena.walkPrefix(st.shortest[u].path, suffix, [&](PublicId id) {
-                if (st.blacklist[u].insert(id)) {
-                  ++insertDelta[s];
-                  if (forger != kNoNode) {
-                    const NodeId src = ids.lookup(id);
-                    if (src != kNoNode && !byz.contains(src))
-                      blameAt(static_cast<unsigned>(s))
-                          .add(bzc::obs::BlameKind::BlacklistedHonestId, forger, src);
-                    else
-                      blameAt(static_cast<unsigned>(s))
-                          .add(bzc::obs::BlameKind::BlacklistedFakeId, forger,
-                               bzc::obs::kBlameNone);
-                  } else {
-                    ++untaintedDelta[s];
-                  }
+      for (NodeId u = 0; u < n; ++u) {
+        if (byz.contains(u) || !st.participating[u] || st.decided[u]) continue;
+        if (!st.hasShortest[u]) {
+          st.decided[u] = 1;
+          --undecidedHonest;
+          out.stats.decidedPhase[u] = phase;
+          out.result.decisions[u].decided = true;
+          out.result.decisions[u].round = static_cast<Round>(engine.round());
+          out.result.decisions[u].estimate = static_cast<double>(phase);
+        } else if (params.blacklistEnabled && !st.ownBeacon[u]) {
+          const std::uint32_t len = st.shortest[u].len;
+          if (len > suffix) {
+            // Provenance resolution (DESIGN.md §14): a tainted shortest
+            // path blames its forger/tamperer for every id it plants —
+            // honest ids are the graft/tamper damage the paper's blacklist
+            // defence exists to bound; fabricated/Byzantine ids are noise
+            // insertions by the same cause.
+            const NodeId forger = st.shortest[u].forgeNode;
+            arena.walkPrefix(st.shortest[u].path, suffix, [&](PublicId id) {
+              if (st.blacklist[u].insert(id)) {
+                ++out.stats.blacklistInsertions;
+                if (forger != kNoNode) {
+                  const NodeId src = ids.lookup(id);
+                  if (src != kNoNode && !byz.contains(src))
+                    out.blame.add(bzc::obs::BlameKind::BlacklistedHonestId, forger, src);
+                  else
+                    out.blame.add(bzc::obs::BlameKind::BlacklistedFakeId, forger,
+                                  bzc::obs::kBlameNone);
+                } else {
+                  ++untaintedInsertions;
                 }
-                return true;
-              });
-            }
+              }
+              return true;
+            });
           }
         }
-      });
-      for (unsigned s = 0; s < S; ++s) {
-        undecidedHonest -= decidedDelta[s];
-        out.stats.blacklistInsertions += insertDelta[s];
-        untaintedInsertions += untaintedDelta[s];
       }
       if (trace != nullptr) {
         trace->span("beacon.decisions", decideT0, engine.round());
@@ -384,7 +345,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
       for (NodeId u = 0; u < n; ++u) {
         const bool honestSource = !byz.contains(u) && st.participating[u] && !st.decided[u] &&
                                   params.continueEnabled;
-        const bool byzSource = byz.contains(u) && adversary.spamContinue(ctxAt(u, 0, kSerialSlot));
+        const bool byzSource = byz.contains(u) && adversary.spamContinue(ctxAt(u, 0, fakeRng));
         if (!honestSource && !byzSource) continue;
         if (honestSource) ++out.stats.continueMessages;
         if (byzSource) {
@@ -394,32 +355,28 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
         st.receivedContinue[u] = 1;  // sources need no re-entry signal
         engine.broadcast(u, BeaconFrame{}, kContinueBits);
       }
-      auto continueStep = [&](Engine::ShardLane& lane, NodeId v, Round r,
-                              std::span<const Engine::Delivery>) {
+      auto continueStep = [&](NodeId v, Round r, std::span<const Engine::Delivery>) {
         if (st.receivedContinue[v]) return;
         st.receivedContinue[v] = 1;
         bool relays;
         if (byz.contains(v)) {
-          relays = adversary.onContinueRelay(ctxAt(v, r, lane.shard()));
+          relays = adversary.onContinueRelay(ctxAt(v, r, recvRng[v]));
           if (!relays && r < continueWindow) {
-            ++advStatsAt(lane.shard()).continuesSuppressed;
-            blameAt(lane.shard())
-                .add(bzc::obs::BlameKind::ContinueSuppressed, v, bzc::obs::kBlameNone);
+            ++out.stats.adversary.continuesSuppressed;
+            out.blame.add(bzc::obs::BlameKind::ContinueSuppressed, v, bzc::obs::kBlameNone);
           }
         } else {
           relays = st.participating[v] != 0;
         }
-        if (relays && r < continueWindow) lane.broadcast(v, BeaconFrame{}, kContinueBits);
+        if (relays && r < continueWindow) engine.broadcast(v, BeaconFrame{}, kContinueBits);
       };
       const std::int64_t contT0 = trace != nullptr ? bzc::obs::traceClockNs() : 0;
       const WindowResult continueRun = engine.runWindow(continueWindow, continueStep);
       engine.skipRounds(continueWindow - continueRun.roundsRun);
       if (trace != nullptr) {
         trace->span("beacon.continueWindow", contT0, engine.round());
-        // Adversary dispositions as running totals (serial stats + the not-
-        // yet-reduced per-shard lanes; sums are shard-order invariant).
-        BeaconAdversaryStats adv = out.stats.adversary;
-        for (const BeaconAdversaryStats& laneStats : advLane) adv.accumulate(laneStats);
+        // Adversary dispositions as running totals.
+        const BeaconAdversaryStats& adv = out.stats.adversary;
         trace->counter("beacon.adversary.forged", static_cast<double>(adv.beaconsForged),
                        engine.round());
         trace->counter("beacon.adversary.suppressed",
@@ -442,8 +399,6 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
       static_cast<Round>(std::min<std::uint64_t>(engine.round(), 0xffffffffu));
   out.result.hitRoundCap = capped;
   out.result.meter = engine.releaseMeter();
-  for (const BeaconAdversaryStats& laneStats : advLane) out.stats.adversary.accumulate(laneStats);
-  for (const bzc::obs::BlameGraph& bl : blameLane) out.blame.merge(bl);
   out.stats.beaconsForged = out.stats.adversary.beaconsForged;
   // Reconciliation denominators (tools/blame_report.py --check): edge sums
   // must meet these exactly — BeaconForged + RelayTampered == beaconsForged,

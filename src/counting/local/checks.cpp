@@ -35,26 +35,26 @@ bool ExpansionMonitor::ballGrowthHealthy(const LocalView& view, Round round) con
   return true;
 }
 
+std::vector<NodeId> ExpansionMonitor::sweepOrder(const Graph& viewGraph, NodeId nInt) {
+  // The view graph changes size every round, so a Fiedler vector carried
+  // over from the last round could never seed this one: every solve is cold.
+  const std::vector<double> fiedler = fiedlerVector(viewGraph, 5 * params_.spectralIters, rng_);
+  std::vector<NodeId> order(nInt);
+  for (NodeId i = 0; i < nInt; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    return fiedler[a] != fiedler[b] ? fiedler[a] < fiedler[b] : a < b;
+  });
+  return order;
+}
+
 bool ExpansionMonitor::sweepHealthy(const LocalView& view) {
   const Graph g = view.buildViewGraph();
   if (g.numNodes() < 4) return true;
-  const std::vector<double>* warm =
-      warmFiedler_.size() == g.numNodes() ? &warmFiedler_ : nullptr;
-  // Warm-started: a handful of iterations per round tracks the slowly
-  // changing cut structure; a cold start gets a deeper solve.
-  const unsigned iters = warm != nullptr ? params_.spectralIters : 5 * params_.spectralIters;
-  warmFiedler_ = fiedlerVector(g, iters, rng_, warm);
   // Order integrated vertices by the Fiedler value; boundary vertices are
   // excluded from the candidate prefixes (S must lie inside B̂(u,i)) but
   // still count toward Out(S) via sweepCutByOrder's full-graph accounting.
   const auto nInt = static_cast<NodeId>(view.integratedVertexCount());
-  std::vector<NodeId> order(nInt);
-  for (NodeId i = 0; i < nInt; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return warmFiedler_[a] != warmFiedler_[b] ? warmFiedler_[a] < warmFiedler_[b] : a < b;
-  });
-  // Candidate prefixes stay within the integrated part (S ⊆ B̂(u,i));
-  // boundary vertices still count toward Out(S) via the graph.
+  std::vector<NodeId> order = sweepOrder(g, nInt);
   auto violating = [&](const SweepCut& cut) {
     return cut.smallSide >= params_.spectralMinSide && cut.expansion < params_.alphaPrime;
   };

@@ -15,8 +15,8 @@
 //     healthy — the Lemma 5 attack case the prefix family alone misses.
 //  3. Exact subset enumeration (tiny views only) — ground truth for tests.
 //
-// A monitor is per-node and persistent so the Fiedler vector can be
-// warm-started as the view grows one layer per round.
+// A monitor is per-node and persistent: its RNG stream seeds every round's
+// Fiedler solve.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,7 @@ struct LocalCheckParams {
   bool spectralEnabled = true;
   std::uint32_t spectralMinSize = 96;   ///< skip the sweep on smaller views
   std::uint32_t spectralMinSide = 8;    ///< ignore cuts with a tiny small side
-  std::uint32_t spectralIters = 10;     ///< warm-started power iterations/round
+  std::uint32_t spectralIters = 10;     ///< each check runs 5x this many cold power iterations
 };
 
 enum class ExpansionVerdict : std::uint8_t {
@@ -51,13 +51,17 @@ class ExpansionMonitor {
   /// Runs the configured checks against the view as of the end of `round`.
   [[nodiscard]] ExpansionVerdict inspect(const LocalView& view, Round round);
 
+  /// The first `nInt` vertices of the view graph in the order the spectral
+  /// sweep scans them: ascending Fiedler value (ties by id) from a cold solve
+  /// of 5 × spectralIters power iterations on the monitor's stream.
+  [[nodiscard]] std::vector<NodeId> sweepOrder(const Graph& viewGraph, NodeId nInt);
+
  private:
   [[nodiscard]] bool ballGrowthHealthy(const LocalView& view, Round round) const;
   [[nodiscard]] bool sweepHealthy(const LocalView& view);
 
   LocalCheckParams params_;
   Rng rng_;
-  std::vector<double> warmFiedler_;
 };
 
 /// Exact minimum vertex expansion over all subsets S of the *integrated*

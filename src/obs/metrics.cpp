@@ -134,8 +134,7 @@ TrialMetrics buildTrialMetrics(const TrialTrace& trace, unsigned precision) {
     switch (e.kind) {
       case EventKind::Round: {
         const RoundRecord& r = e.rd;
-        // Deterministic, shard-invariant per-round traffic (the canonical
-        // merge makes sends/touched/messages/bits identical at any S).
+        // Deterministic per-round traffic.
         histAt("engine.sendsPerRound", false).add(r.sends);
         histAt("engine.touchedPerRound", false).add(r.touched);
         histAt("engine.messagesPerRound", false).add(r.messages);

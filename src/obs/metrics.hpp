@@ -8,8 +8,8 @@
 //    octave splits into 2^(P-1) equal sub-buckets, bounding relative error by
 //    2^-(P-1) (≤ 3.2% at the default P = 6) with at most 1920 buckets across
 //    the full 64-bit range. Buckets hold integer counts, so merging is plain
-//    integer addition: exact, associative and commutative — merging per-shard
-//    / per-epoch / per-trial histograms in any grouping yields identical
+//    integer addition: exact, associative and commutative — merging per-epoch
+//    / per-trial histograms in any grouping yields identical
 //    buckets (tests/metrics_test.cpp shuffles 256-way merges to pin this).
 //
 //  - TrialMetrics: the per-trial metrics bundle — named histograms distilled
@@ -19,7 +19,7 @@
 //    protocol-side, so it is strictly observational (golden fingerprints are
 //    bit-identical metrics on/off) and its deterministic projection — every
 //    histogram not flagged `wall`, plus all series — is a pure function of
-//    the trial at any runner thread count, shard count, or pipeline depth.
+//    the trial at any runner thread count or pipeline depth.
 //    Wall-clock histograms (recv/merge/scatter ns, span durations) are kept
 //    for reporting but excluded from metricsFingerprint(), exactly like the
 //    trace projection excludes ts/dur fields.
@@ -121,9 +121,9 @@ struct TrialMetrics {
 
 /// FNV-1a over the deterministic projection: scenario, trial, every non-wall
 /// histogram (name, precision, count, sum, min, max, non-empty buckets) and
-/// every series (name, points). Only shard-invariant trace content feeds the
+/// every series (name, points). Only deterministic trace content feeds the
 /// histograms/series hashed here, so the fingerprint is invariant across
-/// runner threads, shard counts and pipeline depths (pinned by tests).
+/// runner threads and pipeline depths (pinned by tests).
 [[nodiscard]] std::uint64_t metricsFingerprint(const TrialMetrics& metrics);
 
 /// BZC_METRICS exporter: derives TrialMetrics from each consumed trace and

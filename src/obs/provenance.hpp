@@ -12,12 +12,11 @@
 // counter increments driven entirely by committed protocol state — no RNG
 // draws, no control-flow changes — so all golden fingerprints are
 // bit-identical whether or not a sink exports the graph (`BZC_ATTRIB`
-// toggles export only, mirroring BZC_TRACE / BZC_METRICS). Parallel phases
-// record into per-shard BlameGraph lanes that are merge()d at the existing
-// serial sink points; merge is a keyed sum, hence order-invariant, so the
-// canonical projection is identical across runner threads x engine shards,
-// and so across the worker budgets the runner width sets (pinned by
-// tests/provenance_test.cpp).
+// toggles export only, mirroring BZC_TRACE / BZC_METRICS). Pipeline stages
+// and epoch recounts keep their own graphs, merge()d at the existing serial
+// fold points; merge is a keyed sum, hence order-invariant, so the canonical
+// projection is identical across runner threads and the worker budgets the
+// runner width sets (pinned by tests/provenance_test.cpp).
 
 #include <array>
 #include <cstdint>
@@ -101,7 +100,7 @@ class BlameGraph {
   }
 
   /// Keyed sum of another graph's edges and totals. Associative and
-  /// commutative, so shard-lane / epoch folds are order-invariant.
+  /// commutative, so stage / epoch folds are order-invariant.
   void merge(const BlameGraph& other);
 
   /// Named scalar totals (AdversaryStats mirrors, reconciliation
@@ -116,7 +115,7 @@ class BlameGraph {
   void remapNodes(const std::vector<std::uint64_t>& denseToId);
 
   /// Sorted-by-(kind, cause, victim) edge list: the deterministic
-  /// projection pinned across runner threads x engine shards.
+  /// projection pinned across runner threads.
   std::vector<BlameEdge> canonical() const;
 
   /// FNV-1a over the canonical projection + totals (test pin).

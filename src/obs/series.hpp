@@ -6,8 +6,8 @@
 // paper's Theorem 1/2 claims. Series are *derived* from a completed
 // TrialTrace at the serial sink point, never recorded protocol-side, so they
 // inherit the trace layer's determinism wholesale: the series built from a
-// trial's trace are a pure function of the trial at any runner thread count,
-// shard count, or pipeline depth (tests/metrics_test.cpp pins this).
+// trial's trace are a pure function of the trial at any runner thread count
+// or pipeline depth (tests/metrics_test.cpp pins this).
 #pragma once
 
 #include <cstdint>

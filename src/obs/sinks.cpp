@@ -63,18 +63,9 @@ void JsonlTraceSink::writeTrace(std::ostream& os, const TrialTrace& trace) {
         bits += r.bits;
         os << "{\"type\":\"round\",\"round\":" << r.round << ",\"sends\":" << r.sends
            << ",\"touched\":" << r.touched << ",\"messages\":" << r.messages
-           << ",\"bits\":" << r.bits << ",\"shards\":" << static_cast<unsigned>(r.shards)
-           << ",\"idle\":" << static_cast<unsigned>(r.idle) << ",\"lane\":" << e.lane;
-        if (r.shards > 1) {
-          os << ",\"lanes\":[";
-          for (unsigned s = 0; s < r.shards && s < kTraceMaxShards; ++s) {
-            if (s > 0) os << ',';
-            os << r.laneSends[s];
-          }
-          os << ']';
-        }
-        os << ",\"ts\":" << e.tsNs << ",\"recvNs\":" << r.recvNs << ",\"mergeNs\":" << r.mergeNs
-           << ",\"scatterNs\":" << r.scatterNs << "}\n";
+           << ",\"bits\":" << r.bits << ",\"idle\":" << static_cast<unsigned>(r.idle)
+           << ",\"lane\":" << e.lane << ",\"ts\":" << e.tsNs << ",\"recvNs\":" << r.recvNs
+           << ",\"mergeNs\":" << r.mergeNs << ",\"scatterNs\":" << r.scatterNs << "}\n";
         break;
       }
       case EventKind::Span:

@@ -11,10 +11,9 @@
 // Shape:
 //  - TrialTrace: an event buffer owned by one trial. All emission happens on
 //    the thread currently driving that trial (engine flush points, protocol
-//    iteration boundaries, epoch folds) — the shard-parallel phases never
-//    emit, they only have their lane *sizes* recorded from the serial merge.
-//    Buffers are therefore lock-free and their event order is a pure
-//    function of the trial, at any thread/shard/pipeline-depth count.
+//    iteration boundaries, epoch folds). Buffers are therefore lock-free
+//    and their event order is a pure function of the trial, at any
+//    thread count or pipeline depth.
 //  - currentTrace(): a thread-local pointer installed scoped (TraceScope)
 //    around a sampled trial. Null = tracing off; every probe is then a
 //    thread-local load and a branch — the "null sink" hot path.
@@ -33,7 +32,6 @@
 // timeline (children render as separate lanes).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -43,12 +41,8 @@
 
 namespace bzc::obs {
 
-/// Mirrors runtime kMaxEngineShards without depending on the engine header
-/// (obs is a leaf module; the runtime includes us, not the other way).
-inline constexpr unsigned kTraceMaxShards = 16;
-
 enum class EventKind : std::uint8_t {
-  Round,    ///< one engine round: traffic, touched receivers, lane sizes
+  Round,    ///< one engine round: traffic, touched receivers, phase timings
   Span,     ///< completed phase span (name, start, duration)
   Counter,  ///< named domain counter sampled at a serial point
   Mark,     ///< point annotation (log mirror, skip notes)
@@ -63,16 +57,13 @@ struct RoundRecord {
   std::uint32_t touched = 0;   ///< receivers whose inbox became nonempty
   std::uint64_t messages = 0;  ///< metered honest edge-messages (delta)
   std::uint64_t bits = 0;      ///< metered honest bits (delta)
-  std::uint8_t shards = 1;
   std::uint8_t idle = 0;  ///< 1: the round moved no traffic (quiescence signal)
-  /// Recv-phase lane sizes this round's recv produced, per shard (S > 1
-  /// only): how the canonical merge's inputs were distributed.
-  std::array<std::uint32_t, kTraceMaxShards> laneSends{};
   // Wall-clock phase timings (ns); nondeterministic payload, excluded from
-  // the deterministic projection. Serial engines fold flush into scatterNs.
+  // the deterministic projection. scatterNs is the whole flush (count, meter
+  // and scatter); recvNs covers the recv hooks.
   std::int64_t recvNs = 0;
-  std::int64_t mergeNs = 0;
   std::int64_t scatterNs = 0;
+  std::int64_t mergeNs = 0;  ///< always 0; kept only because perfbench reads it
 };
 
 struct TraceEvent {

@@ -206,7 +206,6 @@ TrialOutcome runProtocolTrial(const ScenarioSpec& spec, const Graph& graph,
     // selectable purely from the ScenarioSpec.
     AgreementParams aParams = spec.agreementParams;
     aParams.victim = victim;
-    if (spec.shards > 0) aParams.shards = spec.shards;
     std::unique_ptr<WalkAdversary> planWalk;
     if (hasPlan) {
       planWalk = makeCoalitionWalkAdversary(spec.coalitionPlan, assignment, trial.graph,
@@ -231,10 +230,6 @@ TrialOutcome runProtocolTrial(const ScenarioSpec& spec, const Graph& graph,
   if (spec.protocol == ProtocolKind::Pipeline) {
     PipelineParams pParams = spec.pipelineParams;
     pParams.agreement.victim = victim;
-    if (spec.shards > 0) {
-      pParams.countingLimits.shards = spec.shards;
-      pParams.agreement.shards = spec.shards;
-    }
     const std::unique_ptr<BeaconAdversary> beaconAdv = makeSpecBeaconAdversary();
     std::unique_ptr<WalkAdversary> planWalk;
     if (hasPlan) {
@@ -275,10 +270,8 @@ TrialOutcome runProtocolTrial(const ScenarioSpec& spec, const Graph& graph,
   switch (spec.protocol) {
     case ProtocolKind::Beacon: {
       const std::unique_ptr<BeaconAdversary> beaconAdv = makeSpecBeaconAdversary();
-      BeaconLimits limits = spec.beaconLimits;
-      if (spec.shards > 0) limits.shards = spec.shards;
       BeaconOutcome bo = runBeaconCounting(trial.graph, trial.byz, *beaconAdv, spec.beaconParams,
-                                           limits, trial.runRng);
+                                           spec.beaconLimits, trial.runRng);
       blame = std::move(bo.blame);
       result = std::move(bo.result);
       break;
@@ -395,18 +388,12 @@ unsigned ExperimentRunner::threadCount() const noexcept { return pool_->threadCo
 
 ExperimentSummary ExperimentRunner::run(const ScenarioSpec& spec) {
   const TrialFn fn = [&spec](std::uint32_t index) { return runTrial(spec, index); };
-  // trials × shards ≤ cores policy: each trial's engine spins up its own
-  // shard workers, so the trial-level fan-out narrows to compensate. runWith
-  // then hands each trial a worker budget of max(1, pool threads / trials),
-  // which Algorithm 1 spends on its per-node end-of-round passes and the
-  // epoch runner on its recount pipeline depth: fan-out wins whenever
+  // runWith hands each trial a worker budget of max(1, pool threads /
+  // trials), which Algorithm 1 spends on its per-node end-of-round passes and
+  // the epoch runner on its recount pipeline depth: fan-out wins whenever
   // trials >= threads (the budget is 1). The outcome is unchanged either way
   // (trials are pure functions of their index, and the budget never changes
   // what a trial computes) — only scheduling shifts.
-  if (spec.shards > 1) {
-    ThreadPool narrowed(std::max(1u, threadCount() / spec.shards));
-    return runWith(narrowed, spec.name, spec.trials, fn, spec.traceTrials);
-  }
   return runWith(*pool_, spec.name, spec.trials, fn, spec.traceTrials);
 }
 

@@ -158,13 +158,6 @@ struct ScenarioSpec {
   std::uint32_t trials = 32;
   std::uint64_t masterSeed = 1;
 
-  /// Intra-trial engine shards (DESIGN.md §10) for the sharded protocols
-  /// (Beacon, Agreement, Pipeline — incl. their churn recounts). 0 leaves the
-  /// protocol params untouched; > 0 overrides them. When shards exceeds 1,
-  /// run() narrows the trial-level pool to threadCount() / shards so
-  /// trials × shards stays within the core budget (DESIGN.md §5).
-  std::uint32_t shards = 0;
-
   /// How many leading trials to trace when a TraceSink is installed
   /// (DESIGN.md §12). 0 inherits the process-wide width (BZC_TRACE_TRIALS,
   /// default 1); tracing stays off entirely while no sink is installed.

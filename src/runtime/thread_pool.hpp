@@ -48,7 +48,7 @@ class ThreadPool {
   /// Static-partition variant: splits [0, count) into at most threadCount()
   /// contiguous chunks and dispatches body(lo, hi) once per chunk — one
   /// std::function call per worker instead of one per index. For fine-grained
-  /// loops (SyncEngine's per-shard scatter, the runner's trial fan-out) the
+  /// loops (the runner's trial fan-out, Algorithm 1's per-node passes) the
   /// per-index virtual dispatch is the measurable cost (bench_f3 pins the
   /// ratio). Same blocking/exception semantics as parallelFor; the partition
   /// is a pure function of (count, threadCount()), and each index is still a

@@ -1,5 +1,5 @@
 // Strict parsing of the integer environment knobs the benches and examples
-// read (BZC_TRIALS, BZC_THREADS, BZC_N, BZC_SHARDS) and of the examples'
+// read (BZC_TRIALS, BZC_THREADS, BZC_N) and of the examples'
 // positional arguments. atoi-style parsing reads "1e6" as 1 and "abc" as 0;
 // these parsers take the whole string or nothing.
 #pragma once

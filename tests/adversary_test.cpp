@@ -242,8 +242,12 @@ TEST(PathArena, ChainPushPopAndReset) {
   EXPECT_EQ(arena.node(arena.prev(c)), 5u);
   EXPECT_EQ(arena.prev(a), kNullPath);
   EXPECT_EQ(arena.size(), 3u);
+  // Refs are plain indices, and a cleared arena starts from 0 again.
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(c, 2u);
   arena.clear();
   EXPECT_EQ(arena.size(), 0u);
+  EXPECT_EQ(arena.push(7, kNullPath), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -91,6 +91,12 @@ TEST(BeaconPathArena, SharedPrefixes) {
   EXPECT_EQ(arena.materialize(b1)[0], 1u);
   EXPECT_EQ(arena.materialize(b2)[0], 1u);
   EXPECT_EQ(arena.size(), 3u);  // prefix stored once
+  // Refs are plain indices, and a cleared arena starts from 0 again.
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b2, 2);
+  arena.clear();
+  EXPECT_EQ(arena.size(), 0u);
+  EXPECT_EQ(arena.append(kNoBeaconPath, 4), 0);
 }
 
 TEST(BeaconPathArena, WalkPrefixSkipsSuffix) {

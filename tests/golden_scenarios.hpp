@@ -39,8 +39,8 @@ inline ByzantineSet place(const Graph& g, Placement kind, std::size_t count, std
 }
 
 inline std::uint64_t beaconFingerprint(BeaconChoicePolicy policy,
-                                       const BeaconAdversaryProfile& attack, std::size_t byzCount,
-                                       unsigned shards = 1) {
+                                       const BeaconAdversaryProfile& attack,
+                                       std::size_t byzCount) {
   const NodeId n = 192;
   const Graph g = graph(n, 8, 21);
   const ByzantineSet byz =
@@ -50,7 +50,6 @@ inline std::uint64_t beaconFingerprint(BeaconChoicePolicy policy,
   BeaconLimits limits;
   limits.maxPhase = 8;
   limits.maxTotalRounds = 20'000;
-  limits.shards = shards;
   Rng rng(4242);
   const BeaconOutcome out = runBeaconCounting(g, byz, attack, params, limits, rng);
   return fingerprint(out.result, n);
@@ -100,23 +99,21 @@ inline std::uint64_t treeFingerprint(TreeAttack attack) {
 // metering — not the pre-refactor RNG sequence, which token forwarding
 // necessarily reorders.
 
-inline std::uint64_t agreementFingerprint(std::size_t byzCount, double estimateFactor,
-                                          unsigned shards = 1) {
+inline std::uint64_t agreementFingerprint(std::size_t byzCount, double estimateFactor) {
   const NodeId n = 192;
   const Graph g = graph(n, 8, 26);
   const ByzantineSet byz =
       place(g, byzCount > 0 ? Placement::Random : Placement::None, byzCount, 15);
   AgreementParams params;
   params.initialOnesFraction = 0.7;
-  params.shards = shards;
   Rng rng(2025);
   const AgreementOutcome out =
       runMajorityAgreement(g, byz, estimateFactor * std::log(static_cast<double>(n)), params, rng);
   return fingerprint(out, n);
 }
 
-inline std::uint64_t pipelineFingerprint(const BeaconAdversaryProfile& attack, std::size_t byzCount,
-                                         unsigned shards = 1) {
+inline std::uint64_t pipelineFingerprint(const BeaconAdversaryProfile& attack,
+                                         std::size_t byzCount) {
   const NodeId n = 192;
   const Graph g = graph(n, 8, 27);
   const ByzantineSet byz =
@@ -127,8 +124,6 @@ inline std::uint64_t pipelineFingerprint(const BeaconAdversaryProfile& attack, s
   params.estimateSafetyFactor = 1.5;
   params.countingLimits.maxPhase = 8;
   params.countingLimits.maxTotalRounds = 20'000;
-  params.countingLimits.shards = shards;
-  params.agreement.shards = shards;
   Rng rng(4243);
   const PipelineOutcome out = runCountingThenAgreement(g, byz, attack, params, rng);
   const std::uint64_t countingFp = fingerprint(out.counting.result, n);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <unordered_map>
 
 #include "counting/local/attacks.hpp"
@@ -11,6 +12,7 @@
 #include "counting/local/protocol.hpp"
 #include "counting/local/view.hpp"
 #include "graph/bfs.hpp"
+#include "graph/expansion.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"
 
@@ -368,6 +370,32 @@ TEST(Checks, MonitorFiresOnExhaustion) {
     if (last != ExpansionVerdict::Healthy) break;
   }
   EXPECT_EQ(last, ExpansionVerdict::BallGrowthViolation);
+}
+
+TEST(Checks, SpectralSweepIsAColdFiveTimesSpectralItersSolve) {
+  Rng graphRng(16);
+  const Graph g = hnd(160, 4, graphRng);
+  const NodeId nInt = 120;
+  LocalCheckParams params;
+  ExpansionMonitor monitor(params, 99);
+  // Direct solves on a copy of the monitor's stream, sorted like the sweep.
+  Rng stream(99);
+  const auto directOrder = [&](unsigned iters) {
+    Rng rng = stream;
+    const std::vector<double> f = fiedlerVector(g, iters, rng);
+    std::vector<NodeId> order(nInt);
+    std::iota(order.begin(), order.end(), NodeId{0});
+    std::sort(order.begin(), order.end(),
+              [&](NodeId a, NodeId b) { return f[a] != f[b] ? f[a] < f[b] : a < b; });
+    return std::make_pair(order, rng);
+  };
+  const auto [first, afterFirst] = directOrder(5 * params.spectralIters);
+  EXPECT_EQ(monitor.sweepOrder(g, nInt), first);
+  // The iteration count is observable: a spectralIters-deep solve differs.
+  EXPECT_NE(directOrder(params.spectralIters).first, first);
+  // A same-size graph next round still gets a cold solve from the stream.
+  stream = afterFirst;
+  EXPECT_EQ(monitor.sweepOrder(g, nInt), directOrder(5 * params.spectralIters).first);
 }
 
 // --- Protocol-level tests. ---

@@ -2,8 +2,8 @@
 // LogHistogram buckets are a pure function of (precision, data) with exact
 // associative merges — any merge grouping yields identical buckets; the
 // TrialMetrics deterministic projection (non-wall histograms + all series)
-// is invariant across runner threads, engine shards and pipeline depth (set
-// by the runner width); deriving/exporting metrics never moves a golden
+// is invariant across runner threads and pipeline depth (set by the runner
+// width); deriving/exporting metrics never moves a golden
 // fingerprint; and the seeded-bootstrap CIs on Distribution are thread-count
 // invariant.
 #include <gtest/gtest.h>
@@ -124,7 +124,7 @@ TEST(LogHistogram, MergeGroupingInvariant) {
   for (const obs::LogHistogram& p : parts) fold.merge(p);
   expectIdentical(fold, all);
 
-  // Pairwise tree reduction (the grouping a sharded engine would use).
+  // Pairwise tree reduction (the grouping a parallel reduction would use).
   std::vector<obs::LogHistogram> tree = parts;
   while (tree.size() > 1) {
     std::vector<obs::LogHistogram> next;
@@ -295,36 +295,34 @@ std::uint64_t metricsFpOfTrace(const obs::TrialTrace& trace) {
 }
 
 TEST(MetricsIdentity, GoldenFamiliesIdenticalWithMetricsDerived) {
-  // Beacon, sharded beacon, agreement, pipeline, local: run each golden
+  // Beacon, agreement, pipeline, local: run each golden
   // traced, derive + export the metrics bundle, and require the protocol
   // fingerprint to match the untraced constant exactly.
   {
     const std::uint64_t untraced = golden::beaconFingerprint(
         BeaconChoicePolicy::PreferAcceptable, BeaconAdversaryProfile::flooder(), 10);
     EXPECT_EQ(untraced, 0x29553b28fa4d5ddcULL);
-    for (const unsigned shards : {1U, 4U}) {
-      obs::TrialTrace trace;
-      std::uint64_t traced = 0;
-      {
-        const obs::TraceScope scope(&trace);
-        traced = golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                           BeaconAdversaryProfile::flooder(), 10, shards);
-      }
-      EXPECT_EQ(traced, untraced) << "shards=" << shards;
-      std::ostringstream os;
-      obs::MetricsJsonlSink(os).consume(trace);
-      EXPECT_NE(os.str().find("\"type\":\"metrics\""), std::string::npos);
-    }
-  }
-  for (const unsigned shards : {1U, 4U}) {
-    const std::uint64_t untraced = golden::agreementFingerprint(6, 1.0, shards);
     obs::TrialTrace trace;
     std::uint64_t traced = 0;
     {
       const obs::TraceScope scope(&trace);
-      traced = golden::agreementFingerprint(6, 1.0, shards);
+      traced = golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
+                                         BeaconAdversaryProfile::flooder(), 10);
     }
-    EXPECT_EQ(traced, untraced) << "shards=" << shards;
+    EXPECT_EQ(traced, untraced);
+    std::ostringstream os;
+    obs::MetricsJsonlSink(os).consume(trace);
+    EXPECT_NE(os.str().find("\"type\":\"metrics\""), std::string::npos);
+  }
+  {
+    const std::uint64_t untraced = golden::agreementFingerprint(6, 1.0);
+    obs::TrialTrace trace;
+    std::uint64_t traced = 0;
+    {
+      const obs::TraceScope scope(&trace);
+      traced = golden::agreementFingerprint(6, 1.0);
+    }
+    EXPECT_EQ(traced, untraced);
     EXPECT_NE(metricsFpOfTrace(trace), 0U);
   }
   {
@@ -357,11 +355,11 @@ TEST(MetricsIdentity, GoldenFamiliesIdenticalWithMetricsDerived) {
 
 // ---------------------------------------------------------------------------
 // Runner-level invariance: the metrics projection is a pure function of the
-// trial at any thread count or shard count (the runner width also sets the
-// epoch pipeline's depth); installing the metrics exporter moves no result.
+// trial at any thread count (the runner width also sets the epoch pipeline's
+// depth); installing the metrics exporter moves no result.
 // ---------------------------------------------------------------------------
 
-ScenarioSpec metricsChurnSpec(std::uint32_t shards) {
+ScenarioSpec metricsChurnSpec() {
   ScenarioSpec spec;
   spec.name = "metrics-churn";
   spec.graph = {GraphKind::Hnd, 128, 8, 0.1};
@@ -371,52 +369,47 @@ ScenarioSpec metricsChurnSpec(std::uint32_t shards) {
   spec.beaconLimits.maxPhase = 8;
   spec.beaconLimits.maxTotalRounds = 20'000;
   spec.churn = ChurnSchedule::steady(/*epochs=*/6, /*rate=*/0.08, /*recountEvery=*/2);
-  spec.shards = shards;
   spec.trials = 2;
   spec.masterSeed = 0xb5;
   spec.traceTrials = 2;
   return spec;
 }
 
-TEST(MetricsInvariance, ProjectionInvariantAcrossThreadsShardsDepth) {
+TEST(MetricsInvariance, ProjectionInvariantAcrossThreadsAndDepth) {
   std::vector<std::uint64_t> baseline;
   std::uint64_t baselineFp = 0;
-  // Two trials on 1/2/4/8 threads get worker budgets 1/1/2/4 at one shard,
-  // which set the epoch pipeline's depth.
+  // Two trials on 1/2/4/8 threads get worker budgets 1/1/2/4, which set the
+  // epoch pipeline's depth.
   for (const unsigned threads : {1U, 2U, 4U, 8U}) {
-    for (const std::uint32_t shards : {1U, 4U}) {
-      auto sink = std::make_shared<obs::CapturingTraceSink>();
-      obs::setTraceSink(sink, 2);
-      ExperimentRunner runner(threads);
-      const ExperimentSummary summary = runner.run(metricsChurnSpec(shards));
-      obs::setTraceSink(nullptr);
-      const std::string cfg =
-          "threads=" + std::to_string(threads) + " shards=" + std::to_string(shards);
-      ASSERT_EQ(sink->traces().size(), 2U) << cfg;
-      std::vector<std::uint64_t> fps;
-      fps.reserve(2);
-      for (const obs::TrialTrace& t : sink->traces()) fps.push_back(metricsFpOfTrace(t));
-      if (baseline.empty()) {
-        baseline = std::move(fps);
-        baselineFp = summary.combinedFingerprint;
-        continue;
-      }
-      // Engine sharding and epoch pipelining are fingerprint-invariant
-      // (DESIGN.md §10/§11), so one protocol baseline covers the matrix —
-      // and the metrics projection must be equally immovable even though
-      // the raw trace differs across shard counts (laneSends, rd.shards).
-      EXPECT_EQ(summary.combinedFingerprint, baselineFp) << cfg;
-      EXPECT_EQ(fps, baseline) << cfg;
+    auto sink = std::make_shared<obs::CapturingTraceSink>();
+    obs::setTraceSink(sink, 2);
+    ExperimentRunner runner(threads);
+    const ExperimentSummary summary = runner.run(metricsChurnSpec());
+    obs::setTraceSink(nullptr);
+    const std::string cfg = "threads=" + std::to_string(threads);
+    ASSERT_EQ(sink->traces().size(), 2U) << cfg;
+    std::vector<std::uint64_t> fps;
+    fps.reserve(2);
+    for (const obs::TrialTrace& t : sink->traces()) fps.push_back(metricsFpOfTrace(t));
+    if (baseline.empty()) {
+      baseline = std::move(fps);
+      baselineFp = summary.combinedFingerprint;
+      continue;
     }
+    // Epoch pipelining is fingerprint-invariant (DESIGN.md §11), so one
+    // protocol baseline covers the matrix — and the metrics projection must
+    // be equally immovable.
+    EXPECT_EQ(summary.combinedFingerprint, baselineFp) << cfg;
+    EXPECT_EQ(fps, baseline) << cfg;
   }
 }
 
 TEST(MetricsInvariance, ExporterInstalledMovesNoResult) {
   ExperimentRunner runner(2);
-  const ExperimentSummary off = runner.run(metricsChurnSpec(1));
+  const ExperimentSummary off = runner.run(metricsChurnSpec());
   std::ostringstream os;
   obs::setTraceSink(std::make_shared<obs::MetricsJsonlSink>(os), 2);
-  const ExperimentSummary on = runner.run(metricsChurnSpec(1));
+  const ExperimentSummary on = runner.run(metricsChurnSpec());
   obs::setTraceSink(nullptr);
   EXPECT_EQ(on.combinedFingerprint, off.combinedFingerprint);
   // Two sampled trials → two JSONL lines.
@@ -432,7 +425,7 @@ TEST(MetricsInvariance, ExporterInstalledMovesNoResult) {
 // ---------------------------------------------------------------------------
 
 TEST(BootstrapCi, ThreadCountInvariantBitwise) {
-  ScenarioSpec spec = metricsChurnSpec(1);
+  ScenarioSpec spec = metricsChurnSpec();
   spec.churn = ChurnSchedule{};  // static run; trial count is what matters
   spec.trials = 6;
   spec.traceTrials = 0;
@@ -459,7 +452,7 @@ TEST(BootstrapCi, ThreadCountInvariantBitwise) {
 }
 
 TEST(BootstrapCi, SingleTrialDegeneratesToMean) {
-  ScenarioSpec spec = metricsChurnSpec(1);
+  ScenarioSpec spec = metricsChurnSpec();
   spec.churn = ChurnSchedule{};
   spec.trials = 1;
   spec.traceTrials = 0;

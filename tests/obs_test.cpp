@@ -51,10 +51,7 @@ std::string projectionLine(const obs::TraceEvent& e) {
   if (e.kind == obs::EventKind::Round) {
     os << " r=" << e.rd.round << " s=" << e.rd.sends << " t=" << e.rd.touched
        << " m=" << e.rd.messages << " b=" << e.rd.bits
-       << " sh=" << static_cast<unsigned>(e.rd.shards) << " i=" << static_cast<unsigned>(e.rd.idle);
-    for (unsigned s = 0; s < e.rd.shards && s < obs::kTraceMaxShards; ++s) {
-      os << ' ' << e.rd.laneSends[s];
-    }
+       << " i=" << static_cast<unsigned>(e.rd.idle);
   }
   return os.str();
 }
@@ -68,7 +65,7 @@ std::vector<std::string> projection(const obs::TrialTrace& t) {
 
 // ---------------------------------------------------------------------------
 // Bit-identity: tracing on must reproduce the untraced fingerprints across
-// the golden families, including sharded engines. The beacon/pipeline
+// the golden families. The beacon/pipeline
 // constants are the same goldens runtime_test.cpp pins, re-asserted here so
 // a probe that drifted a golden fails in the observability suite by name.
 // ---------------------------------------------------------------------------
@@ -88,40 +85,16 @@ TEST(ObsIdentity, BeaconGoldenIdenticalTraced) {
   EXPECT_FALSE(trace.events.empty());
 }
 
-TEST(ObsIdentity, ShardedBeaconGoldenIdenticalTraced) {
-  const std::uint64_t untraced = golden::beaconFingerprint(
-      BeaconChoicePolicy::PreferAcceptable, BeaconAdversaryProfile::flooder(), 10, /*shards=*/4);
-  // Sharding itself is fingerprint-invariant (DESIGN.md §10), so the S=4 run
-  // must match the serial golden too.
-  EXPECT_EQ(untraced, 0x29553b28fa4d5ddcULL);
+TEST(ObsIdentity, AgreementGoldenIdenticalTraced) {
+  const std::uint64_t untraced = golden::agreementFingerprint(6, 1.0);
   obs::TrialTrace trace;
   std::uint64_t traced = 0;
   {
     const obs::TraceScope scope(&trace);
-    traced = golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                       BeaconAdversaryProfile::flooder(), 10, /*shards=*/4);
+    traced = golden::agreementFingerprint(6, 1.0);
   }
   EXPECT_EQ(traced, untraced);
-  // The sharded engine must have recorded its lane sizes.
-  bool sawShardedRound = false;
-  for (const obs::TraceEvent& e : trace.events) {
-    if (e.kind == obs::EventKind::Round && e.rd.shards == 4) sawShardedRound = true;
-  }
-  EXPECT_TRUE(sawShardedRound);
-}
-
-TEST(ObsIdentity, AgreementGoldenIdenticalTraced) {
-  for (const unsigned shards : {1U, 4U}) {
-    const std::uint64_t untraced = golden::agreementFingerprint(6, 1.0, shards);
-    obs::TrialTrace trace;
-    std::uint64_t traced = 0;
-    {
-      const obs::TraceScope scope(&trace);
-      traced = golden::agreementFingerprint(6, 1.0, shards);
-    }
-    EXPECT_EQ(traced, untraced) << "shards=" << shards;
-    EXPECT_FALSE(trace.events.empty()) << "shards=" << shards;
-  }
+  EXPECT_FALSE(trace.events.empty());
 }
 
 TEST(ObsIdentity, PipelineGoldenIdenticalTraced) {

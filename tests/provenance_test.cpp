@@ -4,8 +4,8 @@
 // every blame-edge family reconciles bit-for-bit against the protocol-side
 // AdversaryStats / BeaconRunStats counters (recorder and counter increment at
 // the same program point), and the canonical blame projection is a pure
-// function of the trial across runner threads x engine shards (the runner
-// width also sets the epoch pipeline's depth).
+// function of the trial across runner threads (the runner width also sets
+// the epoch pipeline's depth).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,14 +52,12 @@ std::vector<std::string> canonLines(const BlameGraph& g) {
 }
 
 /// Golden-style agreement run with a selectable walk attack.
-AgreementOutcome runAttackedAgreement(const AgreementAttackProfile& profile,
-                                      unsigned shards = 1) {
+AgreementOutcome runAttackedAgreement(const AgreementAttackProfile& profile) {
   const NodeId n = 192;
   const Graph g = golden::graph(n, 8, 26);
   const ByzantineSet byz = golden::place(g, Placement::Random, 6, 15);
   AgreementParams params;
   params.initialOnesFraction = 0.7;
-  params.shards = shards;
   params.attack = profile;
   params.victim = 3;
   Rng rng(2025);
@@ -380,47 +378,42 @@ TEST(ProvenanceChurn, ByzantineRejoinsLeaveLineageEdges)  {
 
 // ---------------------------------------------------------------------------
 // Determinism matrix: the canonical blame projection is invariant across
-// runner threads {1, 2, 4, 8} x engine shards {1, 4}. Two trials get worker
-// budgets 1/1/2/4 at one shard, which set the epoch pipeline's depth.
+// runner threads {1, 2, 4, 8}. Two trials get worker budgets 1/1/2/4, which
+// set the epoch pipeline's depth.
 // ---------------------------------------------------------------------------
 
-ScenarioSpec matrixSpec(std::uint32_t shards) {
+ScenarioSpec matrixSpec() {
   ScenarioSpec spec = coalitionPipelineSpec();
   spec.name = "prov-matrix";
   spec.pipelineParams.countingLimits.maxPhase = 6;
   spec.churn = ChurnSchedule::steady(/*epochs=*/3, /*rate=*/0.08, /*recountEvery=*/2);
-  spec.shards = shards;
   spec.masterSeed = 0xdead5;
   return spec;
 }
 
-TEST(ProvenanceDeterminism, BlameProjectionInvariantAcrossThreadsShardsDepth) {
+TEST(ProvenanceDeterminism, BlameProjectionInvariantAcrossThreadsAndDepth) {
   std::vector<std::vector<std::string>> baseline;
   std::uint64_t baselineFp = 0;
   bool first = true;
   for (const unsigned threads : {1U, 2U, 4U, 8U}) {
-    for (const std::uint32_t shards : {1U, 4U}) {
-      ExperimentRunner runner(threads);
-      const ExperimentSummary s = runner.run(matrixSpec(shards));
-      ASSERT_EQ(s.perTrial.size(), 2U);
-      std::vector<std::vector<std::string>> proj;
-      proj.reserve(2);
-      for (const TrialOutcome& t : s.perTrial) proj.push_back(canonLines(t.blame));
-      if (first) {
-        first = false;
-        baseline = std::move(proj);
-        baselineFp = s.combinedFingerprint;
-        // The baseline run must attribute something, or the matrix is
-        // vacuous.
-        EXPECT_GT(s.perTrial[0].blame.attributedCount(), 0U);
-        continue;
-      }
-      const std::string tag =
-          "threads=" + std::to_string(threads) + " shards=" + std::to_string(shards);
-      EXPECT_EQ(s.combinedFingerprint, baselineFp) << tag;
-      for (std::uint32_t i = 0; i < 2; ++i) {
-        EXPECT_EQ(proj[i], baseline[i]) << tag << " trial " << i;
-      }
+    ExperimentRunner runner(threads);
+    const ExperimentSummary s = runner.run(matrixSpec());
+    ASSERT_EQ(s.perTrial.size(), 2U);
+    std::vector<std::vector<std::string>> proj;
+    proj.reserve(2);
+    for (const TrialOutcome& t : s.perTrial) proj.push_back(canonLines(t.blame));
+    if (first) {
+      first = false;
+      baseline = std::move(proj);
+      baselineFp = s.combinedFingerprint;
+      // The baseline run must attribute something, or the matrix is vacuous.
+      EXPECT_GT(s.perTrial[0].blame.attributedCount(), 0U);
+      continue;
+    }
+    const std::string tag = "threads=" + std::to_string(threads);
+    EXPECT_EQ(s.combinedFingerprint, baselineFp) << tag;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(proj[i], baseline[i]) << tag << " trial " << i;
     }
   }
 }

@@ -165,15 +165,6 @@ def main() -> int:
             continue
         old = prev[name]
         deltas = []
-        # Sharded rows (bench_t12_scale) carry their engine shard count; a
-        # changed shard count is a configuration change worth flagging next to
-        # the metric deltas, not a regression — fingerprints stay invariant
-        # for the pinned scenarios, so metrics moving *with* an unchanged
-        # shard count is the signal to scrutinise.
-        old_shards = old.get("shards", 1)
-        new_shards = row.get("shards", 1)
-        if old_shards != new_shards:
-            deltas.append(f"shards: {old_shards} → {new_shards} (config change)")
         # Wall-clock and peak-RSS telemetry (PR 8): reported outside `deltas`
         # so nondeterministic machine noise never marks a scenario "changed",
         # but a wall_ms rise beyond the noise floor still joins the regression

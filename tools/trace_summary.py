@@ -27,8 +27,8 @@ The trace format is one JSON object per line. Per sampled trial:
 Wall-clock fields (ts, dur, recvNs, mergeNs, scatterNs) are the only
 nondeterministic payload; --diff strips them (the "deterministic projection")
 before comparing, which is exactly the invariant the runtime promises: the
-projection is a pure function of the trial at any thread/shard/pipeline-depth
-count. Exit status: 0 ok, 1 validation failure or projection mismatch.
+projection is a pure function of the trial at any thread count or pipeline
+depth. Exit status: 0 ok, 1 validation failure or projection mismatch.
 """
 
 import argparse
@@ -40,7 +40,7 @@ from pathlib import Path
 # deterministic projection can strip them uniformly.
 SCHEMA = {
     "trial": {"scenario", "trial"},
-    "round": {"round", "sends", "touched", "messages", "bits", "shards", "idle", "lane"},
+    "round": {"round", "sends", "touched", "messages", "bits", "idle", "lane"},
     "span": {"name", "round", "lane"},
     "counter": {"name", "round", "lane", "value"},
     "mark": {"name", "round", "lane", "value"},
@@ -124,11 +124,6 @@ def validate(path: Path) -> list:
                     problems.append(
                         f"{tag}: lane {lane} round went {prev} -> {e['round']}")
                 last_round_per_lane[lane] = e["round"]
-                lanes = e.get("lanes")
-                if lanes is not None and e["shards"] > 1 and len(lanes) != e["shards"]:
-                    problems.append(
-                        f"{tag}: round {e['round']} lanes[{len(lanes)}] != "
-                        f"shards {e['shards']}")
         if end["scenario"] != header["scenario"] or end["trial"] != header["trial"]:
             problems.append(f"{tag}: end line names {end['scenario']}#{end['trial']}")
         for key, got in (("events", len(events)), ("rounds", rounds),
