@@ -98,16 +98,6 @@ inline BeaconAdversaryProfile beaconAdversaryProfileByName(const std::string& na
   return {};
 }
 
-/// Labels for the AgreementExtraSlot layout (Agreement/Pipeline scenarios).
-inline std::vector<std::string> agreementExtraNames() {
-  std::vector<std::string> names;
-  names.reserve(kAgreementExtraSlots);
-  for (std::size_t slot = 0; slot < kAgreementExtraSlots; ++slot) {
-    names.emplace_back(agreementExtraSlotName(slot));
-  }
-  return names;
-}
-
 /// Master seed for table row `row` of bench `benchTag`. Seeds derive from the
 /// row *index*, never from row parameters: parameter-derived seeds collide
 /// when two rows share a parameter value (T7's old `Rng(900 + L*10)` gave the
@@ -159,12 +149,10 @@ inline void appendJsonSamples(std::ostringstream& os, const char* key,
 
 /// One ExperimentSummary as a single JSON line, written to stdout (or
 /// appended to $BZC_JSON_FILE when set) so perf trajectories (BENCH_*.json)
-/// can be tracked across PRs. No-op unless BZC_OUTPUT=json. `extraNames`
-/// labels the positional extras slots (tools/diff_bench_json.py uses the
-/// labels to report and to orient lower-is-better metrics like staleness).
-inline void maybeEmitJson(const ExperimentSummary& s,
-                          const std::vector<std::string>& extraNames = {},
-                          double wallMs = -1.0) {
+/// can be tracked across PRs. No-op unless BZC_OUTPUT=json. Extras are
+/// keyed by name (tools/diff_bench_json.py pairs them by name and orients
+/// lower-is-better metrics like staleness by name).
+inline void maybeEmitJson(const ExperimentSummary& s, double wallMs = -1.0) {
   if (!jsonOutputEnabled()) return;
   std::ostringstream os;
   os.precision(12);
@@ -177,14 +165,6 @@ inline void maybeEmitJson(const ExperimentSummary& s,
   os << ",\"peak_rss_kb\":" << peakRssKb();
   os << ",\"combinedFingerprint\":\"0x" << std::hex << s.combinedFingerprint << std::dec
      << "\",";
-  if (!extraNames.empty()) {
-    os << "\"extraNames\":[";
-    for (std::size_t i = 0; i < extraNames.size(); ++i) {
-      if (i > 0) os << ',';
-      os << '"' << extraNames[i] << '"';
-    }
-    os << "],";
-  }
   appendJsonDist(os, "fracDecided", s.fracDecided);
   os << ',';
   appendJsonDist(os, "fracWithinWindow", s.fracWithinWindow);
@@ -199,12 +179,14 @@ inline void maybeEmitJson(const ExperimentSummary& s,
   // Extras carry the same field set as the primary distributions (they used
   // to drop p10/p90/stddev, which kept the diff tool from treating them
   // uniformly).
-  os << ",\"extras\":[";
-  for (std::size_t i = 0; i < s.extras.size(); ++i) {
-    if (i > 0) os << ',';
-    appendJsonDistBody(os, s.extras[i]);
+  os << ",\"extras\":{";
+  const char* sep = "";
+  for (const auto& [name, d] : s.extras) {
+    os << sep;
+    appendJsonDist(os, name.c_str(), d);
+    sep = ",";
   }
-  os << ']';
+  os << '}';
   // Raw per-trial samples of the six key metrics: the statistical regression
   // gate (Mann–Whitney U in tools/diff_bench_json.py) needs the full sample,
   // not summary scalars.
@@ -236,35 +218,23 @@ inline void maybeEmitJson(const ExperimentSummary& s,
 }
 
 /// Declarative row: run spec on the runner and emit the JSON line.
-inline ExperimentSummary runScenario(ExperimentRunner& runner, const ScenarioSpec& spec,
-                                     const std::vector<std::string>& extraNames = {}) {
+inline ExperimentSummary runScenario(ExperimentRunner& runner, const ScenarioSpec& spec) {
   const auto t0 = std::chrono::steady_clock::now();
   ExperimentSummary s = runner.run(spec);
   const double wallMs =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  maybeEmitJson(s, extraNames, wallMs);
+  maybeEmitJson(s, wallMs);
   return s;
-}
-
-/// Labels for the ChurnExtraSlot layout (churn-enabled scenarios).
-inline std::vector<std::string> churnExtraNames() {
-  std::vector<std::string> names;
-  names.reserve(kChurnExtraSlots);
-  for (std::size_t slot = 0; slot < kChurnExtraSlots; ++slot) {
-    names.emplace_back(churnExtraSlotName(slot));
-  }
-  return names;
 }
 
 /// Custom row: runCustom plus the JSON line.
 inline ExperimentSummary runScenario(ExperimentRunner& runner, const std::string& name,
-                                     std::uint32_t trials, const ExperimentRunner::TrialFn& fn,
-                                     const std::vector<std::string>& extraNames = {}) {
+                                     std::uint32_t trials, const ExperimentRunner::TrialFn& fn) {
   const auto t0 = std::chrono::steady_clock::now();
   ExperimentSummary s = runner.runCustom(name, trials, fn);
   const double wallMs =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  maybeEmitJson(s, extraNames, wallMs);
+  maybeEmitJson(s, wallMs);
   return s;
 }
 
@@ -273,13 +243,13 @@ inline ExperimentSummary runScenario(ExperimentRunner& runner, const std::string
 inline double aeTrialFraction(const ExperimentSummary& s) {
   std::size_t ae = 0;
   for (const TrialOutcome& t : s.perTrial) {
-    if (t.extra[kAgreementFracAgreeing] >= 0.9) ++ae;
+    if (t.extra.at("fracAgreeing") >= 0.9) ++ae;
   }
   return s.perTrial.empty() ? 0.0 : static_cast<double>(ae) / static_cast<double>(s.perTrial.size());
 }
 
 /// Standard TrialOutcome wrapping of a counting run (custom trial functions
-/// append their extra slots afterwards).
+/// set their named extras afterwards).
 inline TrialOutcome countingTrialOutcome(const CountingResult& result, const ByzantineSet& byz,
                                          NodeId n, const QualityWindow& window = {0.3, 1.8}) {
   TrialOutcome t;

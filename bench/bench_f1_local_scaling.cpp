@@ -15,12 +15,6 @@
 #include "counting/local/protocol.hpp"
 #include "graph/bfs.hpp"
 
-namespace {
-
-enum : std::size_t { kDiameter, kMeanEst, kExtraSlots };
-
-}  // namespace
-
 int main() {
   using namespace bzc;
   using namespace bzc::bench;
@@ -55,9 +49,8 @@ int main() {
       const auto out = runLocalCounting(trial.graph, trial.byz, *adversary, params, trial.runRng);
       const auto s = summarize(out.result, trial.byz, n);
       TrialOutcome t = countingTrialOutcome(out.result, trial.byz, n);
-      t.extra.assign(kExtraSlots, 0.0);
-      t.extra[kDiameter] = static_cast<double>(exactDiameter(trial.graph));
-      t.extra[kMeanEst] = s.meanEst;
+      t.extra.set("diameter", static_cast<double>(exactDiameter(trial.graph)));
+      t.extra.set("meanEst", s.meanEst);
       return t;
     });
 
@@ -65,9 +58,10 @@ int main() {
     logNs.push_back(logN);
     rounds.push_back(summary.totalRounds.mean);
     table.addRow({Table::integer(n), Table::num(logN, 2),
-                  Table::num(summary.extras[kDiameter].mean, 1), distCell(summary.totalRounds, 1),
-                  Table::num(summary.extras[kMeanEst].mean, 2),
-                  Table::num(summary.extras[kMeanEst].mean / logN, 3)});
+                  Table::num(summary.extras.at("diameter").mean, 1),
+                  distCell(summary.totalRounds, 1),
+                  Table::num(summary.extras.at("meanEst").mean, 2),
+                  Table::num(summary.extras.at("meanEst").mean / logN, 3)});
   }
   table.print(std::cout);
 

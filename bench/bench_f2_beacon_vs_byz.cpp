@@ -16,12 +16,6 @@
 #include "bench_common.hpp"
 #include "counting/beacon/protocol.hpp"
 
-namespace {
-
-enum : std::size_t { kP90Decide, kMeanEst, kExtraSlots };
-
-}  // namespace
-
 int main() {
   using namespace bzc;
   using namespace bzc::bench;
@@ -69,21 +63,20 @@ int main() {
         roundsVec.push_back(out.result.decisions[u].round);
       }
       TrialOutcome t = countingTrialOutcome(out.result, trial.byz, n);
-      t.extra.assign(kExtraSlots, 0.0);
-      t.extra[kP90Decide] = roundsVec.empty() ? 0.0 : quantile(roundsVec, 0.90);
-      t.extra[kMeanEst] = s.meanEst;
+      t.extra.set("p90Decide", roundsVec.empty() ? 0.0 : quantile(roundsVec, 0.90));
+      t.extra.set("meanEst", s.meanEst);
       return t;
     });
 
-    const double p90 = summary.extras[kP90Decide].mean;
+    const double p90 = summary.extras.at("p90Decide").mean;
     if (b > 0) {
       bs.push_back(static_cast<double>(b));
       decideRounds.push_back(p90);
     }
     table.addRow({Table::integer(static_cast<long long>(b)),
                   passFail(static_cast<double>(b) <= budgetMax),
-                  distCell(summary.extras[kP90Decide], 0), distCell(summary.totalRounds, 0),
-                  Table::num(summary.extras[kMeanEst].mean, 2),
+                  distCell(summary.extras.at("p90Decide"), 0), distCell(summary.totalRounds, 0),
+                  Table::num(summary.extras.at("meanEst").mean, 2),
                   distPercentCell(summary.fracDecided)});
   }
   table.print(std::cout);

@@ -99,26 +99,26 @@ int main() {
         spec.trials = trials;
         spec.masterSeed = rowSeed(10, row++);
 
-        const ExperimentSummary s = runScenario(runner, spec, churnExtraNames());
+        const ExperimentSummary s = runScenario(runner, spec);
         table.addRow({churnModelKindName(models[mi]), Table::num(rate, 2),
-                      Table::integer(cadence), Table::num(s.extras[kChurnFinalN].mean, 0),
-                      Table::num(s.extras[kChurnGrowth].mean, 2),
-                      Table::num(s.extras[kChurnByzInflation].mean, 2),
-                      Table::num(s.extras[kChurnMeanStaleness].mean, 3),
-                      Table::num(s.extras[kChurnMeanDrift].mean, 3),
-                      Table::num(s.extras[kChurnMaxDrift].mean, 3),
-                      Table::num(s.extras[kChurnGapDrift].mean, 3),
-                      distPercentCell(s.extras[kChurnLastAgree]), distCell(s.totalRounds, 0),
+                      Table::integer(cadence), Table::num(s.extras.at("finalN").mean, 0),
+                      Table::num(s.extras.at("growth").mean, 2),
+                      Table::num(s.extras.at("byzInflation").mean, 2),
+                      Table::num(s.extras.at("meanStaleness").mean, 3),
+                      Table::num(s.extras.at("meanDrift").mean, 3),
+                      Table::num(s.extras.at("maxDrift").mean, 3),
+                      Table::num(s.extras.at("gapDrift").mean, 3),
+                      distPercentCell(s.extras.at("lastAgree")), distCell(s.totalRounds, 0),
                       distCell(s.totalMessages, 0)});
-        if (rate == 0.10) staleAtCadence[ci][mi] = s.extras[kChurnMaxDrift].mean;
+        if (rate == 0.10) staleAtCadence[ci][mi] = s.extras.at("maxDrift").mean;
         if (models[mi] == ChurnModelKind::ByzantineChurn && rate == 0.10 && cadence == 1) {
-          byzInflation = s.extras[kChurnByzInflation].mean;
+          byzInflation = s.extras.at("byzInflation").mean;
         }
         if (models[mi] == ChurnModelKind::FlashCrowd && rate == 0.02 && cadence == 1) {
-          flashGrowth = s.extras[kChurnGrowth].mean;
+          flashGrowth = s.extras.at("growth").mean;
         }
         if (models[mi] == ChurnModelKind::MassExodus && rate == 0.02 && cadence == 1) {
-          exodusGrowth = s.extras[kChurnGrowth].mean;
+          exodusGrowth = s.extras.at("growth").mean;
         }
       }
     }

@@ -58,10 +58,6 @@ int main() {
             << "  B(full)=" << fullBudget << "\n\n";
 
   // --- strategy × placement × budget grid (counting stage) ------------------
-  enum : std::size_t { kForged, kTampered, kSuppressed, kSpammed, kGrafts, kBackoffs, kBlIns, kSlots };
-  const std::vector<std::string> gridExtraNames = {
-      "forged", "tampered", "suppressed", "spammed", "grafts", "backoffs", "blacklistIns"};
-
   const BeaconAdversaryProfile strategies[] = {
       BeaconAdversaryProfile::none(),
       BeaconAdversaryProfile::flooder(),
@@ -113,34 +109,33 @@ int main() {
                                                           spec.beaconParams, spec.beaconLimits,
                                                           runRng);
               TrialOutcome t = countingTrialOutcome(out.result, trial.byz, n, spec.window);
-              t.extra.assign(kSlots, 0.0);
-              t.extra[kForged] = static_cast<double>(out.stats.adversary.beaconsForged);
-              t.extra[kTampered] = static_cast<double>(out.stats.adversary.relaysTampered);
-              t.extra[kSuppressed] = static_cast<double>(out.stats.adversary.relaysSuppressed);
-              t.extra[kSpammed] = static_cast<double>(out.stats.adversary.continuesSpammed);
-              t.extra[kGrafts] = static_cast<double>(out.stats.adversary.prefixGrafts);
-              t.extra[kBackoffs] = static_cast<double>(out.stats.adversary.pressureBackoffs);
-              t.extra[kBlIns] = static_cast<double>(out.stats.blacklistInsertions);
+              t.extra.set("forged", static_cast<double>(out.stats.adversary.beaconsForged));
+              t.extra.set("tampered", static_cast<double>(out.stats.adversary.relaysTampered));
+              t.extra.set("suppressed", static_cast<double>(out.stats.adversary.relaysSuppressed));
+              t.extra.set("spammed", static_cast<double>(out.stats.adversary.continuesSpammed));
+              t.extra.set("grafts", static_cast<double>(out.stats.adversary.prefixGrafts));
+              t.extra.set("backoffs", static_cast<double>(out.stats.adversary.pressureBackoffs));
+              t.extra.set("blacklistIns", static_cast<double>(out.stats.blacklistInsertions));
               return t;
-            },
-            gridExtraNames);
+            });
         grid.addRow({strategy.name, placement.name, Table::integer(spec.placement.count),
                      distPercentCell(s.fracDecided), Table::num(s.meanRatio.mean, 2),
-                     Table::num(s.extras[kForged].mean, 0), Table::num(s.extras[kBlIns].mean, 0),
-                     Table::num(s.extras[kBackoffs].mean, 1), distCell(s.totalRounds, 0)});
+                     Table::num(s.extras.at("forged").mean, 0),
+                     Table::num(s.extras.at("blacklistIns").mean, 0),
+                     Table::num(s.extras.at("backoffs").mean, 1), distCell(s.totalRounds, 0)});
         if (placement.kind == Placement::Random && budget == fullBudget) {
           if (strategy.kind == BeaconAttackKind::Flooder) {
-            forgedPlain = s.extras[kForged].mean;
+            forgedPlain = s.extras.at("forged").mean;
           }
           if (strategy.kind == BeaconAttackKind::AdaptiveFlooder) {
-            forgedAdaptive = s.extras[kForged].mean;
-            backoffsAdaptive = s.extras[kBackoffs].mean;
+            forgedAdaptive = s.extras.at("forged").mean;
+            backoffsAdaptive = s.extras.at("backoffs").mean;
           }
           if (strategy.kind == BeaconAttackKind::TargetedFlooder) {
-            forgedTargeted = s.extras[kForged].mean;
+            forgedTargeted = s.extras.at("forged").mean;
           }
           if (strategy.kind == BeaconAttackKind::PrefixGrafter) {
-            graftsSeen = s.extras[kGrafts].mean;
+            graftsSeen = s.extras.at("grafts").mean;
           }
         }
         if (strategy.kind == BeaconAttackKind::None) break;  // one placement row for none
@@ -195,22 +190,21 @@ int main() {
                   {"50/50 flood+hunt", &mixed}};
   for (const auto& entry : planRows) {
     const ExperimentSummary s =
-        runScenario(runner, planSpec(std::string("t11-plan-") + entry.label, *entry.plan),
-                    agreementExtraNames());
+        runScenario(runner, planSpec(std::string("t11-plan-") + entry.label, *entry.plan));
     coalitionTable.addRow({entry.label,
-                           distPercentCell(s.extras[kAgreementFracAgreeing]),
-                           Table::num(s.extras[kAgreementCombinedScore].mean, 3),
-                           Table::num(s.extras[kAgreementBeaconForged].mean, 0),
-                           Table::num(s.extras[kAgreementCoalitionHits].mean, 0),
+                           distPercentCell(s.extras.at("fracAgreeing")),
+                           Table::num(s.extras.at("combinedScore").mean, 3),
+                           Table::num(s.extras.at("beaconForged").mean, 0),
+                           Table::num(s.extras.at("coalitionHits").mean, 0),
                            distPercentCell(s.fracDecided),
                            // Blame-graph projections (DESIGN.md §14): damage
                            // concentration over causes, and the per-subset
                            // split of attributed damage.
-                           Table::num(s.extras[kAgreementBlameConcentration].mean, 3),
-                           Table::num(s.extras[kAgreementBlameSubset0].mean, 0) + "/" +
-                               Table::num(s.extras[kAgreementBlameSubset1].mean, 0)});
-    if (entry.plan == &pureFlood) scorePure = s.extras[kAgreementCombinedScore].mean;
-    if (entry.plan == &mixed) scoreMixed = s.extras[kAgreementCombinedScore].mean;
+                           Table::num(s.extras.at("blameConcentration").mean, 3),
+                           Table::num(s.extras.at("blameSubset0").mean, 0) + "/" +
+                               Table::num(s.extras.at("blameSubset1").mean, 0)});
+    if (entry.plan == &pureFlood) scorePure = s.extras.at("combinedScore").mean;
+    if (entry.plan == &mixed) scoreMixed = s.extras.at("combinedScore").mean;
   }
   coalitionTable.print(std::cout);
 

@@ -90,8 +90,7 @@ int main() {
           [&spec, budget](std::uint32_t i) {
             const WorkerBudgetScope scope(budget);
             return ExperimentRunner::runTrial(spec, i);
-          },
-          churnExtraNames());
+          });
       const double wall = std::chrono::duration<double>(Clock::now() - start).count();
       if (budget == 1) {
         baseFp = s.combinedFingerprint;
@@ -101,9 +100,9 @@ int main() {
         if (wall > 0) speedupBest = std::max(speedupBest, baseWall / wall);
       }
       table.addRow({family.tag, Table::integer(budget),
-                    Table::num(s.extras[kChurnFinalN].mean, 0),
-                    Table::num(s.extras[kChurnMeanStaleness].mean, 3),
-                    distPercentCell(s.extras[kChurnLastAgree]), distCell(s.totalRounds, 0),
+                    Table::num(s.extras.at("finalN").mean, 0),
+                    Table::num(s.extras.at("meanStaleness").mean, 3),
+                    distPercentCell(s.extras.at("lastAgree")), distCell(s.totalRounds, 0),
                     Table::num(wall, 1),
                     budget == 1 ? std::string("1.00x")
                                 : (wall > 0 ? Table::num(baseWall / wall, 2) + "x" : "-")});

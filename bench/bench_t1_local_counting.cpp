@@ -30,20 +30,6 @@ struct Scenario {
 
 std::unique_ptr<LocalAdversary> makeFakeWorldDefault() { return makeFakeWorldLocalAdversary({}); }
 
-// Extra-metric slots of one trial.
-enum : std::size_t {
-  kFracGood,   // fraction of Good (dist>=2) nodes inside [dist-to-Byz, diam+1]
-  kDiameter,
-  kRoundsOk,   // 1.0 when totalRounds <= 4*diam + 16
-  kMeanEst,
-  kMaxEst,
-  kIncDecisions,
-  kMuteDecisions,
-  kBallDecisions,
-  kCutDecisions,
-  kExtraSlots,
-};
-
 }  // namespace
 
 int main() {
@@ -112,36 +98,35 @@ int main() {
         t.totalMessages = out.result.meter.totalMessages();
         t.totalBits = out.result.meter.totalBits();
         t.resultFingerprint = fingerprint(out.result, n);
-        t.extra.assign(kExtraSlots, 0.0);
-        t.extra[kFracGood] = good > 0 ? static_cast<double>(goodInWindow) / good : 1.0;
-        t.extra[kDiameter] = diam;
-        t.extra[kRoundsOk] = out.result.totalRounds <= 4 * diam + 16 ? 1.0 : 0.0;
-        t.extra[kMeanEst] = est.meanEst;
-        t.extra[kMaxEst] = est.maxEst;
-        t.extra[kIncDecisions] = static_cast<double>(out.stats.inconsistencyDecisions);
-        t.extra[kMuteDecisions] = static_cast<double>(out.stats.muteDecisions);
-        t.extra[kBallDecisions] = static_cast<double>(out.stats.ballGrowthDecisions);
-        t.extra[kCutDecisions] = static_cast<double>(out.stats.sparseCutDecisions);
+        t.extra.set("fracGood", good > 0 ? static_cast<double>(goodInWindow) / good : 1.0);
+        t.extra.set("diameter", diam);
+        t.extra.set("roundsOk", out.result.totalRounds <= 4 * diam + 16 ? 1.0 : 0.0);
+        t.extra.set("meanEst", est.meanEst);
+        t.extra.set("maxEst", est.maxEst);
+        t.extra.set("incDecisions", static_cast<double>(out.stats.inconsistencyDecisions));
+        t.extra.set("muteDecisions", static_cast<double>(out.stats.muteDecisions));
+        t.extra.set("ballDecisions", static_cast<double>(out.stats.ballGrowthDecisions));
+        t.extra.set("cutDecisions", static_cast<double>(out.stats.sparseCutDecisions));
         return t;
       });
 
-      allGoodInWindow = allGoodInWindow && summary.extras[kFracGood].mean > 0.99;
-      allRoundsLogarithmic = allRoundsLogarithmic && summary.extras[kRoundsOk].min >= 1.0;
+      allGoodInWindow = allGoodInWindow && summary.extras.at("fracGood").mean > 0.99;
+      allRoundsLogarithmic = allRoundsLogarithmic && summary.extras.at("roundsOk").min >= 1.0;
 
-      const std::string reasons = Table::num(summary.extras[kIncDecisions].mean, 0) + "/" +
-                                  Table::num(summary.extras[kMuteDecisions].mean, 0) + "/" +
-                                  Table::num(summary.extras[kBallDecisions].mean, 0) + "/" +
-                                  Table::num(summary.extras[kCutDecisions].mean, 0);
+      const std::string reasons = Table::num(summary.extras.at("incDecisions").mean, 0) + "/" +
+                                  Table::num(summary.extras.at("muteDecisions").mean, 0) + "/" +
+                                  Table::num(summary.extras.at("ballDecisions").mean, 0) + "/" +
+                                  Table::num(summary.extras.at("cutDecisions").mean, 0);
       table.addRow({Table::integer(n), sc.attack,
                     sc.placement == Placement::Random   ? "random"
                     : sc.placement == Placement::Spread ? "spread"
                                                         : "surround",
                     Table::integer(static_cast<long long>(budget)),
-                    Table::num(summary.extras[kDiameter].mean, 1),
+                    Table::num(summary.extras.at("diameter").mean, 1),
                     distCell(summary.totalRounds, 0), distPercentCell(summary.fracDecided),
-                    Table::num(summary.extras[kMeanEst].mean, 2),
-                    Table::num(summary.extras[kMaxEst].mean, 0),
-                    distPercentCell(summary.extras[kFracGood]), reasons});
+                    Table::num(summary.extras.at("meanEst").mean, 2),
+                    Table::num(summary.extras.at("maxEst").mean, 0),
+                    distPercentCell(summary.extras.at("fracGood")), reasons});
     }
   }
   table.print(std::cout);

@@ -22,16 +22,6 @@ namespace {
 using namespace bzc;
 using namespace bzc::bench;
 
-// Extra-metric slots of one trial.
-enum : std::size_t {
-  kMeanEst,
-  kMeanRatio,
-  kMsgP99,       // 99th pct of the largest message (bits) any honest node sent
-  kSmallFrac,    // fraction of honest nodes within the "small message" budget
-  kRoundsBound,  // totalRounds / (10 * B * ln^2 n)
-  kExtraSlots,
-};
-
 }  // namespace
 
 int main() {
@@ -95,18 +85,17 @@ int main() {
         t.totalMessages = out.result.meter.totalMessages();
         t.totalBits = out.result.meter.totalBits();
         t.resultFingerprint = fingerprint(out.result, n);
-        t.extra.assign(kExtraSlots, 0.0);
-        t.extra[kMeanEst] = est.meanEst;
-        t.extra[kMeanRatio] = est.meanRatio;
-        t.extra[kMsgP99] = out.result.meter.maxBitsQuantile(honest, 0.99);
-        t.extra[kSmallFrac] = out.result.meter.fractionWithin(honest, smallBudget);
-        t.extra[kRoundsBound] = out.result.totalRounds / bound;
+        t.extra.set("meanEst", est.meanEst);
+        t.extra.set("meanRatio", est.meanRatio);
+        t.extra.set("msgP99", out.result.meter.maxBitsQuantile(honest, 0.99));
+        t.extra.set("smallFrac", out.result.meter.fractionWithin(honest, smallBudget));
+        t.extra.set("roundsBound", out.result.totalRounds / bound);
         return t;
       });
 
       if (!benign) {
         windowHolds = windowHolds && summary.fracWithinWindow.mean > 0.75;
-        roundsBounded = roundsBounded && summary.extras[kRoundsBound].max < 1.0;
+        roundsBounded = roundsBounded && summary.extras.at("roundsBound").max < 1.0;
         if (attack.name == "flooder") {
           const double undecided = 1.0 - summary.fracDecided.mean;
           betaShrinks = betaShrinks && undecided <= prevUndecidedFrac + 0.02;
@@ -116,13 +105,13 @@ int main() {
       table.addRow({Table::integer(n), attack.name,
                     Table::integer(static_cast<long long>(benign ? 0 : budget)),
                     distCell(summary.totalRounds, 0),
-                    Table::num(summary.extras[kRoundsBound].mean, 3),
+                    Table::num(summary.extras.at("roundsBound").mean, 3),
                     distPercentCell(summary.fracDecided),
                     distPercentCell(summary.fracWithinWindow),
-                    Table::num(summary.extras[kMeanEst].mean, 2),
-                    Table::num(summary.extras[kMeanRatio].mean, 3),
-                    Table::integer(static_cast<long long>(summary.extras[kMsgP99].mean)),
-                    Table::percent(summary.extras[kSmallFrac].mean)});
+                    Table::num(summary.extras.at("meanEst").mean, 2),
+                    Table::num(summary.extras.at("meanRatio").mean, 3),
+                    Table::integer(static_cast<long long>(summary.extras.at("msgP99").mean)),
+                    Table::percent(summary.extras.at("smallFrac").mean)});
     }
   }
   table.print(std::cout);

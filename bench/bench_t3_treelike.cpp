@@ -16,8 +16,6 @@
 
 namespace {
 
-enum : std::size_t { kTreeLike, kNonTreeLike, kWithin, kFrac2, kExtraSlots };
-
 }  // namespace
 
 int main() {
@@ -57,20 +55,19 @@ int main() {
         TrialOutcome t;
         t.quality.fracDecided = 1.0;
         t.resultFingerprint = fnv1a64(&treeLike, sizeof treeLike);
-        t.extra.assign(kExtraSlots, 0.0);
-        t.extra[kTreeLike] = static_cast<double>(treeLike);
-        t.extra[kNonTreeLike] = static_cast<double>(bad);
-        t.extra[kWithin] = static_cast<double>(bad) <= allowance ? 1.0 : 0.0;
-        t.extra[kFrac2] = frac2;
+        t.extra.set("treeLike", static_cast<double>(treeLike));
+        t.extra.set("nonTreeLike", static_cast<double>(bad));
+        t.extra.set("withinAllowance", static_cast<double>(bad) <= allowance ? 1.0 : 0.0);
+        t.extra.set("fracTwoCycles", frac2);
         return t;
       });
 
-      const bool within = summary.extras[kWithin].min >= 1.0;  // every trial inside
+      const bool within = summary.extras.at("withinAllowance").min >= 1.0;  // every trial inside
       allWithin = allWithin && within;
       table.addRow({Table::integer(n), Table::integer(d), Table::integer(r),
-                    distCell(summary.extras[kTreeLike], 0),
-                    distCell(summary.extras[kNonTreeLike], 0), Table::num(allowance, 0),
-                    passFail(within), distPercentCell(summary.extras[kFrac2])});
+                    distCell(summary.extras.at("treeLike"), 0),
+                    distCell(summary.extras.at("nonTreeLike"), 0), Table::num(allowance, 0),
+                    passFail(within), distPercentCell(summary.extras.at("fracTwoCycles"))});
     }
   }
   table.print(std::cout);

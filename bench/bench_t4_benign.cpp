@@ -13,21 +13,6 @@
 #include "bench_common.hpp"
 #include "counting/beacon/protocol.hpp"
 
-namespace {
-
-enum : std::size_t {
-  kMeanEst,
-  kSpread,       // max - min decided phase within a trial
-  kAllDecided,   // 1.0 when every honest node decided
-  kQuiesced,     // 1.0 when the network quiesced
-  kRoundsRatio,  // totalRounds / ln^2 n
-  kBeacons,
-  kContinues,
-  kExtraSlots,
-};
-
-}  // namespace
-
 int main() {
   using namespace bzc;
   using namespace bzc::bench;
@@ -64,30 +49,29 @@ int main() {
                                          params, {}, trial.runRng);
       const auto s = summarize(out.result, trial.byz, n);
       TrialOutcome t = countingTrialOutcome(out.result, trial.byz, n);
-      t.extra.assign(kExtraSlots, 0.0);
-      t.extra[kMeanEst] = s.meanEst;
-      t.extra[kSpread] = s.maxEst - s.minEst;
-      t.extra[kAllDecided] = s.fracDecided == 1.0 ? 1.0 : 0.0;
-      t.extra[kQuiesced] = out.stats.quiesced ? 1.0 : 0.0;
-      t.extra[kRoundsRatio] = out.result.totalRounds / (logN * logN);
-      t.extra[kBeacons] = static_cast<double>(out.stats.beaconsGenerated);
-      t.extra[kContinues] = static_cast<double>(out.stats.continueMessages);
+      t.extra.set("meanEst", s.meanEst);
+      t.extra.set("spread", s.maxEst - s.minEst);
+      t.extra.set("allDecided", s.fracDecided == 1.0 ? 1.0 : 0.0);
+      t.extra.set("quiesced", out.stats.quiesced ? 1.0 : 0.0);
+      t.extra.set("roundsRatio", out.result.totalRounds / (logN * logN));
+      t.extra.set("beacons", static_cast<double>(out.stats.beaconsGenerated));
+      t.extra.set("continues", static_cast<double>(out.stats.continueMessages));
       return t;
     });
 
-    allQuiesced = allQuiesced &&
-                  summary.extras[kQuiesced].min >= 1.0 && summary.extras[kAllDecided].min >= 1.0;
-    roundsPolylog = roundsPolylog && summary.extras[kRoundsRatio].max < 12.0;
-    spreadConstant = spreadConstant && summary.extras[kSpread].max <= 2.0;
+    allQuiesced = allQuiesced && summary.extras.at("quiesced").min >= 1.0 &&
+                  summary.extras.at("allDecided").min >= 1.0;
+    roundsPolylog = roundsPolylog && summary.extras.at("roundsRatio").max < 12.0;
+    spreadConstant = spreadConstant && summary.extras.at("spread").max <= 2.0;
     table.addRow({Table::integer(n), Table::num(logN / std::log(8.0), 2),
-                  Table::num(summary.extras[kMeanEst].mean, 2),
-                  Table::num(summary.extras[kSpread].mean, 1),
-                  passFail(summary.extras[kAllDecided].min >= 1.0),
-                  passFail(summary.extras[kQuiesced].min >= 1.0),
+                  Table::num(summary.extras.at("meanEst").mean, 2),
+                  Table::num(summary.extras.at("spread").mean, 1),
+                  passFail(summary.extras.at("allDecided").min >= 1.0),
+                  passFail(summary.extras.at("quiesced").min >= 1.0),
                   distCell(summary.totalRounds, 0),
-                  Table::num(summary.extras[kRoundsRatio].mean, 2),
-                  distCell(summary.extras[kBeacons], 0),
-                  distCell(summary.extras[kContinues], 0)});
+                  Table::num(summary.extras.at("roundsRatio").mean, 2),
+                  distCell(summary.extras.at("beacons"), 0),
+                  distCell(summary.extras.at("continues"), 0)});
   }
   table.print(std::cout);
   shapeCheck("every node decides and the network quiesces (all trials)", allQuiesced);

@@ -23,8 +23,6 @@ namespace {
 
 using namespace bzc;
 
-enum : std::size_t { kGeoEst, kBeaconEst, kExpansion, kExtraSlots };
-
 double meanHonestEstimate(const CountingResult& result, const ByzantineSet& byz) {
   double mean = 0;
   std::size_t count = 0;
@@ -81,21 +79,20 @@ int main() {
           Rng sweepRng = trialRng.fork(3);
           const SweepCut cut = fiedlerSweep(g, 200, sweepRng);
           TrialOutcome out = countingTrialOutcome(beacon, byz, n);
-          out.extra.assign(kExtraSlots, 0.0);
-          out.extra[kGeoEst] = meanHonestEstimate(geo, byz);
-          out.extra[kBeaconEst] = meanHonestEstimate(beacon, byz);
-          out.extra[kExpansion] = cut.expansion;
+          out.extra.set("geoEst", meanHonestEstimate(geo, byz));
+          out.extra.set("beaconEst", meanHonestEstimate(beacon, byz));
+          out.extra.set("expansion", cut.expansion);
           return out;
         });
 
-    geoMeans.push_back(summary.extras[kGeoEst].mean);
-    beaconMeans.push_back(summary.extras[kBeaconEst].mean);
+    geoMeans.push_back(summary.extras.at("geoEst").mean);
+    beaconMeans.push_back(summary.extras.at("beaconEst").mean);
     lnNs.push_back(std::log(static_cast<double>(n)));
-    hUpperLast = summary.extras[kExpansion].mean;
+    hUpperLast = summary.extras.at("expansion").mean;
     table.addRow({Table::integer(t), Table::integer(n),
                   Table::num(std::log(static_cast<double>(n)), 2),
-                  Table::num(summary.extras[kExpansion].mean, 4),
-                  distCell(summary.extras[kGeoEst]), distCell(summary.extras[kBeaconEst])});
+                  Table::num(summary.extras.at("expansion").mean, 4),
+                  distCell(summary.extras.at("geoEst")), distCell(summary.extras.at("beaconEst"))});
   }
   table.print(std::cout);
 
@@ -121,10 +118,10 @@ int main() {
       const auto out = runBeaconCounting(trial.graph, trial.byz, BeaconAdversaryProfile::none(), {},
                                          {}, trial.runRng);
       TrialOutcome t = countingTrialOutcome(out.result, trial.byz, n);
-      t.extra = {meanHonestEstimate(out.result, trial.byz), 0.0, 0.0};
+      t.extra.set("beaconEst", meanHonestEstimate(out.result, trial.byz));
       return t;
     });
-    controlMeans.push_back(summary.extras[0].mean);
+    controlMeans.push_back(summary.extras.at("beaconEst").mean);
   }
   std::cout << "control on H(n,8): beacon estimate moved "
             << Table::num(controlMeans[1] - controlMeans[0], 2) << " for the same 16x growth\n";

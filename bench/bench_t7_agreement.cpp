@@ -51,10 +51,10 @@ int main() {
   std::uint64_t row = 0;
 
   const auto addRow = [&](const std::string& name, const ExperimentSummary& s, double meanL) {
-    table.addRow({name, Table::num(meanL, 2), distPercentCell(s.extras[kAgreementFracAgreeing]),
-                  Table::percent(aeTrialFraction(s)), distCell(s.extras[kAgreementRounds], 0),
+    table.addRow({name, Table::num(meanL, 2), distPercentCell(s.extras.at("fracAgreeing")),
+                  Table::percent(aeTrialFraction(s)), distCell(s.extras.at("agreementRounds"), 0),
                   distCell(s.totalMessages, 0),
-                  Table::integer(static_cast<long long>(s.extras[kAgreementCompromised].mean))});
+                  Table::integer(static_cast<long long>(s.extras.at("compromised").mean))});
   };
 
   AgreementParams agreeParams;
@@ -76,8 +76,8 @@ int main() {
     spec.trials = trials;
     spec.masterSeed = rowSeed(7, row++);
     const ExperimentSummary s = runScenario(runner, spec);
-    addRow(name, s, s.extras[kAgreementMeanEstimate].mean);
-    return s.extras[kAgreementFracAgreeing].mean;
+    addRow(name, s, s.extras.at("meanEstimate").mean);
+    return s.extras.at("fracAgreeing").mean;
   };
 
   oracleAgree = runUniformRow("oracle ln n", logN);
@@ -99,8 +99,8 @@ int main() {
     spec.trials = trials;
     spec.masterSeed = rowSeed(7, row++);
     const ExperimentSummary s = runScenario(runner, spec);
-    addRow("Algorithm 2 (" + attack.name + ")", s, s.extras[kAgreementMeanEstimate].mean);
-    if (attack.name == "flooder") pipelineAgree = s.extras[kAgreementFracAgreeing].mean;
+    addRow("Algorithm 2 (" + attack.name + ")", s, s.extras.at("meanEstimate").mean);
+    if (attack.name == "flooder") pipelineAgree = s.extras.at("fracAgreeing").mean;
   }
   table.print(std::cout);
 
@@ -152,38 +152,38 @@ int main() {
       spec.masterSeed = rowSeed(7, row++);
       const ExperimentSummary s = runScenario(runner, spec);
       grid.addRow({profile.name, placement.name,
-                   distPercentCell(s.extras[kAgreementFracAgreeing]),
+                   distPercentCell(s.extras.at("fracAgreeing")),
                    Table::percent(aeTrialFraction(s)),
-                   Table::num(s.extras[kAgreementAnswered].mean, 0),
-                   Table::num(s.extras[kAgreementDropped].mean, 0),
-                   Table::num(s.extras[kAgreementFlipped].mean, 0),
-                   Table::num(s.extras[kAgreementMisrouted].mean, 0),
-                   Table::num(s.extras[kAgreementCoalitionHits].mean, 0)});
+                   Table::num(s.extras.at("answered").mean, 0),
+                   Table::num(s.extras.at("dropped").mean, 0),
+                   Table::num(s.extras.at("flipped").mean, 0),
+                   Table::num(s.extras.at("misrouted").mean, 0),
+                   Table::num(s.extras.at("coalitionHits").mean, 0)});
       if (placement.kind == Placement::Random) {
         if (profile.kind == WalkAttackKind::AdaptiveMinority)
-          adaptiveRandomAgree = s.extras[kAgreementFracAgreeing].mean;
+          adaptiveRandomAgree = s.extras.at("fracAgreeing").mean;
         if (profile.kind == WalkAttackKind::TokenDropper)
-          dropperRandomAgree = s.extras[kAgreementFracAgreeing].mean;
+          dropperRandomAgree = s.extras.at("fracAgreeing").mean;
       }
       switch (profile.kind) {
         case WalkAttackKind::AdaptiveMinority:
-          mechanismsFired = mechanismsFired && s.extras[kAgreementForged].min > 0;
+          mechanismsFired = mechanismsFired && s.extras.at("forged").min > 0;
           break;
         case WalkAttackKind::TokenDropper:
-          mechanismsFired = mechanismsFired && s.extras[kAgreementDropped].min > 0;
+          mechanismsFired = mechanismsFired && s.extras.at("dropped").min > 0;
           break;
         case WalkAttackKind::AnswerFlipper:
-          mechanismsFired = mechanismsFired && s.extras[kAgreementFlipped].min > 0;
+          mechanismsFired = mechanismsFired && s.extras.at("flipped").min > 0;
           break;
         case WalkAttackKind::PathTamperer:
-          mechanismsFired = mechanismsFired && s.extras[kAgreementMisrouted].min > 0;
+          mechanismsFired = mechanismsFired && s.extras.at("misrouted").min > 0;
           break;
         case WalkAttackKind::VictimHunter:
           // Targeting is only guaranteed when the victim is actually walled
           // in; the surround row has ~10^3 victim-area tokens crossing an
           // 8-node moat, so zero hits would mean broken targeting.
           if (placement.kind == Placement::Surround) {
-            mechanismsFired = mechanismsFired && s.extras[kAgreementCoalitionHits].min > 0;
+            mechanismsFired = mechanismsFired && s.extras.at("coalitionHits").min > 0;
           }
           break;
       }
@@ -208,7 +208,6 @@ int main() {
       "adaptive answerer at the same budget degrades the whole network.");
   Table remark({"strategy", "agree (global)", "victim-area flipped", "coalition hits",
                 "blame conc", "top offender"});
-  enum : std::size_t { kScore, kHits, kAgree, kConc, kTopShare, kRemarkSlots };
   double hunterScore = 0;
   double hunterGlobalDisagree = 0;
   for (const auto& profile :
@@ -239,26 +238,26 @@ int main() {
       t.totalMessages = out.meter.totalMessages();
       t.totalBits = out.meter.totalBits();
       t.resultFingerprint = fingerprint(out, trial.graph.numNodes());
-      t.extra.assign(kRemarkSlots, 0.0);
-      t.extra[kScore] = coalitionScore(trial.graph, trial.byz, spec.placement.victim, 2,
-                                       out.finalValues, out.initialMajority);
-      t.extra[kHits] = static_cast<double>(out.adversary.coalitionHits);
-      t.extra[kAgree] = out.fracAgreeing;
+      t.extra.set("coalitionScore", coalitionScore(trial.graph, trial.byz, spec.placement.victim,
+                                                   2, out.finalValues, out.initialMajority));
+      t.extra.set("coalitionHits", static_cast<double>(out.adversary.coalitionHits));
+      t.extra.set("fracAgreeing", out.fracAgreeing);
       // Blame-graph projections (DESIGN.md §14): how concentrated the damage
       // is over individual moat members. The hunter should look diffuse (the
       // whole moat participates); a lone tamperer would approach 1.0.
       const obs::BlameExtras blame = out.blame.extras();
-      t.extra[kConc] = blame.concentration;
-      t.extra[kTopShare] = blame.topShare;
+      t.extra.set("blameConcentration", blame.concentration);
+      t.extra.set("blameTopShare", blame.topShare);
       return t;
     });
-    remark.addRow({profile.name, distPercentCell(s.extras[kAgree]),
-                   distPercentCell(s.extras[kScore]), Table::num(s.extras[kHits].mean, 0),
-                   Table::num(s.extras[kConc].mean, 3),
-                   Table::percent(s.extras[kTopShare].mean)});
+    remark.addRow({profile.name, distPercentCell(s.extras.at("fracAgreeing")),
+                   distPercentCell(s.extras.at("coalitionScore")),
+                   Table::num(s.extras.at("coalitionHits").mean, 0),
+                   Table::num(s.extras.at("blameConcentration").mean, 3),
+                   Table::percent(s.extras.at("blameTopShare").mean)});
     if (profile.kind == WalkAttackKind::VictimHunter) {
-      hunterScore = s.extras[kScore].mean;
-      hunterGlobalDisagree = 1.0 - s.extras[kAgree].mean;
+      hunterScore = s.extras.at("coalitionScore").mean;
+      hunterGlobalDisagree = 1.0 - s.extras.at("fracAgreeing").mean;
     }
   }
   remark.print(std::cout);
@@ -298,12 +297,12 @@ int main() {
       spec.trials = trials;
       spec.masterSeed = rowSeed(7, row++);
       const ExperimentSummary s = runScenario(runner, spec);
-      const double agree = s.extras[kAgreementFracAgreeing].mean;
+      const double agree = s.extras.at("fracAgreeing").mean;
       frontier.addRow({profile.name, Table::integer(static_cast<long long>(b)),
-                       distPercentCell(s.extras[kAgreementFracAgreeing]),
+                       distPercentCell(s.extras.at("fracAgreeing")),
                        Table::percent(aeTrialFraction(s)), Table::percent(1.0 - agree),
-                       Table::num(s.extras[kAgreementCompromised].mean, 0),
-                       Table::num(s.extras[kAgreementAnswered].mean, 0)});
+                       Table::num(s.extras.at("compromised").mean, 0),
+                       Table::num(s.extras.at("answered").mean, 0)});
       if (profile.kind == WalkAttackKind::AdaptiveMinority) {
         if (b == budgets[0]) adaptiveDamage[0] = 1.0 - agree;
         if (b == maxB) adaptiveDamage[1] = 1.0 - agree;

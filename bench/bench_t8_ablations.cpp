@@ -33,8 +33,6 @@ using namespace bzc::bench;
 
 constexpr NodeId kN = 512;
 
-enum : std::size_t { kMeanEst, kMaxEst, kLastPhase, kAux0, kAux1, kExtraSlots };
-
 ScenarioSpec baseSpec(const std::string& name, std::uint64_t seed, bool withByz) {
   ScenarioSpec spec;
   spec.name = name;
@@ -63,12 +61,11 @@ ExperimentSummary runBeaconRow(ExperimentRunner& runner, const ScenarioSpec& spe
         runBeaconCounting(trial.graph, trial.byz, attack, params, limits, trial.runRng);
     const auto s = summarize(out.result, trial.byz, kN);
     TrialOutcome t = countingTrialOutcome(out.result, trial.byz, kN);
-    t.extra.assign(kExtraSlots, 0.0);
-    t.extra[kMeanEst] = s.meanEst;
-    t.extra[kMaxEst] = s.maxEst;
-    t.extra[kLastPhase] = static_cast<double>(out.stats.lastPhase);
-    t.extra[kAux0] = s.maxEst - s.minEst;  // estimate spread
-    t.extra[kAux1] = s.meanRatio;
+    t.extra.set("meanEst", s.meanEst);
+    t.extra.set("maxEst", s.maxEst);
+    t.extra.set("lastPhase", static_cast<double>(out.stats.lastPhase));
+    t.extra.set("spread", s.maxEst - s.minEst);
+    t.extra.set("meanRatio", s.meanRatio);
     return t;
   });
 }
@@ -99,8 +96,8 @@ int main() {
           runBeaconRow(runner, spec, BeaconAdversaryProfile::flooder(), params, standardLimits());
       (enabled ? fracOn : fracOff) = s.fracDecided.mean;
       table.addRow({enabled ? "on" : "off", distPercentCell(s.fracDecided),
-                    Table::num(s.extras[kMeanEst].mean, 2),
-                    Table::num(s.extras[kLastPhase].mean, 1)});
+                    Table::num(s.extras.at("meanEst").mean, 2),
+                    Table::num(s.extras.at("lastPhase").mean, 1)});
     }
     table.print(std::cout);
     shapeCheck("blacklisting is necessary against the flooder", fracOn > 0.7 && fracOff < 0.2);
@@ -121,9 +118,9 @@ int main() {
       BeaconParams params;
       params.continueEnabled = enabled;
       const auto s = runBeaconRow(runner, spec, BeaconAdversaryProfile::none(), params, {});
-      (enabled ? meanOn : meanOff) = s.extras[kMeanEst].mean;
-      table.addRow({enabled ? "on" : "off", Table::num(s.extras[kMeanEst].mean, 2),
-                    Table::num(s.extras[kMaxEst].mean, 1), distCell(s.totalRounds, 0)});
+      (enabled ? meanOn : meanOff) = s.extras.at("meanEst").mean;
+      table.addRow({enabled ? "on" : "off", Table::num(s.extras.at("meanEst").mean, 2),
+                    Table::num(s.extras.at("maxEst").mean, 1), distCell(s.totalRounds, 0)});
     }
     table.print(std::cout);
     shapeCheck("continues keep estimates from sagging", meanOn >= meanOff);
@@ -148,7 +145,7 @@ int main() {
           runBeaconRow(runner, spec, BeaconAdversaryProfile::tamperer(), params, standardLimits());
       table.addRow({policy == BeaconChoicePolicy::FirstSeen ? "first-seen" : "prefer-acceptable",
                     distPercentCell(s.fracDecided), distPercentCell(s.fracWithinWindow),
-                    Table::num(s.extras[kMeanEst].mean, 2)});
+                    Table::num(s.extras.at("meanEst").mean, 2)});
     }
     table.print(std::cout);
   }
@@ -182,16 +179,19 @@ int main() {
           const auto out = runLocalCounting(graph, none, *adversary, params, runRng);
           const auto est = summarize(out.result, none, graph.numNodes());
           TrialOutcome t = countingTrialOutcome(out.result, none, graph.numNodes());
-          t.extra.assign(kExtraSlots, 0.0);
-          t.extra[kMeanEst] = est.meanEst;
-          t.extra[kAux0] = static_cast<double>(out.stats.ballGrowthDecisions);
-          t.extra[kAux1] = static_cast<double>(out.stats.sparseCutDecisions);
+          t.extra.set("meanEst", est.meanEst);
+          t.extra.set("ballGrowthDecisions",
+                      static_cast<double>(out.stats.ballGrowthDecisions));
+          t.extra.set("sparseCutDecisions", static_cast<double>(out.stats.sparseCutDecisions));
           return t;
         });
-        if (spectral && isBarbell) sweepFiresOnBarbell = s.extras[kAux1].min > 0;
-        if (spectral && !isBarbell) noFalsePositives = s.extras[kAux1].max == 0;
-        table.addRow({graphName, spectral ? "on" : "off", Table::num(s.extras[kMeanEst].mean, 2),
-                      Table::num(s.extras[kAux0].mean, 0), Table::num(s.extras[kAux1].mean, 0)});
+        const Distribution& sweep = s.extras.at("sparseCutDecisions");
+        if (spectral && isBarbell) sweepFiresOnBarbell = sweep.min > 0;
+        if (spectral && !isBarbell) noFalsePositives = sweep.max == 0;
+        table.addRow({graphName, spectral ? "on" : "off",
+                      Table::num(s.extras.at("meanEst").mean, 2),
+                      Table::num(s.extras.at("ballGrowthDecisions").mean, 0),
+                      Table::num(sweep.mean, 0)});
       }
     }
     table.print(std::cout);
@@ -211,8 +211,8 @@ int main() {
       BeaconParams params;
       params.c1 = c1;
       const auto s = runBeaconRow(runner, spec, BeaconAdversaryProfile::none(), params, {});
-      table.addRow({Table::num(c1, 0), Table::num(s.extras[kMeanEst].mean, 2),
-                    Table::num(s.extras[kAux0].mean, 1), distCell(s.totalRounds, 0)});
+      table.addRow({Table::num(c1, 0), Table::num(s.extras.at("meanEst").mean, 2),
+                    Table::num(s.extras.at("spread").mean, 1), distCell(s.totalRounds, 0)});
     }
     table.print(std::cout);
   }
@@ -243,12 +243,13 @@ int main() {
             attacked ? BeaconAdversaryProfile::flooder() : BeaconAdversaryProfile::none(), params,
             scheduleLimits);
         if (schedule == PhaseSchedule::Doubling) {
-          doublingCorrect =
-              doublingCorrect && s.fracDecided.mean > 0.7 && s.extras[kAux1].mean < 3.0;
+          doublingCorrect = doublingCorrect && s.fracDecided.mean > 0.7 &&
+                            s.extras.at("meanRatio").mean < 3.0;
         }
         table.addRow({schedule == PhaseSchedule::Linear ? "linear" : "doubling",
                       attacked ? "flooder" : "benign", distPercentCell(s.fracDecided),
-                      Table::num(s.extras[kMeanEst].mean, 2), Table::num(s.extras[kAux1].mean, 2),
+                      Table::num(s.extras.at("meanEst").mean, 2),
+                      Table::num(s.extras.at("meanRatio").mean, 2),
                       distCell(s.totalRounds, 0)});
       }
     }
@@ -282,12 +283,12 @@ int main() {
                                               : AgreementAttackProfile::dropper(p);
         const auto s = runScenario(runner, spec);
         table.addRow({flipper ? "answer-flipper" : "token-dropper", Table::num(p, 2),
-                      distPercentCell(s.extras[kAgreementFracAgreeing]),
-                      Table::num(s.extras[kAgreementAnswered].mean, 0),
-                      Table::num(s.extras[kAgreementDropped].mean, 0),
-                      Table::num(s.extras[kAgreementFlipped].mean, 0)});
-        if (!flipper) (p < 0.5 ? answeredWeak : answeredFull) = s.extras[kAgreementAnswered].mean;
-        if (flipper) (p < 0.5 ? flippedWeak : flippedFull) = s.extras[kAgreementFlipped].mean;
+                      distPercentCell(s.extras.at("fracAgreeing")),
+                      Table::num(s.extras.at("answered").mean, 0),
+                      Table::num(s.extras.at("dropped").mean, 0),
+                      Table::num(s.extras.at("flipped").mean, 0)});
+        if (!flipper) (p < 0.5 ? answeredWeak : answeredFull) = s.extras.at("answered").mean;
+        if (flipper) (p < 0.5 ? flippedWeak : flippedFull) = s.extras.at("flipped").mean;
       }
     }
     table.print(std::cout);

@@ -25,9 +25,6 @@ namespace {
 using namespace bzc;
 using namespace bzc::bench;
 
-enum : std::size_t { kExpansion, kSampled, kGap, kDiam, kExtraSlots };
-enum : std::size_t { kGiant, kFloor, kPruned, kGiantExpansion, kHolds, kLemmaSlots };
-
 }  // namespace
 
 int main() {
@@ -75,19 +72,18 @@ int main() {
       TrialOutcome t;
       t.quality.fracDecided = 1.0;
       t.resultFingerprint = fnv1a64(&cut.expansion, sizeof cut.expansion);
-      t.extra.assign(kExtraSlots, 0.0);
-      t.extra[kExpansion] = cut.expansion;
-      t.extra[kSampled] = sampled;
-      t.extra[kGap] = gap;
-      t.extra[kDiam] = static_cast<double>(approxDiameter(g));
+      t.extra.set("expansion", cut.expansion);
+      t.extra.set("sampledExpansion", sampled);
+      t.extra.set("spectralGap", gap);
+      t.extra.set("diameter", static_cast<double>(approxDiameter(g)));
       return t;
     });
-    if (f.name == "H(1024,8)") hExpander = summary.extras[kExpansion].mean;
-    if (f.name == "ring(1024)") hRing = summary.extras[kExpansion].mean;
-    table.addRow({f.name, Table::num(summary.extras[kExpansion].mean, 4),
-                  Table::num(summary.extras[kSampled].mean, 4),
-                  Table::num(summary.extras[kGap].mean, 4),
-                  Table::num(summary.extras[kDiam].mean, 1)});
+    if (f.name == "H(1024,8)") hExpander = summary.extras.at("expansion").mean;
+    if (f.name == "ring(1024)") hRing = summary.extras.at("expansion").mean;
+    table.addRow({f.name, Table::num(summary.extras.at("expansion").mean, 4),
+                  Table::num(summary.extras.at("sampledExpansion").mean, 4),
+                  Table::num(summary.extras.at("spectralGap").mean, 4),
+                  Table::num(summary.extras.at("diameter").mean, 1)});
   }
   table.print(std::cout);
   shapeCheck("H(n,d) expansion dominates the ring's by >= 10x", hExpander > 10 * hRing);
@@ -145,23 +141,23 @@ int main() {
       t.quality.fracDecided = 1.0;
       const std::size_t giantSize = giant.size();
       t.resultFingerprint = fnv1a64(&giantSize, sizeof giantSize);
-      t.extra.assign(kLemmaSlots, 0.0);
-      t.extra[kGiant] = static_cast<double>(giant.size());
-      t.extra[kFloor] = floorSize;
-      t.extra[kPruned] = static_cast<double>(honest.size() - giant.size());
-      t.extra[kGiantExpansion] = cut.expansion;
-      t.extra[kHolds] = holds ? 1.0 : 0.0;
+      t.extra.set("giant", static_cast<double>(giant.size()));
+      t.extra.set("floor", floorSize);
+      t.extra.set("pruned", static_cast<double>(honest.size() - giant.size()));
+      t.extra.set("giantExpansion", cut.expansion);
+      t.extra.set("holds", holds ? 1.0 : 0.0);
       return t;
     });
 
-    lemmaHolds = lemmaHolds && summary.extras[kHolds].min >= 1.0;
+    lemmaHolds = lemmaHolds && summary.extras.at("holds").min >= 1.0;
     table2.addRow({placement == Placement::Random ? "random"
                    : placement == Placement::Ball ? "ball-packed"
                                                   : "spread",
                    Table::integer(static_cast<long long>(b)),
-                   distCell(summary.extras[kGiant], 0), Table::num(summary.extras[kFloor].mean, 0),
-                   distCell(summary.extras[kPruned], 0),
-                   Table::num(summary.extras[kGiantExpansion].mean, 4)});
+                   distCell(summary.extras.at("giant"), 0),
+                   Table::num(summary.extras.at("floor").mean, 0),
+                   distCell(summary.extras.at("pruned"), 0),
+                   Table::num(summary.extras.at("giantExpansion").mean, 4)});
   }
   table2.print(std::cout);
   shapeCheck("giant component >= n - 2|F| with near-original expansion (all trials)", lemmaHolds);

@@ -106,8 +106,6 @@ int main(int argc, char** argv) {
       {"degree-bomb", &makeDegreeBombLocalAdversary, true},
       {"fake-world", [] { return makeFakeWorldLocalAdversary({}); }, true},
   };
-  // Extra slots: mean est, max est, decisions by reason (inc/mute/ball/cut).
-  enum : std::size_t { kMean, kMax, kInc, kMute, kBall, kCut, kSlots };
   for (const Entry& e : entries) {
     const ScenarioSpec spec = baseSpec(std::string("gallery-local-") + e.name, e.withByzantine);
     const ExperimentSummary s = bench::runScenario(runner, spec.name, trials, [&](std::uint32_t index) {
@@ -120,36 +118,38 @@ int main(int argc, char** argv) {
       t.totalRounds = out.result.totalRounds;
       t.hitRoundCap = out.result.hitRoundCap;
       t.resultFingerprint = fingerprint(out.result, n);
-      t.extra.assign(kSlots, 0.0);
       double mean = 0;
+      double maxEst = 0;
       std::size_t decided = 0;
       for (NodeId u = 0; u < n; ++u) {
         const auto& rec = out.result.decisions[u];
         if (trial.byz.contains(u) || !rec.decided) continue;
         ++decided;
         mean += rec.estimate;
-        t.extra[kMax] = std::max(t.extra[kMax], rec.estimate);
+        maxEst = std::max(maxEst, rec.estimate);
       }
-      t.extra[kMean] = decided ? mean / decided : 0.0;
-      t.extra[kInc] = static_cast<double>(out.stats.inconsistencyDecisions);
-      t.extra[kMute] = static_cast<double>(out.stats.muteDecisions);
-      t.extra[kBall] = static_cast<double>(out.stats.ballGrowthDecisions);
-      t.extra[kCut] = static_cast<double>(out.stats.sparseCutDecisions);
+      t.extra.set("meanEst", decided ? mean / decided : 0.0);
+      t.extra.set("maxEst", maxEst);
+      t.extra.set("incDecisions", static_cast<double>(out.stats.inconsistencyDecisions));
+      t.extra.set("muteDecisions", static_cast<double>(out.stats.muteDecisions));
+      t.extra.set("ballDecisions", static_cast<double>(out.stats.ballGrowthDecisions));
+      t.extra.set("cutDecisions", static_cast<double>(out.stats.sparseCutDecisions));
       return t;
     });
     const char* reason = "ball growth";
-    double top = s.extras[kBall].mean;
-    if (s.extras[kMute].mean > top) {
+    double top = s.extras.at("ballDecisions").mean;
+    if (s.extras.at("muteDecisions").mean > top) {
       reason = "mute";
-      top = s.extras[kMute].mean;
+      top = s.extras.at("muteDecisions").mean;
     }
-    if (s.extras[kInc].mean > top) {
+    if (s.extras.at("incDecisions").mean > top) {
       reason = "inconsistency";
-      top = s.extras[kInc].mean;
+      top = s.extras.at("incDecisions").mean;
     }
-    if (s.extras[kCut].mean > top) reason = "sparse cut";
+    if (s.extras.at("cutDecisions").mean > top) reason = "sparse cut";
     localTable.addRow({e.name, Table::percent(s.fracDecided.mean),
-                       Table::num(s.extras[kMean].mean, 2), Table::num(s.extras[kMax].max, 0),
+                       Table::num(s.extras.at("meanEst").mean, 2),
+                       Table::num(s.extras.at("maxEst").max, 0),
                        reason, Table::integer(static_cast<long long>(s.totalRounds.mean))});
   }
   localTable.print(std::cout);
@@ -173,13 +173,13 @@ int main(int argc, char** argv) {
     spec.agreementParams.initialOnesFraction = 0.7;
     spec.agreementParams.attack = attack;
     const ExperimentSummary s = bench::runScenario(runner, spec);
-    walkTable.addRow({attack.name, Table::percent(s.extras[kAgreementFracAgreeing].mean),
+    walkTable.addRow({attack.name, Table::percent(s.extras.at("fracAgreeing").mean),
                       Table::percent(bench::aeTrialFraction(s)),
-                      Table::num(s.extras[kAgreementCompromised].mean, 0),
-                      Table::num(s.extras[kAgreementDropped].mean, 0),
-                      Table::num(s.extras[kAgreementFlipped].mean, 0),
-                      Table::num(s.extras[kAgreementMisrouted].mean, 0),
-                      Table::num(s.extras[kAgreementCoalitionHits].mean, 0)});
+                      Table::num(s.extras.at("compromised").mean, 0),
+                      Table::num(s.extras.at("dropped").mean, 0),
+                      Table::num(s.extras.at("flipped").mean, 0),
+                      Table::num(s.extras.at("misrouted").mean, 0),
+                      Table::num(s.extras.at("coalitionHits").mean, 0)});
   }
   walkTable.print(std::cout);
 

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   std::cout << "n=" << n << "  B=" << spec.placement.count << " (50% grafters / 50% hunters)"
             << "  trials=" << spec.trials << "  threads=" << runner.threadCount() << "\n\n";
 
-  const ExperimentSummary s = runScenario(runner, spec, agreementExtraNames());
+  const ExperimentSummary s = runScenario(runner, spec);
 
   // Fold the per-trial graphs into one run-level graph for the console view
   // (merge is a keyed sum, so this mirrors what blame_report.py aggregates).
@@ -79,12 +79,12 @@ int main(int argc, char** argv) {
   }
   kinds.print(std::cout);
 
-  std::cout << "\nper-trial means:  blameTotal=" << s.extras[kAgreementBlameTotal].mean
-            << "  wrongDecisions=" << s.extras[kAgreementWrongDecisions].mean
-            << "  concentration(HHI)=" << s.extras[kAgreementBlameConcentration].mean
-            << "  topOffenderShare=" << s.extras[kAgreementBlameTopShare].mean << "\n";
-  std::cout << "per-subset damage: grafters=" << s.extras[kAgreementBlameSubset0].mean
-            << "  hunters=" << s.extras[kAgreementBlameSubset1].mean << "\n";
+  std::cout << "\nper-trial means:  blameTotal=" << s.extras.at("blameTotal").mean
+            << "  wrongDecisions=" << s.extras.at("wrongDecisions").mean
+            << "  concentration(HHI)=" << s.extras.at("blameConcentration").mean
+            << "  topOffenderShare=" << s.extras.at("blameTopShare").mean << "\n";
+  std::cout << "per-subset damage: grafters=" << s.extras.at("blameSubset0").mean
+            << "  hunters=" << s.extras.at("blameSubset1").mean << "\n";
 
   if (const char* attrib = std::getenv("BZC_ATTRIB"); attrib != nullptr && *attrib != '\0') {
     std::cout << "\nblame graphs exported to " << attrib

@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
         TrialOutcome outcome = r.outcome;
         details[index] = std::move(r);
         return outcome;
-      },
-      churnExtraNames());
+      });
 
   Table table({"epoch", "n(t)", "B(t)", "recount", "est mean", "ln n(t)", "staleness",
                "drift", "spectral gap"});
@@ -115,11 +114,11 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  std::cout << "\nfinal n = " << s.extras[kChurnFinalN].mean
-            << " (x" << s.extras[kChurnGrowth].mean << ")"
-            << ", Byzantine budget x" << s.extras[kChurnByzInflation].mean
-            << ", recounts = " << s.extras[kChurnRecounts].mean
-            << ", max staleness = " << s.extras[kChurnMaxStaleness].mean << "\n";
+  std::cout << "\nfinal n = " << s.extras.at("finalN").mean
+            << " (x" << s.extras.at("growth").mean << ")"
+            << ", Byzantine budget x" << s.extras.at("byzInflation").mean
+            << ", recounts = " << s.extras.at("recounts").mean
+            << ", max staleness = " << s.extras.at("maxStaleness").mean << "\n";
   std::cout << "Estimates " << (tracked ? "track" : "FAIL to track")
             << " n(t): no node ever knew n, no configuration was updated between\n"
             << "epochs; counting is a pure function of the live overlay.\n";

@@ -61,26 +61,26 @@ int main(int argc, char** argv) {
 
   std::cout << "=== stage 1: Byzantine counting (beacon flooder active) ===\n";
   std::cout << "  honest nodes decided:   " << distPercentCell(s.fracDecided) << "\n"
-            << "  mean estimate (scaled): " << Table::num(s.extras[kAgreementMeanEstimate].mean, 2)
+            << "  mean estimate (scaled): " << Table::num(s.extras.at("meanEstimate").mean, 2)
             << " (ln n = " << Table::num(logN, 2) << ")\n\n";
 
   std::cout << "=== stage 2: sampling+majority agreement on the counting estimates ===\n";
   std::cout << "  initial honest split: "
             << Table::percent(spec.pipelineParams.agreement.initialOnesFraction) << " ones\n"
             << "  honest nodes agreeing with the initial majority: "
-            << distPercentCell(s.extras[kAgreementFracAgreeing]) << "\n"
+            << distPercentCell(s.extras.at("fracAgreeing")) << "\n"
             << "  trials reaching almost-everywhere agreement (>=90%): "
             << Table::percent(aeTrialFraction(s), 0) << " of " << s.trials << "\n"
             << "  samples the adversary corrupted (mean): "
-            << Table::num(s.extras[kAgreementCompromised].mean, 0)
-            << " (dropped " << Table::num(s.extras[kAgreementDropped].mean, 0) << ", flipped "
-            << Table::num(s.extras[kAgreementFlipped].mean, 0) << ", misrouted "
-            << Table::num(s.extras[kAgreementMisrouted].mean, 0) << ")\n\n";
+            << Table::num(s.extras.at("compromised").mean, 0)
+            << " (dropped " << Table::num(s.extras.at("dropped").mean, 0) << ", flipped "
+            << Table::num(s.extras.at("flipped").mean, 0) << ", misrouted "
+            << Table::num(s.extras.at("misrouted").mean, 0) << ")\n\n";
 
   std::cout << "=== metered cost (counting + agreement, honest traffic only) ===\n";
   std::cout << "  total rounds:   " << Table::num(s.totalRounds.mean, 0) << " ["
             << Table::num(s.totalRounds.min, 0) << "," << Table::num(s.totalRounds.max, 0)
-            << "] (agreement stage: " << Table::num(s.extras[kAgreementRounds].mean, 0) << ")\n"
+            << "] (agreement stage: " << Table::num(s.extras.at("agreementRounds").mean, 0) << ")\n"
             << "  total messages: " << Table::num(s.totalMessages.mean, 0) << "\n"
             << "  total bits:     " << Table::num(s.totalBits.mean, 0) << "\n";
   return 0;

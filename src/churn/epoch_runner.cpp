@@ -53,17 +53,14 @@ std::vector<double> remapByGlobalId(const std::vector<double>& prev,
 /// family's own reporting: counting protocols expose mean L_u / ln n through
 /// the quality summary; the agreement path reports the mean L it ran with.
 double recountEstimate(const ScenarioSpec& spec, const TrialOutcome& outcome, double trueLogN) {
-  if (spec.protocol == ProtocolKind::Agreement) {
-    return outcome.extra.empty() ? trueLogN : outcome.extra[kAgreementMeanEstimate];
-  }
+  if (spec.protocol == ProtocolKind::Agreement) return outcome.extra.at("meanEstimate");
   return outcome.quality.meanRatio * trueLogN;
 }
 
 double agreementFraction(const ScenarioSpec& spec, const TrialOutcome& outcome) {
   const bool hasAgreement =
       spec.protocol == ProtocolKind::Agreement || spec.protocol == ProtocolKind::Pipeline;
-  if (!hasAgreement || outcome.extra.size() <= kAgreementFracAgreeing) return 0.0;
-  return outcome.extra[kAgreementFracAgreeing];
+  return hasAgreement ? outcome.extra.at("fracAgreeing") : 0.0;
 }
 
 /// One epoch's record as it moves through the pipeline: the overlay stage
@@ -93,29 +90,6 @@ struct SnapshotSlot {
 };
 
 }  // namespace
-
-const char* churnExtraSlotName(std::size_t slot) {
-  switch (slot) {
-    case kChurnEpochs: return "epochs";
-    case kChurnRecounts: return "recounts";
-    case kChurnFinalN: return "finalN";
-    case kChurnGrowth: return "growth";
-    case kChurnJoins: return "joins";
-    case kChurnLeaves: return "leaves";
-    case kChurnRewires: return "rewires";
-    case kChurnFinalByz: return "finalByz";
-    case kChurnByzInflation: return "byzInflation";
-    case kChurnMeanStaleness: return "meanStaleness";
-    case kChurnMaxStaleness: return "maxStaleness";
-    case kChurnMeanDrift: return "meanDrift";
-    case kChurnMaxDrift: return "maxDrift";
-    case kChurnMeanGap: return "meanGap";
-    case kChurnGapDrift: return "gapDrift";
-    case kChurnLastAgree: return "lastAgree";
-    case kChurnGapProbeIters: return "gapProbeIters";
-  }
-  return "?";
-}
 
 // Pipelined epoch execution (DESIGN.md §11). The trial runs as two stages:
 //
@@ -399,25 +373,30 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
   total.blame.merge(churnBlame);
 
   const double epochsRun = static_cast<double>(spec.churn.epochs);
-  total.extra.assign(kChurnExtraSlots, 0.0);
-  total.extra[kChurnEpochs] = epochsRun;
-  total.extra[kChurnRecounts] = static_cast<double>(recounts);
-  total.extra[kChurnFinalN] = static_cast<double>(overlay.liveCount());
-  total.extra[kChurnGrowth] = static_cast<double>(overlay.liveCount()) / initialN;
-  total.extra[kChurnJoins] = static_cast<double>(joins);
-  total.extra[kChurnLeaves] = static_cast<double>(leaves);
-  total.extra[kChurnRewires] = static_cast<double>(rewires);
-  total.extra[kChurnFinalByz] = static_cast<double>(overlay.byzCount());
-  total.extra[kChurnByzInflation] =
-      initialByz > 0.0 ? static_cast<double>(overlay.byzCount()) / initialByz : 1.0;
-  total.extra[kChurnMeanStaleness] = stalenessSum / epochsRun;
-  total.extra[kChurnMaxStaleness] = stalenessMax;
-  total.extra[kChurnMeanDrift] = driftSum / epochsRun;
-  total.extra[kChurnMaxDrift] = driftMax;
-  total.extra[kChurnMeanGap] = gapSum / epochsRun;
-  total.extra[kChurnGapDrift] = lastGap - firstGap;
-  total.extra[kChurnLastAgree] = lastAgree;
-  total.extra[kChurnGapProbeIters] = static_cast<double>(gapProbeIters);
+  // Joins count honest and Byzantine members, rewires degree-preserving
+  // swaps. Staleness is |estimate - ln n(t)| / ln n(t) per epoch; drift is
+  // the same for ln n at the last recount (the truth's drift net of protocol
+  // bias). gapDrift is the last epoch's spectral gap minus epoch 1's, and
+  // gapProbeIters shows the Fiedler warm start's saving.
+  NamedValues<double>& x = total.extra;
+  x.set("epochs", epochsRun);
+  x.set("recounts", static_cast<double>(recounts));
+  x.set("finalN", static_cast<double>(overlay.liveCount()));
+  x.set("growth", static_cast<double>(overlay.liveCount()) / initialN);
+  x.set("joins", static_cast<double>(joins));
+  x.set("leaves", static_cast<double>(leaves));
+  x.set("rewires", static_cast<double>(rewires));
+  x.set("finalByz", static_cast<double>(overlay.byzCount()));
+  x.set("byzInflation",
+        initialByz > 0.0 ? static_cast<double>(overlay.byzCount()) / initialByz : 1.0);
+  x.set("meanStaleness", stalenessSum / epochsRun);
+  x.set("maxStaleness", stalenessMax);
+  x.set("meanDrift", driftSum / epochsRun);
+  x.set("maxDrift", driftMax);
+  x.set("meanGap", gapSum / epochsRun);
+  x.set("gapDrift", lastGap - firstGap);
+  x.set("lastAgree", lastAgree);  // 0 unless the protocol runs agreement
+  x.set("gapProbeIters", static_cast<double>(gapProbeIters));
   return result;
 }
 

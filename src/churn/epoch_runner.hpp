@@ -26,9 +26,9 @@
 // produces the identical ChurnTrialResult (epoch_pipeline_test pins budget 1
 // == budget D, report by report).
 //
-// Reporting: per-trial aggregates land in TrialOutcome::extra under
-// ChurnExtraSlot (deliberately outside fingerprint(), like the adversary
-// diagnostics, so the static goldens stay pinned); per-epoch rows are
+// Reporting: per-trial aggregates land in TrialOutcome::extra under the
+// names runChurnTrialDetailed sets (deliberately outside fingerprint(), like
+// the adversary diagnostics, so the static goldens stay pinned); per-epoch rows are
 // available through runChurnTrialDetailed for benches/examples that plot
 // n(t), staleness and spectral-gap drift.
 #pragma once
@@ -39,33 +39,6 @@
 #include "runtime/experiment.hpp"
 
 namespace bzc {
-
-/// TrialOutcome::extra slots for churn trials (ExperimentSummary extras).
-enum ChurnExtraSlot : std::size_t {
-  kChurnEpochs = 0,         ///< epochs simulated
-  kChurnRecounts = 1,       ///< epochs that re-ran the protocol
-  kChurnFinalN = 2,         ///< live membership after the last epoch
-  kChurnGrowth = 3,         ///< finalN / initialN
-  kChurnJoins = 4,          ///< total joins applied (honest + Byzantine)
-  kChurnLeaves = 5,         ///< total departures applied
-  kChurnRewires = 6,        ///< total degree-preserving swaps applied
-  kChurnFinalByz = 7,       ///< Byzantine members after the last epoch
-  kChurnByzInflation = 8,   ///< finalByz / initialByz (1.0 when static)
-  kChurnMeanStaleness = 9,  ///< mean over epochs of |est - ln n(t)| / ln n(t)
-  kChurnMaxStaleness = 10,  ///< worst epoch of the same
-  kChurnMeanDrift = 11,     ///< mean of |ln n(anchor) - ln n(t)| / ln n(t): the truth's
-                            ///< drift since the last recount, net of protocol bias
-  kChurnMaxDrift = 12,      ///< worst epoch of the same
-  kChurnMeanGap = 13,       ///< mean spectral-gap estimate across epochs
-  kChurnGapDrift = 14,      ///< last epoch's gap minus epoch 1's
-  kChurnLastAgree = 15,     ///< last recount's fracAgreeing (Agreement/Pipeline; else 0)
-  kChurnGapProbeIters = 16, ///< total power iterations the gap probes spent
-                            ///< (the Fiedler warm start's saving shows here)
-  kChurnExtraSlots = 17,
-};
-
-/// Names for the slots above, aligned by index (bench JSON labelling).
-[[nodiscard]] const char* churnExtraSlotName(std::size_t slot);
 
 /// One epoch of a churn trial, for benches/examples that want the trajectory.
 struct EpochReport {

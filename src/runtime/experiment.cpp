@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "adversary/coalition.hpp"
@@ -16,33 +17,6 @@
 #include "support/stats.hpp"
 
 namespace bzc {
-
-const char* agreementExtraSlotName(std::size_t slot) {
-  switch (slot) {
-    case kAgreementFracAgreeing: return "fracAgreeing";
-    case kAgreementCompromised: return "compromised";
-    case kAgreementRounds: return "agreementRounds";
-    case kAgreementMeanEstimate: return "meanEstimate";
-    case kAgreementAnswered: return "answered";
-    case kAgreementDropped: return "dropped";
-    case kAgreementFlipped: return "flipped";
-    case kAgreementMisrouted: return "misrouted";
-    case kAgreementForged: return "forged";
-    case kAgreementCoalitionHits: return "coalitionHits";
-    case kAgreementBeaconForged: return "beaconForged";
-    case kAgreementCoalitionSubsets: return "coalitionSubsets";
-    case kAgreementCombinedScore: return "combinedScore";
-    case kAgreementWrongDecisions: return "wrongDecisions";
-    case kAgreementBlameTotal: return "blameTotal";
-    case kAgreementBlameConcentration: return "blameConcentration";
-    case kAgreementBlameTopShare: return "blameTopShare";
-    case kAgreementBlameSubset0: return "blameSubset0";
-    case kAgreementBlameSubset1: return "blameSubset1";
-    case kAgreementBlameSubset2: return "blameSubset2";
-    case kAgreementBlameSubset3: return "blameSubset3";
-  }
-  return "?";
-}
 
 Graph buildGraph(const GraphSpec& spec, Rng& rng) {
   switch (spec.kind) {
@@ -89,36 +63,41 @@ namespace {
 /// agreement stage's fingerprint and extra metrics are appended onto
 /// whatever the caller already accumulated (cost totals stay the caller's
 /// responsibility — the pipeline defines its own in PipelineOutcome).
+/// The walk-adversary diagnostics say what the selected strategy did:
+/// "answered" counts resolved sample slots under every profile; of the rest,
+/// only "forged" is nonzero under the default adaptive minority (= its taint
+/// count), and "coalitionHits" only under coalition strategies (the
+/// cross-stage total for pipeline runs).
 void foldAgreementStage(TrialOutcome& outcome, const AgreementOutcome& agreement, NodeId n,
                         double meanEstimate) {
   const std::uint64_t stageFp = fingerprint(agreement, n);
   outcome.resultFingerprint = fnv1a64(&stageFp, sizeof stageFp, outcome.resultFingerprint);
-  outcome.extra.assign(kAgreementExtraSlots, 0.0);
-  outcome.extra[kAgreementFracAgreeing] = agreement.fracAgreeing;
-  outcome.extra[kAgreementCompromised] = static_cast<double>(agreement.compromisedSamples);
-  outcome.extra[kAgreementRounds] = static_cast<double>(agreement.totalRounds);
-  outcome.extra[kAgreementMeanEstimate] = meanEstimate;
   const AdversaryStats& adv = agreement.adversary;
-  outcome.extra[kAgreementAnswered] = static_cast<double>(agreement.answeredSamples);
-  outcome.extra[kAgreementDropped] =
-      static_cast<double>(adv.droppedQueries + adv.droppedAnswers);
-  outcome.extra[kAgreementFlipped] = static_cast<double>(adv.flippedAnswers);
-  outcome.extra[kAgreementMisrouted] = static_cast<double>(adv.misroutedAnswers);
-  outcome.extra[kAgreementForged] = static_cast<double>(adv.forgedAnswers);
-  outcome.extra[kAgreementCoalitionHits] = static_cast<double>(adv.coalitionHits);
+  outcome.extra.set("fracAgreeing", agreement.fracAgreeing);
+  // Answered samples the adversary controlled, the agreement stage's own
+  // engine rounds, and the mean L_u it actually ran with.
+  outcome.extra.set("compromised", static_cast<double>(agreement.compromisedSamples));
+  outcome.extra.set("agreementRounds", static_cast<double>(agreement.totalRounds));
+  outcome.extra.set("meanEstimate", meanEstimate);
+  outcome.extra.set("answered", static_cast<double>(agreement.answeredSamples));
+  outcome.extra.set("dropped", static_cast<double>(adv.droppedQueries + adv.droppedAnswers));
+  outcome.extra.set("flipped", static_cast<double>(adv.flippedAnswers));
+  outcome.extra.set("misrouted", static_cast<double>(adv.misroutedAnswers));
+  outcome.extra.set("forged", static_cast<double>(adv.forgedAnswers));
+  outcome.extra.set("coalitionHits", static_cast<double>(adv.coalitionHits));
 }
 
-/// Scalar projections of the assembled blame graph into the extras (slots
-/// 13..20). Call after outcome.blame is final — subsetOf annotation included,
-/// since the per-subset split reads it.
+/// Scalar projections of the assembled blame graph into the extras. Call
+/// after outcome.blame is final — subsetOf annotation included, since the
+/// per-subset split reads it.
 void foldBlameExtras(TrialOutcome& outcome) {
   const obs::BlameExtras x = outcome.blame.extras();
-  outcome.extra[kAgreementWrongDecisions] = static_cast<double>(x.wrongDecisions);
-  outcome.extra[kAgreementBlameTotal] = static_cast<double>(x.total);
-  outcome.extra[kAgreementBlameConcentration] = x.concentration;
-  outcome.extra[kAgreementBlameTopShare] = x.topShare;
+  outcome.extra.set("wrongDecisions", static_cast<double>(x.wrongDecisions));
+  outcome.extra.set("blameTotal", static_cast<double>(x.total));
+  outcome.extra.set("blameConcentration", x.concentration);
+  outcome.extra.set("blameTopShare", x.topShare);
   for (std::size_t s = 0; s < obs::kBlameMaxSubsets; ++s) {
-    outcome.extra[kAgreementBlameSubset0 + s] = static_cast<double>(x.bySubset[s]);
+    outcome.extra.set("blameSubset" + std::to_string(s), static_cast<double>(x.bySubset[s]));
   }
 }
 
@@ -173,21 +152,25 @@ TrialOutcome runProtocolTrial(const ScenarioSpec& spec, const Graph& graph,
   };
   const auto planExtras = [&](TrialOutcome& outcome, const PipelineOutcome* pipeline,
                               const AgreementOutcome& agreement) {
-    outcome.extra[kAgreementBeaconForged] =
+    outcome.extra.set(
+        "beaconForged",
         pipeline != nullptr
             ? static_cast<double>(pipeline->counting.stats.adversary.beaconsForged)
-            : 0.0;
-    if (!hasPlan) return;
-    outcome.extra[kAgreementCoalitionSubsets] =
-        static_cast<double>(spec.coalitionPlan.subsets.size());
-    const std::uint32_t radius = spec.coalitionPlan.scoreRadius;
-    outcome.extra[kAgreementCombinedScore] =
-        pipeline != nullptr
-            ? combinedCoalitionScore(trial.graph, trial.byz, victim, radius,
-                                     pipeline->counting.result, spec.window,
-                                     agreement.finalValues, agreement.initialMajority)
-            : coalitionScore(trial.graph, trial.byz, victim, radius, agreement.finalValues,
-                             agreement.initialMajority);
+            : 0.0);
+    // Zero without a plan: every Agreement/Pipeline trial carries one layout.
+    outcome.extra.set("coalitionSubsets",
+                      hasPlan ? static_cast<double>(spec.coalitionPlan.subsets.size()) : 0.0);
+    double score = 0.0;
+    if (hasPlan) {
+      const std::uint32_t radius = spec.coalitionPlan.scoreRadius;
+      score = pipeline != nullptr
+                  ? combinedCoalitionScore(trial.graph, trial.byz, victim, radius,
+                                           pipeline->counting.result, spec.window,
+                                           agreement.finalValues, agreement.initialMajority)
+                  : coalitionScore(trial.graph, trial.byz, victim, radius,
+                                   agreement.finalValues, agreement.initialMajority);
+    }
+    outcome.extra.set("combinedScore", score);
   };
   // Export-side blame annotations (DESIGN.md §14): subset labels when a
   // coalition plan partitioned the budget, victim BFS distances for sampled
@@ -464,23 +447,28 @@ ExperimentSummary ExperimentRunner::runWith(ThreadPool& pool, const std::string&
   rounds.reserve(trials);
   messages.reserve(trials);
   bits.reserve(trials);
-  const std::size_t extraSlots = outcomes.front().extra.size();
-  std::vector<std::vector<double>> extras(extraSlots);
+  // Extras aggregate by name: every trial carries the first trial's names
+  // in the same order, and the k-th name keeps bootstrap stream 16 + k.
+  const NamedValues<double>& layout = outcomes.front().extra;
+  std::vector<std::vector<double>> extras(layout.size());
 
   std::uint64_t combined = 0xcbf29ce484222325ULL;
   for (const TrialOutcome& t : outcomes) {
-    BZC_REQUIRE(t.extra.size() == extraSlots, "trials disagree on extra metric count");
+    BZC_REQUIRE(std::equal(t.extra.begin(), t.extra.end(), layout.begin(), layout.end(),
+                           [](const auto& a, const auto& b) { return a.first == b.first; }),
+                "trials disagree on extra metric names or order");
     fracDecided.push_back(t.quality.fracDecided);
     fracWithin.push_back(t.quality.fracWithinWindow);
     meanRatio.push_back(t.quality.meanRatio);
     rounds.push_back(static_cast<double>(t.totalRounds));
     messages.push_back(static_cast<double>(t.totalMessages));
     bits.push_back(static_cast<double>(t.totalBits));
-    for (std::size_t s = 0; s < extraSlots; ++s) extras[s].push_back(t.extra[s]);
+    std::size_t k = 0;
+    for (const auto& [name, value] : t.extra) extras[k++].push_back(value);
     if (t.hitRoundCap) ++summary.cappedTrials;
     combined = fnv1a64(&t.resultFingerprint, sizeof t.resultFingerprint, combined);
   }
-  // Bootstrap CIs: one forked stream per metric slot off a fixed seed, drawn
+  // Bootstrap CIs: one forked stream per metric off a fixed seed, drawn
   // here in the serial pass — deterministic and thread-count invariant
   // (tests/metrics_test.cpp pins the bitwise identity across runner widths).
   const Rng boot(0xb0075eedULL);
@@ -490,9 +478,10 @@ ExperimentSummary ExperimentRunner::runWith(ThreadPool& pool, const std::string&
   summary.totalRounds = Distribution::of(std::move(rounds), boot.fork(3));
   summary.totalMessages = Distribution::of(std::move(messages), boot.fork(4));
   summary.totalBits = Distribution::of(std::move(bits), boot.fork(5));
-  summary.extras.reserve(extraSlots);
-  for (std::size_t s = 0; s < extraSlots; ++s) {
-    summary.extras.push_back(Distribution::of(std::move(extras[s]), boot.fork(16 + s)));
+  std::size_t k = 0;
+  for (const auto& [name, value] : layout) {
+    summary.extras.set(name, Distribution::of(std::move(extras[k]), boot.fork(16 + k)));
+    ++k;
   }
   summary.combinedFingerprint = combined;
   summary.perTrial = std::move(outcomes);

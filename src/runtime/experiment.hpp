@@ -10,9 +10,12 @@
 // placements/seeds). See DESIGN.md §5.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "adversary/beacon/profile.hpp"
@@ -29,6 +32,7 @@
 #include "graph/graph.hpp"
 #include "obs/provenance.hpp"
 #include "sim/byzantine.hpp"
+#include "support/require.hpp"
 #include "support/rng.hpp"
 
 namespace bzc {
@@ -65,48 +69,6 @@ enum class ProtocolKind {
   Agreement,  ///< sampling+majority a-e agreement with a given estimate of log n
   Pipeline,   ///< Algorithm 2 counting feeding the agreement protocol (§1.1)
 };
-
-/// TrialOutcome::extra slots filled by the declarative Agreement and Pipeline
-/// paths (runTrial). Benches index summary.extras with these.
-enum AgreementExtraSlot : std::size_t {
-  kAgreementFracAgreeing = 0,    ///< honest fraction ending on the initial majority
-  kAgreementCompromised = 1,     ///< answered samples the adversary controlled
-  kAgreementRounds = 2,          ///< engine rounds of the agreement stage alone
-  kAgreementMeanEstimate = 3,    ///< mean L_u the agreement stage actually used
-  // Walk-adversary diagnostics (src/adversary/): what the selected strategy
-  // actually did. kAgreementAnswered counts resolved sample slots for every
-  // profile; of the rest, only kAgreementForged is nonzero under the default
-  // adaptive-minority profile (= its taint count), and kAgreementCoalitionHits
-  // only under coalition strategies.
-  kAgreementAnswered = 4,        ///< sample slots whose answer reached its origin
-  kAgreementDropped = 5,         ///< queries + answers silently discarded
-  kAgreementFlipped = 6,         ///< answer bits inverted in transit
-  kAgreementMisrouted = 7,       ///< answers pushed off their reverse path
-  kAgreementForged = 8,          ///< answers the adversary authored at walk end
-  kAgreementCoalitionHits = 9,   ///< targets tallied on the Coalition blackboard
-                                 ///< (cross-stage total for pipeline runs)
-  // Beacon-adversary / mixed-coalition diagnostics (src/adversary/beacon/,
-  // DESIGN.md §9). Zero for plain Agreement runs and for scenarios without a
-  // CoalitionPlan; like every extra they stay outside fingerprint().
-  kAgreementBeaconForged = 10,   ///< counting-stage beacons the adversary authored
-  kAgreementCoalitionSubsets = 11,  ///< subsets of the CoalitionPlan (0 = no plan)
-  kAgreementCombinedScore = 12,  ///< combinedCoalitionScore around the victim
-  // Blame-graph projections (src/obs/provenance.hpp, DESIGN.md §14): scalar
-  // summaries of TrialOutcome::blame. Like every extra they stay outside
-  // fingerprint() — the blame graph is observational.
-  kAgreementWrongDecisions = 13,    ///< honest verdicts flipped by compromised samples
-  kAgreementBlameTotal = 14,        ///< attributed damage units (edge-count sum)
-  kAgreementBlameConcentration = 15,  ///< HHI over per-cause blame shares
-  kAgreementBlameTopShare = 16,     ///< top single offender's share of the blame
-  kAgreementBlameSubset0 = 17,      ///< blame attributed to coalition subset 0
-  kAgreementBlameSubset1 = 18,
-  kAgreementBlameSubset2 = 19,
-  kAgreementBlameSubset3 = 20,      ///< subsets >= 3 and unmapped causes pool here
-  kAgreementExtraSlots = 21,
-};
-
-/// Names for the slots above, aligned by index (bench JSON labelling).
-[[nodiscard]] const char* agreementExtraSlotName(std::size_t slot);
 
 /// Graph × placement × attack × params × trial plan. Only the fields of the
 /// selected protocol are read.
@@ -151,7 +113,7 @@ struct ScenarioSpec {
   /// Dynamic-network axis (src/churn/). The default schedule is inert; when
   /// enabled, trials route through the EpochRunner: the overlay evolves for
   /// churn.epochs epochs and the selected protocol re-runs on the recount
-  /// cadence, with churn diagnostics in the ChurnExtraSlot extras.
+  /// cadence, with churn diagnostics in the extras (DESIGN.md §11).
   ChurnSchedule churn;
 
   QualityWindow window{0.3, 1.8};
@@ -179,6 +141,47 @@ struct MaterializedTrial {
 /// functions can reuse the exact derivation the declarative path uses.
 [[nodiscard]] MaterializedTrial materializeTrial(const ScenarioSpec& spec, std::uint32_t index);
 
+/// Insertion-ordered name → value record: a trial's diagnostics
+/// (TrialOutcome::extra) and their distributions over the trials
+/// (ExperimentSummary::extras). A flat vector of pairs with linear lookup —
+/// a record holds a few dozen names at most.
+template <typename V>
+class NamedValues {
+ public:
+  using Entry = std::pair<std::string, V>;
+
+  /// Appends `name`, or overwrites its value in place when already present.
+  void set(std::string_view name, V value) {
+    const auto it = std::find_if(entries_.begin(), entries_.end(),
+                                 [&](const Entry& e) { return e.first == name; });
+    if (it != entries_.end()) {
+      it->second = std::move(value);
+    } else {
+      entries_.emplace_back(std::string(name), std::move(value));
+    }
+  }
+
+  /// The value under `name`; throws std::invalid_argument when it is missing.
+  [[nodiscard]] const V& at(std::string_view name) const {
+    const auto it = std::find_if(entries_.begin(), entries_.end(),
+                                 [&](const Entry& e) { return e.first == name; });
+    BZC_REQUIRE(it != entries_.end(), "no extra named \"" + std::string(name) + "\"");
+    return it->second;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] auto begin() const noexcept { return entries_.begin(); }
+  [[nodiscard]] auto end() const noexcept { return entries_.end(); }
+
+ private:
+  std::vector<Entry> entries_;
+};
+
+/// Name of the honest agreeing fraction in Agreement/Pipeline extras.
+/// perfbench/perfbench.cpp reads the extra through this constant and
+/// perfbench/ changes only with the benchmark, so it stays until then.
+inline constexpr std::string_view kAgreementFracAgreeing = "fracAgreeing";
+
 struct TrialOutcome {
   QualitySummary quality;
   Round totalRounds = 0;
@@ -186,7 +189,7 @@ struct TrialOutcome {
   std::uint64_t totalMessages = 0;
   std::uint64_t totalBits = 0;
   std::uint64_t resultFingerprint = 0;  ///< fingerprint() of the CountingResult
-  std::vector<double> extra;            ///< caller-defined metrics, aggregated by slot
+  NamedValues<double> extra;            ///< caller-defined metrics, aggregated by name
   /// Causal damage attribution for the adversarial protocols (Beacon,
   /// Agreement, Pipeline — incl. churn trials, which merge every recount's
   /// graph plus the rejoin lineage). Collected unconditionally; exported only
@@ -221,7 +224,7 @@ struct Distribution {
 
   [[nodiscard]] static Distribution of(std::vector<double> sample);
   /// Same, plus the bootstrap CI drawn from `boot` (consumed by value: each
-  /// metric slot gets its own forked stream).
+  /// metric gets its own forked stream).
   [[nodiscard]] static Distribution of(std::vector<double> sample, Rng boot);
 };
 
@@ -236,7 +239,7 @@ struct ExperimentSummary {
   Distribution totalRounds;
   Distribution totalMessages;
   Distribution totalBits;
-  std::vector<Distribution> extras;  ///< one per TrialOutcome::extra slot
+  NamedValues<Distribution> extras;  ///< one per TrialOutcome::extra name
 
   /// Order-sensitive hash over all per-trial fingerprints: equal across runs
   /// iff every trial produced identical results in identical trial order —

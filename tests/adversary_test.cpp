@@ -13,6 +13,7 @@
 #include "adversary/walk_adversary.hpp"
 #include "agreement/majority.hpp"
 #include "agreement/pipeline.hpp"
+#include "extra_layouts.hpp"
 #include "graph/generators.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/fingerprint.hpp"
@@ -290,8 +291,7 @@ TEST(AdversaryScenarios, EveryStrategyIsThreadCountInvariant) {
       EXPECT_EQ(byThreads[0].combinedFingerprint, byThreads[t].combinedFingerprint)
           << profile.name << " diverged at " << counts[t] << " threads";
     }
-    ASSERT_EQ(byThreads[0].extras.size(), static_cast<std::size_t>(kAgreementExtraSlots))
-        << profile.name;
+    EXPECT_EQ(layouts::namesOf(byThreads[0].extras), layouts::kAgreement) << profile.name;
   }
 }
 
@@ -299,29 +299,29 @@ TEST(AdversaryScenarios, ExtrasExposeEachStrategysSignature) {
   ExperimentRunner runner(2);
 
   const ExperimentSummary dropped = runner.run(strategySpec(AgreementAttackProfile::dropper()));
-  EXPECT_GT(dropped.extras[kAgreementDropped].min, 0.0);
-  EXPECT_EQ(dropped.extras[kAgreementFlipped].max, 0.0);
+  EXPECT_GT(dropped.extras.at("dropped").min, 0.0);
+  EXPECT_EQ(dropped.extras.at("flipped").max, 0.0);
 
   const ExperimentSummary flipped = runner.run(strategySpec(AgreementAttackProfile::flipper()));
-  EXPECT_GT(flipped.extras[kAgreementFlipped].min, 0.0);
-  EXPECT_EQ(flipped.extras[kAgreementDropped].max, 0.0);
+  EXPECT_GT(flipped.extras.at("flipped").min, 0.0);
+  EXPECT_EQ(flipped.extras.at("dropped").max, 0.0);
 
   const ExperimentSummary tampered =
       runner.run(strategySpec(AgreementAttackProfile::tamperer()));
-  EXPECT_GT(tampered.extras[kAgreementMisrouted].min, 0.0);
+  EXPECT_GT(tampered.extras.at("misrouted").min, 0.0);
 
   const ExperimentSummary hunted = runner.run(strategySpec(AgreementAttackProfile::hunter(2)));
-  EXPECT_GT(hunted.extras[kAgreementCoalitionHits].min, 0.0);
+  EXPECT_GT(hunted.extras.at("coalitionHits").min, 0.0);
 
   const ExperimentSummary adaptive =
       runner.run(strategySpec(AgreementAttackProfile::adaptiveMinority()));
-  EXPECT_EQ(adaptive.extras[kAgreementDropped].max, 0.0);
-  EXPECT_EQ(adaptive.extras[kAgreementFlipped].max, 0.0);
-  EXPECT_EQ(adaptive.extras[kAgreementMisrouted].max, 0.0);
-  EXPECT_GT(adaptive.extras[kAgreementForged].min, 0.0);
+  EXPECT_EQ(adaptive.extras.at("dropped").max, 0.0);
+  EXPECT_EQ(adaptive.extras.at("flipped").max, 0.0);
+  EXPECT_EQ(adaptive.extras.at("misrouted").max, 0.0);
+  EXPECT_GT(adaptive.extras.at("forged").min, 0.0);
   // Answered slots are observable for every strategy (2 per active node per
   // iteration minus adversary losses).
-  EXPECT_GT(adaptive.extras[kAgreementAnswered].min, 0.0);
+  EXPECT_GT(adaptive.extras.at("answered").min, 0.0);
 }
 
 TEST(AdversaryScenarios, PipelineCarriesTheAttackProfile) {
@@ -340,7 +340,7 @@ TEST(AdversaryScenarios, PipelineCarriesTheAttackProfile) {
   spec.masterSeed = 0xad5b;
   ExperimentRunner runner(2);
   const ExperimentSummary s = runner.run(spec);
-  EXPECT_GT(s.extras[kAgreementFlipped].min, 0.0);
+  EXPECT_GT(s.extras.at("flipped").min, 0.0);
   ExperimentRunner serial(1);
   EXPECT_EQ(serial.run(spec).combinedFingerprint, s.combinedFingerprint);
 }

@@ -6,6 +6,7 @@
 #include "agreement/majority.hpp"
 #include "agreement/pipeline.hpp"
 #include "agreement/random_walk.hpp"
+#include "extra_layouts.hpp"
 #include "graph/generators.hpp"
 #include "runtime/experiment.hpp"
 #include "support/rng.hpp"
@@ -226,12 +227,12 @@ TEST(AgreementEquivalence, BenignOracleMeanMatchesPreRefactor) {
   spec.masterSeed = 0xa9ee;
   ExperimentRunner runner;
   const ExperimentSummary s = runner.run(spec);
-  ASSERT_EQ(s.extras.size(), static_cast<std::size_t>(kAgreementExtraSlots));
+  ASSERT_EQ(layouts::namesOf(s.extras), layouts::kAgreement);
   // Pre-refactor capture: mean fracAgreeing = 1.000000.
-  EXPECT_NEAR(s.extras[kAgreementFracAgreeing].mean, 1.0, 0.01);
+  EXPECT_NEAR(s.extras.at("fracAgreeing").mean, 1.0, 0.01);
   // With uniform estimates the engine round count reproduces the old
   // logical-round formula iters * (2*walkLen + 1) exactly: 195 at n = 512.
-  EXPECT_NEAR(s.extras[kAgreementRounds].mean, 195.0, 1e-9);
+  EXPECT_NEAR(s.extras.at("agreementRounds").mean, 195.0, 1e-9);
 }
 
 TEST(AgreementEquivalence, ByzantineOracleMeanMatchesPreRefactor) {
@@ -248,8 +249,8 @@ TEST(AgreementEquivalence, ByzantineOracleMeanMatchesPreRefactor) {
   const ExperimentSummary s = runner.run(spec);
   // Pre-refactor capture: mean fracAgreeing = 0.994566, mean compromised
   // samples = 1356.3 (token forwarding measured 0.9952 / 1350.8).
-  EXPECT_NEAR(s.extras[kAgreementFracAgreeing].mean, 0.9946, 0.03);
-  EXPECT_NEAR(s.extras[kAgreementCompromised].mean, 1356.0, 200.0);
+  EXPECT_NEAR(s.extras.at("fracAgreeing").mean, 0.9946, 0.03);
+  EXPECT_NEAR(s.extras.at("compromised").mean, 1356.0, 200.0);
 }
 
 TEST(AgreementEquivalence, TinyEstimateMeanMatchesPreRefactor) {
@@ -267,8 +268,8 @@ TEST(AgreementEquivalence, TinyEstimateMeanMatchesPreRefactor) {
   const ExperimentSummary s = runner.run(spec);
   // Pre-refactor capture: mean fracAgreeing = 0.840080 — a too-small
   // estimate must keep failing exactly as much as it used to.
-  EXPECT_NEAR(s.extras[kAgreementFracAgreeing].mean, 0.8401, 0.06);
-  EXPECT_LT(s.extras[kAgreementFracAgreeing].mean, 0.95);
+  EXPECT_NEAR(s.extras.at("fracAgreeing").mean, 0.8401, 0.06);
+  EXPECT_LT(s.extras.at("fracAgreeing").mean, 0.95);
 }
 
 TEST(AgreementEquivalence, PipelineFlooderMatchesPreRefactor) {
@@ -288,7 +289,7 @@ TEST(AgreementEquivalence, PipelineFlooderMatchesPreRefactor) {
   ExperimentRunner runner;
   const ExperimentSummary s = runner.run(spec);
   // Pre-refactor capture: mean fracAgreeing = 0.993783.
-  EXPECT_NEAR(s.extras[kAgreementFracAgreeing].mean, 0.9938, 0.03);
+  EXPECT_NEAR(s.extras.at("fracAgreeing").mean, 0.9938, 0.03);
   // The counting stage consumes its fork-derived stream in the pre-refactor
   // order, so its decision statistics are preserved *bit-for-bit*: the
   // capture counted 0.899373 decided over all 512 slots; evaluateQuality

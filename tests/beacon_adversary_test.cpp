@@ -13,6 +13,7 @@
 #include "adversary/coalition.hpp"
 #include "agreement/pipeline.hpp"
 #include "counting/beacon/protocol.hpp"
+#include "extra_layouts.hpp"
 #include "graph/generators.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/fingerprint.hpp"
@@ -258,12 +259,12 @@ TEST(MixedCoalition, DispatchRoutesEachSubsetsBehaviour) {
 
   ExperimentRunner runner(2);
   const ExperimentSummary s = runner.run(spec);
-  ASSERT_EQ(s.extras.size(), static_cast<std::size_t>(kAgreementExtraSlots));
-  EXPECT_GT(s.extras[kAgreementBeaconForged].min, 0.0);    // flooder subset acted
-  EXPECT_GT(s.extras[kAgreementCoalitionHits].min, 0.0);   // hunter subset acted
-  EXPECT_DOUBLE_EQ(s.extras[kAgreementCoalitionSubsets].mean, 2.0);
-  EXPECT_GE(s.extras[kAgreementCombinedScore].min, 0.0);
-  EXPECT_LE(s.extras[kAgreementCombinedScore].max, 1.0);
+  ASSERT_EQ(layouts::namesOf(s.extras), layouts::kAgreement);
+  EXPECT_GT(s.extras.at("beaconForged").min, 0.0);    // flooder subset acted
+  EXPECT_GT(s.extras.at("coalitionHits").min, 0.0);   // hunter subset acted
+  EXPECT_DOUBLE_EQ(s.extras.at("coalitionSubsets").mean, 2.0);
+  EXPECT_GE(s.extras.at("combinedScore").min, 0.0);
+  EXPECT_LE(s.extras.at("combinedScore").max, 1.0);
 
   // Pure-hunter plan at the same budget: no beacon-stage forging.
   ScenarioSpec pureHunter = spec;
@@ -272,8 +273,8 @@ TEST(MixedCoalition, DispatchRoutesEachSubsetsBehaviour) {
   pureHunter.coalitionPlan.subsets.push_back(
       {"hunters", 1.0, BeaconAdversaryProfile::none(), AgreementAttackProfile::hunter(2)});
   const ExperimentSummary hunterOnly = runner.run(pureHunter);
-  EXPECT_DOUBLE_EQ(hunterOnly.extras[kAgreementBeaconForged].max, 0.0);
-  EXPECT_GT(hunterOnly.extras[kAgreementCoalitionHits].min, 0.0);
+  EXPECT_DOUBLE_EQ(hunterOnly.extras.at("beaconForged").max, 0.0);
+  EXPECT_GT(hunterOnly.extras.at("coalitionHits").min, 0.0);
 }
 
 TEST(MixedCoalition, ScenarioIsThreadCountInvariantAt48Trials) {
@@ -315,8 +316,8 @@ TEST(MixedCoalition, ScenarioIsThreadCountInvariantAt48Trials) {
     }
   }
   // Both subsets' signatures survive aggregation.
-  EXPECT_GT(byThreads[0].extras[kAgreementFlipped].mean, 0.0);
-  EXPECT_GT(byThreads[0].extras[kAgreementCoalitionHits].mean, 0.0);
+  EXPECT_GT(byThreads[0].extras.at("flipped").mean, 0.0);
+  EXPECT_GT(byThreads[0].extras.at("coalitionHits").mean, 0.0);
 }
 
 TEST(Profiles, BeaconNamesAndKnobsRoundTrip) {

@@ -11,6 +11,7 @@
 #include "churn/churn_model.hpp"
 #include "churn/dynamic_overlay.hpp"
 #include "churn/epoch_runner.hpp"
+#include "extra_layouts.hpp"
 #include "graph/generators.hpp"
 #include "runtime/experiment.hpp"
 
@@ -320,10 +321,10 @@ TEST(EpochRunner, NonzeroChurnScenarioIsThreadCountInvariant) {
     }
   }
   // The churn extras made it through aggregation, and churn actually happened.
-  ASSERT_EQ(byThreads[0].extras.size(), static_cast<std::size_t>(kChurnExtraSlots));
-  EXPECT_GT(byThreads[0].extras[kChurnJoins].mean + byThreads[0].extras[kChurnLeaves].mean, 0.0);
-  EXPECT_DOUBLE_EQ(byThreads[0].extras[kChurnEpochs].mean, 4.0);
-  EXPECT_DOUBLE_EQ(byThreads[0].extras[kChurnRecounts].mean, 2.0);  // cadence 2 over 4 epochs
+  ASSERT_EQ(layouts::namesOf(byThreads[0].extras), layouts::kChurn);
+  EXPECT_GT(byThreads[0].extras.at("joins").mean + byThreads[0].extras.at("leaves").mean, 0.0);
+  EXPECT_DOUBLE_EQ(byThreads[0].extras.at("epochs").mean, 4.0);
+  EXPECT_DOUBLE_EQ(byThreads[0].extras.at("recounts").mean, 2.0);  // cadence 2 over 4 epochs
 }
 
 TEST(EpochRunner, StalenessTracksGrowthBetweenRecounts) {
@@ -357,8 +358,8 @@ TEST(EpochRunner, StalenessTracksGrowthBetweenRecounts) {
   EXPECT_DOUBLE_EQ(r.epochs[0].drift, 0.0);
   EXPECT_DOUBLE_EQ(r.epochs[4].drift, 0.0);
   EXPECT_GT(r.epochs[2].drift, 0.1);
-  EXPECT_GE(r.outcome.extra[kChurnMaxDrift], r.epochs[2].drift);
-  EXPECT_DOUBLE_EQ(r.outcome.extra[kChurnMaxStaleness],
+  EXPECT_GE(r.outcome.extra.at("maxDrift"), r.epochs[2].drift);
+  EXPECT_DOUBLE_EQ(r.outcome.extra.at("maxStaleness"),
                    std::max({r.epochs[0].staleness, r.epochs[1].staleness, r.epochs[2].staleness,
                              r.epochs[3].staleness, r.epochs[4].staleness}));
 }
@@ -380,10 +381,10 @@ TEST(EpochRunner, ByzantineChurnComposesWithWalkAdversary) {
 
   ExperimentRunner runner(2);
   const ExperimentSummary s = runner.run(spec);
-  ASSERT_EQ(s.extras.size(), static_cast<std::size_t>(kChurnExtraSlots));
-  EXPECT_GT(s.extras[kChurnByzInflation].mean, 1.0);  // the budget inflated
-  EXPECT_GT(s.extras[kChurnFinalByz].mean, 8.0);
-  EXPECT_GT(s.extras[kChurnLastAgree].mean, 0.0);  // agreement still ran on the last epoch
+  ASSERT_EQ(layouts::namesOf(s.extras), layouts::kChurn);
+  EXPECT_GT(s.extras.at("byzInflation").mean, 1.0);  // the budget inflated
+  EXPECT_GT(s.extras.at("finalByz").mean, 8.0);
+  EXPECT_GT(s.extras.at("lastAgree").mean, 0.0);  // agreement still ran on the last epoch
 }
 
 TEST(EpochRunner, ShrinkingOverlayClampsConfiguredFocusNodes) {
@@ -435,8 +436,8 @@ TEST(EpochRunner, FiedlerWarmStartMatchesFreshProbesWithinTolerance) {
           << "epoch " << e + 1 << " trial " << trial;
     }
     // 32 + 5*12 warm vs 6*32 fresh: the probe savings are reported.
-    EXPECT_DOUBLE_EQ(warm.outcome.extra[kChurnGapProbeIters], 92.0);
-    EXPECT_DOUBLE_EQ(fresh.outcome.extra[kChurnGapProbeIters], 192.0);
+    EXPECT_DOUBLE_EQ(warm.outcome.extra.at("gapProbeIters"), 92.0);
+    EXPECT_DOUBLE_EQ(fresh.outcome.extra.at("gapProbeIters"), 192.0);
     // The protocol runs are untouched by the probe mode.
     EXPECT_EQ(warm.outcome.resultFingerprint, fresh.outcome.resultFingerprint);
   }
@@ -460,14 +461,6 @@ TEST(DynamicOverlay, MassDepartureWaveKeepsInvariantsAtScale) {
   for (int k = 0; k < 200; ++k) overlay.rewire(rng);
   overlay.repairToRegular(rng);
   expectRegularInvariants(overlay);
-}
-
-TEST(EpochRunner, ExtraSlotNamesCoverEverySlot) {
-  for (std::size_t s = 0; s < kChurnExtraSlots; ++s) {
-    EXPECT_STRNE(churnExtraSlotName(s), "?") << "slot " << s;
-  }
-  EXPECT_STREQ(churnExtraSlotName(kChurnMeanStaleness), "meanStaleness");
-  EXPECT_STREQ(churnExtraSlotName(kChurnExtraSlots), "?");
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "churn/epoch_runner.hpp"
 #include "churn/schedule.hpp"
+#include "extra_layouts.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -69,9 +70,9 @@ void expectTrialResultsIdentical(const ChurnTrialResult& a, const ChurnTrialResu
       << where;
   EXPECT_DOUBLE_EQ(a.outcome.quality.meanRatio, b.outcome.quality.meanRatio) << where;
   EXPECT_EQ(a.outcome.quality.maxDecisionRound, b.outcome.quality.maxDecisionRound) << where;
-  ASSERT_EQ(a.outcome.extra.size(), b.outcome.extra.size()) << where;
-  for (std::size_t i = 0; i < a.outcome.extra.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.outcome.extra[i], b.outcome.extra[i]) << where << " extra " << i;
+  ASSERT_EQ(layouts::namesOf(a.outcome.extra), layouts::namesOf(b.outcome.extra)) << where;
+  for (const auto& [name, value] : a.outcome.extra) {
+    EXPECT_DOUBLE_EQ(value, b.outcome.extra.at(name)) << where << " extra " << name;
   }
   ASSERT_EQ(a.epochs.size(), b.epochs.size()) << where;
   for (std::size_t e = 0; e < a.epochs.size(); ++e) {
@@ -156,10 +157,9 @@ TEST(EpochPipeline, ScenarioRunIsInvariantAcrossRunnerWidths) {
       EXPECT_EQ(base.perTrial[i].resultFingerprint, wide.perTrial[i].resultFingerprint)
           << threads << " threads, trial " << i;
     }
-    ASSERT_EQ(base.extras.size(), wide.extras.size());
-    for (std::size_t s = 0; s < base.extras.size(); ++s) {
-      EXPECT_DOUBLE_EQ(base.extras[s].mean, wide.extras[s].mean)
-          << threads << " threads, extra slot " << s;
+    ASSERT_EQ(layouts::namesOf(base.extras), layouts::namesOf(wide.extras));
+    for (const auto& [name, d] : base.extras) {
+      EXPECT_DOUBLE_EQ(d.mean, wide.extras.at(name).mean) << threads << " threads, extra " << name;
     }
   }
 }

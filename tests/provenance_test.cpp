@@ -223,13 +223,13 @@ TEST(ProvenanceCoalition, PipelineTotalsReconcileAndSubsetsPartitionBlame) {
     for (const std::uint64_t v : bySubset) subsetSum += v;
     EXPECT_EQ(subsetSum, bl.attributedCount());
     // Extras are exact projections of the same graph.
-    EXPECT_EQ(t.extra[kAgreementBlameTotal], static_cast<double>(x.total));
-    EXPECT_EQ(t.extra[kAgreementWrongDecisions],
+    EXPECT_EQ(t.extra.at("blameTotal"), static_cast<double>(x.total));
+    EXPECT_EQ(t.extra.at("wrongDecisions"),
               static_cast<double>(bl.kindCount(BlameKind::WrongDecision)));
-    EXPECT_EQ(t.extra[kAgreementBlameConcentration], x.concentration);
-    EXPECT_EQ(t.extra[kAgreementBlameTopShare], x.topShare);
-    EXPECT_EQ(t.extra[kAgreementBlameSubset0], static_cast<double>(bySubset[0]));
-    EXPECT_EQ(t.extra[kAgreementBlameSubset1], static_cast<double>(bySubset[1]));
+    EXPECT_EQ(t.extra.at("blameConcentration"), x.concentration);
+    EXPECT_EQ(t.extra.at("blameTopShare"), x.topShare);
+    EXPECT_EQ(t.extra.at("blameSubset0"), static_cast<double>(bySubset[0]));
+    EXPECT_EQ(t.extra.at("blameSubset1"), static_cast<double>(bySubset[1]));
     // Both subsets actually did damage in this scenario.
     EXPECT_GT(bySubset[0] + bySubset[1], 0U);
   }

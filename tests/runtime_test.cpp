@@ -6,10 +6,12 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "churn/schedule.hpp"
 #include "counting/local/attacks.hpp"
+#include "extra_layouts.hpp"
 #include "golden_scenarios.hpp"
 #include "graph/generators.hpp"
 #include "runtime/experiment.hpp"
@@ -375,10 +377,10 @@ TEST(ExperimentRunner, PipelineScenarioThreadCountInvariant) {
         << "pipeline diverged at " << counts[t] << " threads";
   }
   // The agreement-stage metrics come through the declarative extras.
-  ASSERT_EQ(byThreads[0].extras.size(), static_cast<std::size_t>(kAgreementExtraSlots));
-  EXPECT_GT(byThreads[0].extras[kAgreementFracAgreeing].mean, 0.5);
-  EXPECT_LE(byThreads[0].extras[kAgreementFracAgreeing].max, 1.0);
-  EXPECT_GT(byThreads[0].extras[kAgreementRounds].min, 0.0);
+  ASSERT_EQ(layouts::namesOf(byThreads[0].extras), layouts::kAgreement);
+  EXPECT_GT(byThreads[0].extras.at("fracAgreeing").mean, 0.5);
+  EXPECT_LE(byThreads[0].extras.at("fracAgreeing").max, 1.0);
+  EXPECT_GT(byThreads[0].extras.at("agreementRounds").min, 0.0);
   EXPECT_GT(byThreads[0].totalMessages.min, 0.0);
 }
 
@@ -398,11 +400,11 @@ TEST(ExperimentRunner, AgreementScenarioThreadCountInvariant) {
   const ExperimentSummary a = parallel.run(spec);
   const ExperimentSummary b = serial.run(spec);
   EXPECT_EQ(a.combinedFingerprint, b.combinedFingerprint);
-  ASSERT_EQ(a.extras.size(), static_cast<std::size_t>(kAgreementExtraSlots));
+  ASSERT_EQ(layouts::namesOf(a.extras), layouts::kAgreement);
   // 5 Byzantine nodes at n = 192 is over the sqrt(n)/polylog budget, so
   // convergence is partial; the invariance above is what this test pins.
-  EXPECT_GT(a.extras[kAgreementFracAgreeing].mean, 0.5);
-  EXPECT_GT(a.extras[kAgreementCompromised].mean, 0.0);
+  EXPECT_GT(a.extras.at("fracAgreeing").mean, 0.5);
+  EXPECT_GT(a.extras.at("compromised").mean, 0.0);
 }
 
 TEST(ExperimentRunner, TrialWorkerBudgetSharesThePoolAmongTrials) {
@@ -411,10 +413,10 @@ TEST(ExperimentRunner, TrialWorkerBudgetSharesThePoolAmongTrials) {
     ExperimentRunner runner(threads);
     const ExperimentSummary s = runner.runCustom("budget", trials, [](std::uint32_t) {
       TrialOutcome t;
-      t.extra = {static_cast<double>(trialWorkerBudget())};
+      t.extra.set("budget", static_cast<double>(trialWorkerBudget()));
       return t;
     });
-    return std::make_pair(s.extras[0].min, s.extras[0].max);
+    return std::make_pair(s.extras.at("budget").min, s.extras.at("budget").max);
   };
   EXPECT_EQ(budgets(1, 1), std::make_pair(1.0, 1.0));
   EXPECT_EQ(budgets(8, 1), std::make_pair(8.0, 8.0));
@@ -535,15 +537,71 @@ TEST(ExperimentRunner, CustomTrialsAggregateExtraMetrics) {
         t.quality.fracDecided = 1.0;
         t.totalRounds = index + 1;
         t.resultFingerprint = index;
-        t.extra = {static_cast<double>(index), 2.0};
+        t.extra.set("index", static_cast<double>(index));
+        t.extra.set("two", 2.0);
         return t;
       });
-  ASSERT_EQ(summary.extras.size(), 2u);
-  EXPECT_DOUBLE_EQ(summary.extras[0].mean, 4.5);
-  EXPECT_DOUBLE_EQ(summary.extras[0].min, 0.0);
-  EXPECT_DOUBLE_EQ(summary.extras[0].max, 9.0);
-  EXPECT_DOUBLE_EQ(summary.extras[1].mean, 2.0);
+  ASSERT_EQ(layouts::namesOf(summary.extras), (std::vector<std::string>{"index", "two"}));
+  EXPECT_DOUBLE_EQ(summary.extras.at("index").mean, 4.5);
+  EXPECT_DOUBLE_EQ(summary.extras.at("index").min, 0.0);
+  EXPECT_DOUBLE_EQ(summary.extras.at("index").max, 9.0);
+  EXPECT_DOUBLE_EQ(summary.extras.at("two").mean, 2.0);
   EXPECT_DOUBLE_EQ(summary.totalRounds.mean, 5.5);
+}
+
+TEST(NamedValues, SetOverwritesInPlaceAndAtNamesTheMissingKey) {
+  NamedValues<double> record;
+  record.set("a", 1.0);
+  record.set("b", 2.0);
+  record.set("a", 3.0);  // overwrite keeps the first insertion's position
+  EXPECT_EQ(layouts::namesOf(record), (std::vector<std::string>{"a", "b"}));
+  EXPECT_DOUBLE_EQ(record.at("a"), 3.0);
+  EXPECT_THROW((void)record.at("nope"), std::invalid_argument);
+  try {
+    (void)record.at("nope");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("\"nope\""), std::string::npos) << e.what();
+  }
+}
+
+TEST(ExperimentRunner, TrialsMustAgreeOnExtraMetricNamesAndOrder) {
+  ExperimentRunner runner(2);
+  const auto runWith = [&](const std::vector<std::string>& oddNames) {
+    return runner.runCustom("disagree", 4, [&](std::uint32_t index) {
+      TrialOutcome t;
+      const std::vector<std::string> names =
+          index == 3 ? oddNames : std::vector<std::string>{"x", "y"};
+      for (const std::string& name : names) t.extra.set(name, 1.0);
+      return t;
+    });
+  };
+  EXPECT_NO_THROW((void)runWith({"x", "y"}));
+  EXPECT_THROW((void)runWith({"y", "x"}), std::invalid_argument);  // order
+  EXPECT_THROW((void)runWith({"x", "z"}), std::invalid_argument);  // name
+  EXPECT_THROW((void)runWith({"x"}), std::invalid_argument);       // count
+}
+
+TEST(ExperimentRunner, KthExtraKeepsBootstrapStreamSixteenPlusK) {
+  ExperimentRunner runner(3);
+  const ExperimentSummary s = runner.runCustom("boot", 9, [](std::uint32_t index) {
+    TrialOutcome t;
+    t.extra.set("first", static_cast<double>(index * index));
+    t.extra.set("second", static_cast<double>(index % 4));
+    t.extra.set("third", 0.5 * index);
+    return t;
+  });
+  std::size_t k = 0;
+  for (const auto& [name, d] : s.extras) {
+    std::vector<double> sample;
+    for (const TrialOutcome& t : s.perTrial) sample.push_back(t.extra.at(name));
+    const Distribution want = Distribution::of(sample, Rng(0xb0075eedULL).fork(16 + k));
+    EXPECT_EQ(d.ci95lo, want.ci95lo) << name;
+    EXPECT_EQ(d.ci95hi, want.ci95hi) << name;
+    EXPECT_EQ(d.mean, want.mean) << name;
+    EXPECT_LT(d.ci95lo, d.ci95hi) << name;  // a real resample, not the point estimate
+    ++k;
+  }
+  EXPECT_EQ(k, 3u);
 }
 
 TEST(Distribution, QuantilesOnKnownSample) {

@@ -21,6 +21,12 @@ carry ci95lo/ci95hi, then to the legacy mean-delta threshold. wall_ms is
 machine-load telemetry with a single sample per row, so it keeps its
 relative + absolute noise floor instead.
 
+Extras pair by name: each row's "extras" object maps a bench-defined metric
+name to its distribution; a name on one side only is reported as new or
+removed. A previous row whose "extras" is still a list (an artifact from
+before extras were named) is reported as "extras not compared (positional
+format)" rather than paired slot by slot.
+
 Exit status is 0 unless --strict is given and a gated regression exists: the
 scheduled workflow runs non-strict so an intentional protocol change does
 not leave the cron red until the next run re-baselines.
@@ -54,10 +60,9 @@ SAMPLE_METRICS = {
     "totalBits": "lower",
 }
 
-# Named extras where *larger* is worse (churn scenarios emit an "extraNames"
-# array labelling their positional extras): estimate staleness / drift rising
-# between runs is a quality regression even though a fraction-shaped value
-# dropping is the usual direction.
+# Extras where *larger* is worse, in any row that carries them: estimate
+# staleness / drift rising between runs is a quality regression even though
+# a fraction-shaped value dropping is the usual direction.
 LOWER_IS_BETTER_EXTRAS = {"meanStaleness", "maxStaleness", "meanDrift", "maxDrift"}
 
 # wall_ms is machine-load telemetry, not a deterministic metric: two identical
@@ -158,7 +163,7 @@ def main() -> int:
         print("## Bench diff\n\nNo previous artifact found — baseline run, nothing to diff.")
         return 0
 
-    changed, added, removed, regressions, verdicts = [], [], [], [], []
+    changed, added, removed, regressions, verdicts, notes = [], [], [], [], [], []
     for name, row in sorted(curr.items()):
         if name not in prev:
             added.append(name)
@@ -237,32 +242,39 @@ def main() -> int:
                         verdicts.append(f"{name}: {key} dropped {fmt(a)} → {fmt(b)} "
                                         "with disjoint 95% CIs")
                     regressions.append(f"{name}: {pretty} dropped {fmt(a)} → {fmt(b)}")
-        # Extras are positional in the JSON (slot meaning is bench-defined;
-        # for agreement rows slot 0 is fracAgreeing — the metric fracDecided
-        # cannot see, since Agreement trials hardwire it to 1.0). Churn rows
-        # additionally carry an "extraNames" array labelling the slots.
-        # Report every moved slot; for the regression gate treat
-        # fraction-shaped slots (both values in [0, 1]) as quality, except
-        # named lower-is-better metrics (staleness/drift), which regress
-        # when they *rise*. Disjoint bootstrap CIs sharpen the verdict when
-        # both sides carry them (extras emit the full distribution field set).
-        old_extras = old.get("extras", [])
-        names = row.get("extraNames", [])
-        for i, slot in enumerate(row.get("extras", [])):
-            old_slot = old_extras[i] if i < len(old_extras) else {}
-            a = old_slot.get("mean")
-            b = slot.get("mean")
+        # Extras are keyed by name (meaning is bench-defined; agreement rows
+        # carry fracAgreeing — the metric fracDecided cannot see, since
+        # Agreement trials hardwire it to 1.0). Report every moved extra; for
+        # the regression gate treat fraction-shaped extras (both values in
+        # [0, 1]) as quality, except the lower-is-better names
+        # (staleness/drift), which regress when they *rise*. Disjoint
+        # bootstrap CIs sharpen the verdict when both sides carry them
+        # (extras emit the full distribution field set).
+        old_extras = old.get("extras", {})
+        if isinstance(old_extras, list):
+            notes.append(f"{name}: extras not compared (positional format)")
+            old_extras = {}
+        new_extras = row.get("extras", {})
+        if old_extras:
+            # A renamed extra pairs with nothing: report both names.
+            for key in sorted(new_extras.keys() - old_extras.keys()):
+                deltas.append(f"extra[{key}]: new")
+            for key in sorted(old_extras.keys() - new_extras.keys()):
+                deltas.append(f"extra[{key}]: removed")
+        for key, dist in new_extras.items():
+            old_dist = old_extras.get(key, {})
+            a = old_dist.get("mean")
+            b = dist.get("mean")
             if a is None or b is None or a == b:
                 continue
-            label = f"extra[{names[i]}]" if i < len(names) else f"extra[{i}]"
+            label = f"extra[{key}]"
             deltas.append(f"{label}: {fmt(a)} → {fmt(b)}")
-            regressed = False
-            if i < len(names) and names[i] in LOWER_IS_BETTER_EXTRAS:
+            if key in LOWER_IS_BETTER_EXTRAS:
                 regressed = (b - a) > args.quality_drop
-            elif 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0:
-                regressed = (a - b) > args.quality_drop
+            else:
+                regressed = 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and (a - b) > args.quality_drop
             if regressed:
-                if ci_overlap(old_slot, slot) is True:
+                if ci_overlap(old_dist, dist) is True:
                     verdicts.append(f"{name}: {label} moved {fmt(a)} → {fmt(b)} "
                                     "but 95% CIs overlap — not gated")
                 else:
@@ -307,7 +319,12 @@ def main() -> int:
         for r in regressions:
             print(f"- {r}")
         print()
-    if not (changed or added or removed or verdicts or regressions):
+    if notes:
+        print("### Notes\n")
+        for n in notes:
+            print(f"- {n}")
+        print()
+    if not (changed or added or removed or verdicts or regressions or notes):
         print("Everything reproduced bit-for-bit.")
 
     return 1 if (args.strict and regressions) else 0
