@@ -2,7 +2,7 @@
 // (src/obs/provenance.hpp, DESIGN.md §14) on the worst mixed coalition the
 // gallery offers.
 //
-//   BZC_ATTRIB=blame.jsonl ./blame_attribution_demo [seed]
+//   BZC_TRACE=record.jsonl ./blame_attribution_demo [seed]
 //
 // Half the Byzantine budget runs the PrefixGrafter in the counting stage
 // (forged beacons carrying honest ID prefixes, so honest nodes blacklist each
@@ -11,10 +11,10 @@
 // Every trial's blame graph resolves the damage back to individual Byzantine
 // nodes: which grafter got which honest ID blacklisted, which hunter
 // compromised which origin's sample, and which compromised samples flipped a
-// local decision. With BZC_ATTRIB set, the sampled trials export one JSONL
-// blame line each — feed those to tools/blame_report.py (--check reconciles
-// the edge sums against the AdversaryStats counters bit-for-bit), which is
-// exactly what the CI smoke job does.
+// local decision. With BZC_TRACE set, every trial writes one run-record
+// block, whose `blame` line carries its graph: `tools/run_record.py validate`
+// reconciles the edge sums against the AdversaryStats counters bit for bit
+// (the CI smoke job runs it) and `tools/run_record.py blame` reports them.
 //
 // Attribution is collected unconditionally and is strictly observational:
 // results are bit-identical with or without the sink installed.
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       AgreementAttackProfile::adaptiveMinority(), "hunters", BeaconAdversaryProfile::none(),
       AgreementAttackProfile::hunter(2));
   spec.trials = trialCount(4);
-  spec.traceTrials = spec.trials;  // export a blame line per trial when a sink is up
+  spec.traceTrials = spec.trials;  // one record block per trial when a sink is up
   spec.masterSeed = Rng(seed).fork(0xb1a).next();
 
   ExperimentRunner runner(threadCount());
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   const ExperimentSummary s = runScenario(runner, spec);
 
   // Fold the per-trial graphs into one run-level graph for the console view
-  // (merge is a keyed sum, so this mirrors what blame_report.py aggregates).
+  // (merge is a keyed sum, so this mirrors what `run_record.py blame` aggregates).
   obs::BlameGraph all;
   for (const TrialOutcome& t : s.perTrial) all.merge(t.blame);
 
@@ -86,11 +86,11 @@ int main(int argc, char** argv) {
   std::cout << "per-subset damage: grafters=" << s.extras.at("blameSubset0").mean
             << "  hunters=" << s.extras.at("blameSubset1").mean << "\n";
 
-  if (const char* attrib = std::getenv("BZC_ATTRIB"); attrib != nullptr && *attrib != '\0') {
-    std::cout << "\nblame graphs exported to " << attrib
-              << " — run: python3 tools/blame_report.py " << attrib << " --check\n";
+  if (const char* record = std::getenv("BZC_TRACE"); record != nullptr && *record != '\0') {
+    std::cout << "\nrun record written to " << record
+              << " — run: python3 tools/run_record.py blame " << record << "\n";
   } else {
-    std::cout << "\n(set BZC_ATTRIB=blame.jsonl to export the per-trial blame graphs)\n";
+    std::cout << "\n(set BZC_TRACE=record.jsonl to export the per-trial blame graphs)\n";
   }
   return 0;
 }

@@ -354,7 +354,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
   out.totalRounds = static_cast<Round>(engine.round());
   out.adversary.coalitionHits = coalition.hits();
   // Reconciliation denominators: the AdversaryStats mirror the blame edges
-  // must sum to exactly (tools/blame_report.py --check, provenance_test).
+  // must sum to exactly (`tools/run_record.py validate`, provenance_test).
   out.blame.addTotal("walk.droppedQueries", out.adversary.droppedQueries);
   out.blame.addTotal("walk.droppedAnswers", out.adversary.droppedAnswers);
   out.blame.addTotal("walk.flippedAnswers", out.adversary.flippedAnswers);

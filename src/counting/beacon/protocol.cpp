@@ -400,7 +400,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
   out.result.hitRoundCap = capped;
   out.result.meter = engine.releaseMeter();
   out.stats.beaconsForged = out.stats.adversary.beaconsForged;
-  // Reconciliation denominators (tools/blame_report.py --check): edge sums
+  // Reconciliation denominators (`tools/run_record.py validate`): edge sums
   // must meet these exactly — BeaconForged + RelayTampered == beaconsForged,
   // BlacklistedHonestId + BlacklistedFakeId + untainted == blacklistInsertions.
   out.blame.addTotal("beacon.beaconsForged", out.stats.adversary.beaconsForged);

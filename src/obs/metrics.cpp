@@ -1,13 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <utility>
 
-#include "obs/sinks.hpp"
 #include "support/require.hpp"
 
 namespace bzc::obs {
@@ -187,63 +183,6 @@ std::uint64_t metricsFingerprint(const TrialMetrics& metrics) {
     }
   }
   return h;
-}
-
-// --- MetricsJsonlSink -------------------------------------------------------
-
-MetricsJsonlSink::MetricsJsonlSink(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)), os_(owned_.get()) {
-  BZC_REQUIRE(static_cast<std::ofstream&>(*owned_).is_open(),
-              "BZC_METRICS: cannot open " + path);
-}
-
-MetricsJsonlSink::MetricsJsonlSink(std::ostream& os) : os_(&os) {}
-
-MetricsJsonlSink::~MetricsJsonlSink() { os_->flush(); }
-
-void MetricsJsonlSink::writeMetrics(std::ostream& os, const TrialMetrics& m) {
-  os << "{\"type\":\"metrics\",\"scenario\":\"" << detail::jsonEscape(m.scenario)
-     << "\",\"trial\":" << m.trial << ",\"fingerprint\":\"0x" << std::hex
-     << metricsFingerprint(m) << std::dec << "\",\"hists\":[";
-  for (std::size_t i = 0; i < m.hists.size(); ++i) {
-    const NamedHistogram& nh = m.hists[i];
-    if (i > 0) os << ',';
-    os << "{\"name\":\"" << detail::jsonEscape(nh.name) << "\",\"wall\":" << (nh.wall ? 1 : 0)
-       << ",\"precision\":" << nh.hist.precision() << ",\"count\":" << nh.hist.count()
-       << ",\"sum\":" << nh.hist.sum() << ",\"min\":" << nh.hist.min()
-       << ",\"max\":" << nh.hist.max() << ",\"buckets\":[";
-    bool first = true;
-    nh.hist.forEachNonzero(
-        [&](std::size_t index, std::uint64_t lo, std::uint64_t, std::uint64_t count) {
-          if (!first) os << ',';
-          first = false;
-          os << '[' << index << ',' << lo << ',' << count << ']';
-        });
-    os << "]}";
-  }
-  os << "],\"series\":[";
-  for (std::size_t i = 0; i < m.series.size(); ++i) {
-    const TimeSeries& s = m.series[i];
-    if (i > 0) os << ',';
-    os << "{\"name\":\"" << detail::jsonEscape(s.name) << "\",\"points\":[";
-    for (std::size_t j = 0; j < s.points.size(); ++j) {
-      if (j > 0) os << ',';
-      os << '[' << s.points[j].round << ',' << s.points[j].lane << ',' << s.points[j].value
-         << ']';
-    }
-    os << "]}";
-  }
-  os << "]}\n";
-}
-
-void MetricsJsonlSink::consume(const TrialTrace& trace) {
-  const TrialMetrics m = buildTrialMetrics(trace);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os.precision(12);
-  writeMetrics(os, m);
-  *os_ << os.str();
-  os_->flush();
 }
 
 }  // namespace bzc::obs

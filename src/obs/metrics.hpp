@@ -24,15 +24,12 @@
 //    for reporting but excluded from metricsFingerprint(), exactly like the
 //    trace projection excludes ts/dur fields.
 //
-// Export: BZC_METRICS=path installs a MetricsJsonlSink (one JSON line per
-// sampled trial) next to the BZC_TRACE knobs; tools/metrics_report.py renders
-// the convergence curves and phase-time attribution tables from it.
+// Export: the run record (BZC_TRACE, obs/sinks.hpp) writes each sampled
+// trial's histograms and metricsFingerprint() as its `hists` line;
+// tools/run_record.py renders the convergence curves and phase-time tables.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -125,30 +122,5 @@ struct TrialMetrics {
 /// histograms/series hashed here, so the fingerprint is invariant across
 /// runner threads and pipeline depths (pinned by tests).
 [[nodiscard]] std::uint64_t metricsFingerprint(const TrialMetrics& metrics);
-
-/// BZC_METRICS exporter: derives TrialMetrics from each consumed trace and
-/// writes one JSON object per trial:
-///   {"type":"metrics","scenario":S,"trial":N,"fingerprint":"0x..",
-///    "hists":[{"name","wall","precision","count","sum","min","max",
-///              "buckets":[[index,lo,count],...]},...],
-///    "series":[{"name","points":[[round,lane,value],...]},...]}
-/// tools/metrics_report.py consumes this format.
-class MetricsJsonlSink : public TraceSink {
- public:
-  /// Truncates `path` and writes to it.
-  explicit MetricsJsonlSink(const std::string& path);
-  /// Writes to a caller-owned stream (tests).
-  explicit MetricsJsonlSink(std::ostream& os);
-  ~MetricsJsonlSink() override;
-
-  void consume(const TrialTrace& trace) override;
-
-  static void writeMetrics(std::ostream& os, const TrialMetrics& metrics);
-
- private:
-  std::mutex mutex_;
-  std::unique_ptr<std::ostream> owned_;
-  std::ostream* os_;
-};
 
 }  // namespace bzc::obs

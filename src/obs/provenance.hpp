@@ -11,8 +11,8 @@
 // Collection is UNCONDITIONAL and strictly observational: edges are keyed
 // counter increments driven entirely by committed protocol state — no RNG
 // draws, no control-flow changes — so all golden fingerprints are
-// bit-identical whether or not a sink exports the graph (`BZC_ATTRIB`
-// toggles export only, mirroring BZC_TRACE / BZC_METRICS). Pipeline stages
+// bit-identical whether or not a sink exports the graph (BZC_TRACE writes it
+// as each sampled trial's `blame` line in the run record). Pipeline stages
 // and epoch recounts keep their own graphs, merge()d at the existing serial
 // fold points; merge is a keyed sum, hence order-invariant, so the canonical
 // projection is identical across runner threads and the worker budgets the
@@ -34,7 +34,7 @@ inline constexpr std::uint64_t kBlameNone = ~0ull;
 
 /// Typed edge kinds. Walk-stage kinds reconcile 1:1 against
 /// `AdversaryStats`, beacon-stage kinds against `BeaconAdversaryStats`
-/// (see blame_report.py --check for the exact identities).
+/// (`tools/run_record.py validate` checks the exact identities).
 enum class BlameKind : std::uint8_t {
   // Walk / agreement stage.
   DroppedQuery = 0,     ///< byz relay dropped an outbound query token
@@ -60,7 +60,7 @@ enum class BlameKind : std::uint8_t {
 
 inline constexpr std::size_t kBlameKinds = static_cast<std::size_t>(BlameKind::kCount);
 
-/// Stable lowerCamel name used in the ATTRIB JSONL schema.
+/// Stable lowerCamel name used in the run record's blame line.
 const char* blameKindName(BlameKind kind);
 
 /// One row of the canonical (deterministic) projection.

@@ -1,14 +1,19 @@
 #include "obs/sinks.hpp"
 
-#include <cstring>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "obs/metrics.hpp"
 #include "support/require.hpp"
 
 namespace bzc::obs {
 
-namespace detail {
+namespace {
+
+/// Bumped on any change a reader must know about; tools/run_record.py
+/// refuses other versions.
+constexpr int kRecordVersion = 1;
 
 /// Minimal JSON string escaping (names are static identifiers; scenario
 /// names come from bench code and could in principle carry anything).
@@ -34,168 +39,73 @@ std::string jsonEscape(const std::string& s) {
   return out;
 }
 
-}  // namespace detail
-
-using detail::jsonEscape;
-
-// --- JsonlTraceSink ---------------------------------------------------------
-
-JsonlTraceSink::JsonlTraceSink(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)), os_(owned_.get()) {
-  BZC_REQUIRE(static_cast<std::ofstream&>(*owned_).is_open(),
-              "BZC_TRACE: cannot open " + path);
+/// `{"type":T,"scenario":S,"trial":N` — the opening of the hists, blame and
+/// end lines; callers append their fields and close the object.
+void openLine(std::ostream& os, const char* type, const TrialTrace& trace) {
+  os << "{\"type\":\"" << type << "\",\"scenario\":\"" << jsonEscape(trace.scenario)
+     << "\",\"trial\":" << trace.trial;
 }
 
-JsonlTraceSink::JsonlTraceSink(std::ostream& os) : os_(&os) {}
-
-JsonlTraceSink::~JsonlTraceSink() { os_->flush(); }
-
-void JsonlTraceSink::writeTrace(std::ostream& os, const TrialTrace& trace) {
-  os << "{\"type\":\"trial\",\"scenario\":\"" << jsonEscape(trace.scenario)
-     << "\",\"trial\":" << trace.trial << "}\n";
-  std::uint64_t rounds = 0, messages = 0, bits = 0;
-  for (const TraceEvent& e : trace.events) {
-    switch (e.kind) {
-      case EventKind::Round: {
-        const RoundRecord& r = e.rd;
-        rounds += 1;
-        messages += r.messages;
-        bits += r.bits;
-        os << "{\"type\":\"round\",\"round\":" << r.round << ",\"sends\":" << r.sends
-           << ",\"touched\":" << r.touched << ",\"messages\":" << r.messages
-           << ",\"bits\":" << r.bits << ",\"idle\":" << static_cast<unsigned>(r.idle)
-           << ",\"lane\":" << e.lane << ",\"ts\":" << e.tsNs << ",\"recvNs\":" << r.recvNs
-           << ",\"mergeNs\":" << r.mergeNs << ",\"scatterNs\":" << r.scatterNs << "}\n";
-        break;
-      }
-      case EventKind::Span:
-        os << "{\"type\":\"span\",\"name\":\"" << e.name << "\",\"round\":" << e.round
-           << ",\"lane\":" << e.lane << ",\"ts\":" << e.tsNs << ",\"dur\":" << e.durNs << "}\n";
-        break;
-      case EventKind::Counter:
-        os << "{\"type\":\"counter\",\"name\":\"" << e.name << "\",\"round\":" << e.round
-           << ",\"lane\":" << e.lane << ",\"value\":" << e.value << ",\"ts\":" << e.tsNs
-           << "}\n";
-        break;
-      case EventKind::Mark:
-        os << "{\"type\":\"mark\",\"name\":\"" << e.name << "\",\"round\":" << e.round
-           << ",\"lane\":" << e.lane << ",\"value\":" << e.value << ",\"ts\":" << e.tsNs
-           << "}\n";
-        break;
+void writeEvent(std::ostream& os, const TraceEvent& e) {
+  switch (e.kind) {
+    case EventKind::Round: {
+      const RoundRecord& r = e.rd;
+      os << "{\"type\":\"round\",\"round\":" << r.round << ",\"sends\":" << r.sends
+         << ",\"touched\":" << r.touched << ",\"messages\":" << r.messages
+         << ",\"bits\":" << r.bits << ",\"idle\":" << static_cast<unsigned>(r.idle)
+         << ",\"lane\":" << e.lane << ",\"ts\":" << e.tsNs << ",\"recvNs\":" << r.recvNs
+         << ",\"mergeNs\":" << r.mergeNs << ",\"scatterNs\":" << r.scatterNs << "}\n";
+      break;
     }
+    case EventKind::Span:
+      os << "{\"type\":\"span\",\"name\":\"" << e.name << "\",\"round\":" << e.round
+         << ",\"lane\":" << e.lane << ",\"ts\":" << e.tsNs << ",\"dur\":" << e.durNs << "}\n";
+      break;
+    case EventKind::Counter:
+    case EventKind::Mark:
+      os << "{\"type\":\"" << eventKindName(e.kind) << "\",\"name\":\"" << e.name
+         << "\",\"round\":" << e.round << ",\"lane\":" << e.lane << ",\"value\":" << e.value
+         << ",\"ts\":" << e.tsNs << "}\n";
+      break;
   }
-  // Totals let the validator reconcile without re-walking, and let tests pin
-  // trace-vs-MessageMeter identity from the export alone.
-  os << "{\"type\":\"end\",\"scenario\":\"" << jsonEscape(trace.scenario)
-     << "\",\"trial\":" << trace.trial << ",\"events\":" << trace.events.size()
-     << ",\"rounds\":" << rounds << ",\"messages\":" << messages << ",\"bits\":" << bits
-     << "}\n";
 }
 
-void JsonlTraceSink::consume(const TrialTrace& trace) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os.precision(12);
-  writeTrace(os, trace);
-  *os_ << os.str();
-  os_->flush();
-}
-
-// --- ChromeTraceSink --------------------------------------------------------
-
-ChromeTraceSink::ChromeTraceSink(const std::string& path) : path_(path) {}
-
-ChromeTraceSink::~ChromeTraceSink() {
-  std::ofstream os(path_, std::ios::trunc);
-  os << "{\"traceEvents\":[";
-  for (std::size_t i = 0; i < lines_.size(); ++i) {
+/// Every histogram with its sparse non-empty buckets ([index, lo, count]).
+void writeHists(std::ostream& os, const TrialTrace& trace) {
+  const TrialMetrics m = buildTrialMetrics(trace);
+  openLine(os, "hists", trace);
+  os << ",\"fingerprint\":\"0x" << std::hex << metricsFingerprint(m) << std::dec
+     << "\",\"hists\":[";
+  for (std::size_t i = 0; i < m.hists.size(); ++i) {
+    const NamedHistogram& nh = m.hists[i];
     if (i > 0) os << ',';
-    os << '\n' << lines_[i];
+    os << "{\"name\":\"" << jsonEscape(nh.name) << "\",\"wall\":" << (nh.wall ? 1 : 0)
+       << ",\"precision\":" << nh.hist.precision() << ",\"count\":" << nh.hist.count()
+       << ",\"sum\":" << nh.hist.sum() << ",\"min\":" << nh.hist.min()
+       << ",\"max\":" << nh.hist.max() << ",\"buckets\":[";
+    bool first = true;
+    nh.hist.forEachNonzero(
+        [&](std::size_t index, std::uint64_t lo, std::uint64_t, std::uint64_t count) {
+          if (!first) os << ',';
+          first = false;
+          os << '[' << index << ',' << lo << ',' << count << ']';
+        });
+    os << "]}";
   }
-  os << "\n]}\n";
+  os << "]}\n";
 }
 
-void ChromeTraceSink::consume(const TrialTrace& trace) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint32_t pid = nextPid_++;
-  const auto us = [](std::int64_t ns) { return static_cast<double>(ns) / 1000.0; };
-  {
-    std::ostringstream os;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << jsonEscape(trace.scenario) << "#"
-       << trace.trial << "\"}}";
-    lines_.push_back(os.str());
-  }
-  for (const TraceEvent& e : trace.events) {
-    std::ostringstream os;
-    os.precision(12);
-    switch (e.kind) {
-      case EventKind::Round:
-        // Two counter tracks per lane: message and bit spend per round.
-        os << "{\"ph\":\"C\",\"name\":\"engine.traffic\",\"pid\":" << pid
-           << ",\"tid\":" << e.lane << ",\"ts\":" << us(e.tsNs)
-           << ",\"args\":{\"messages\":" << e.rd.messages << ",\"bits\":" << e.rd.bits
-           << ",\"touched\":" << e.rd.touched << "}}";
-        break;
-      case EventKind::Span:
-        os << "{\"ph\":\"X\",\"name\":\"" << e.name << "\",\"pid\":" << pid
-           << ",\"tid\":" << e.lane << ",\"ts\":" << us(e.tsNs) << ",\"dur\":" << us(e.durNs)
-           << ",\"args\":{\"round\":" << e.round << "}}";
-        break;
-      case EventKind::Counter:
-        os << "{\"ph\":\"C\",\"name\":\"" << e.name << "\",\"pid\":" << pid
-           << ",\"tid\":" << e.lane << ",\"ts\":" << us(e.tsNs) << ",\"args\":{\"value\":"
-           << e.value << "}}";
-        break;
-      case EventKind::Mark:
-        // Walk-token lifecycle marks additionally become flow events
-        // ("s"/"f" pairs keyed by the token's provenance id, DESIGN.md §14):
-        // chrome://tracing draws an arrow from each token's launch to its
-        // answer/drop, across rounds and lanes. The instant is kept too so
-        // the marks stay visible on the timeline.
-        if (std::strcmp(e.name, "walk.launch") == 0) {
-          os << "{\"ph\":\"s\",\"cat\":\"walk\",\"name\":\"walk\",\"id\":"
-             << static_cast<std::uint64_t>(e.value) << ",\"pid\":" << pid
-             << ",\"tid\":" << e.lane << ",\"ts\":" << us(e.tsNs) << "}";
-          lines_.push_back(os.str());
-          os.str("");
-        } else if (std::strcmp(e.name, "walk.answer") == 0 ||
-                   std::strcmp(e.name, "walk.drop") == 0) {
-          os << "{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"walk\",\"name\":\"walk\",\"id\":"
-             << static_cast<std::uint64_t>(e.value) << ",\"pid\":" << pid
-             << ",\"tid\":" << e.lane << ",\"ts\":" << us(e.tsNs) << "}";
-          lines_.push_back(os.str());
-          os.str("");
-        }
-        os << "{\"ph\":\"i\",\"name\":\"" << e.name << "\",\"pid\":" << pid
-           << ",\"tid\":" << e.lane << ",\"ts\":" << us(e.tsNs) << ",\"s\":\"t\"}";
-        break;
-    }
-    lines_.push_back(os.str());
-  }
-}
-
-// --- AttribJsonlSink --------------------------------------------------------
-
-AttribJsonlSink::AttribJsonlSink(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)), os_(owned_.get()) {
-  BZC_REQUIRE(static_cast<std::ofstream&>(*owned_).is_open(),
-              "BZC_ATTRIB: cannot open " + path);
-}
-
-AttribJsonlSink::AttribJsonlSink(std::ostream& os) : os_(&os) {}
-
-AttribJsonlSink::~AttribJsonlSink() { os_->flush(); }
-
-void AttribJsonlSink::writeBlame(std::ostream& os, const TrialTrace& trace) {
+/// The canonical edge projection, the named reconciliation totals and, when
+/// present, the victim-distance table (DESIGN.md §14).
+void writeBlame(std::ostream& os, const TrialTrace& trace) {
   const BlameGraph& g = trace.blame;
   // Node-id fields use -1 for "none" (kBlameNone): unattributed cause /
   // graph-wide victim / no subset mapping.
   const auto id = [](std::uint64_t v) -> std::int64_t {
     return v == kBlameNone ? -1 : static_cast<std::int64_t>(v);
   };
-  os << "{\"type\":\"blame\",\"scenario\":\"" << jsonEscape(trace.scenario)
-     << "\",\"trial\":" << trace.trial << ",\"edges\":[";
+  openLine(os, "blame", trace);
+  os << ",\"edges\":[";
   bool first = true;
   for (const BlameEdge& e : g.canonical()) {
     if (!first) os << ',';
@@ -226,10 +136,43 @@ void AttribJsonlSink::writeBlame(std::ostream& os, const TrialTrace& trace) {
   os << "}\n";
 }
 
-void AttribJsonlSink::consume(const TrialTrace& trace) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
+void writeBlock(std::ostream& os, const TrialTrace& trace) {
+  os << "{\"type\":\"trial\",\"v\":" << kRecordVersion << ",\"scenario\":\""
+     << jsonEscape(trace.scenario) << "\",\"trial\":" << trace.trial << "}\n";
+  std::uint64_t rounds = 0, messages = 0, bits = 0;
+  for (const TraceEvent& e : trace.events) {
+    writeEvent(os, e);
+    if (e.kind != EventKind::Round) continue;
+    rounds += 1;
+    messages += e.rd.messages;
+    bits += e.rd.bits;
+  }
+  writeHists(os, trace);
   writeBlame(os, trace);
+  // Totals let the validator reconcile without re-walking, and let tests pin
+  // trace-vs-MessageMeter identity from the export alone.
+  openLine(os, "end", trace);
+  os << ",\"events\":" << trace.events.size() << ",\"rounds\":" << rounds
+     << ",\"messages\":" << messages << ",\"bits\":" << bits << "}\n";
+}
+
+}  // namespace
+
+RecordSink::RecordSink(const std::string& path)
+    : owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)), os_(owned_.get()) {
+  BZC_REQUIRE(static_cast<std::ofstream&>(*owned_).is_open(),
+              "BZC_TRACE: cannot open " + path);
+}
+
+RecordSink::RecordSink(std::ostream& os) : os_(&os) {}
+
+RecordSink::~RecordSink() { os_->flush(); }
+
+void RecordSink::consume(const TrialTrace& trace) {
+  std::ostringstream os;
+  os.precision(12);
+  writeBlock(os, trace);
+  const std::lock_guard<std::mutex> lock(mutex_);
   *os_ << os.str();
   os_->flush();
 }

@@ -1,8 +1,7 @@
-// Trace exporters: JSONL event stream, chrome://tracing timeline, an
-// in-memory capture for tests, and a tee. See DESIGN.md §12 for the schema.
+// Trace exporters: the run record (BZC_TRACE) and an in-memory capture for
+// tests. See DESIGN.md §12 for the record layout.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -13,72 +12,28 @@
 
 namespace bzc::obs {
 
-namespace detail {
-/// Minimal JSON string escaping shared by the JSONL/metrics exporters.
-[[nodiscard]] std::string jsonEscape(const std::string& s);
-}  // namespace detail
-
-/// One JSON object per line. Per trial: a `trial` header line, every event
-/// in buffer order, then an `end` line carrying the event count (the
-/// validator cross-checks it). tools/trace_summary.py validates, summarizes
-/// and diffs this format.
-class JsonlTraceSink : public TraceSink {
+/// The run record: one versioned block of JSON lines per consumed trial, in
+/// consumption order —
+///   {"type":"trial","v":1,"scenario":S,"trial":N}       header
+///   {"type":"round"|"span"|"counter"|"mark",...}         events, buffer order
+///   {"type":"hists","scenario":S,"trial":N,"fingerprint":"0x..","hists":[...]}
+///   {"type":"blame","scenario":S,"trial":N,"edges":[...],"totals":{...},
+///    "victimDist":[...]}                                  (victimDist optional)
+///   {"type":"end","scenario":S,"trial":N,"events":E,"rounds":R,"messages":M,"bits":B}
+/// `hists` is buildTrialMetrics() with metricsFingerprint(); the series it
+/// also builds re-project the counter and mark lines, so they are hashed but
+/// not written. `end` carries totals summed from the events, so a truncated
+/// or corrupted block fails validation. tools/run_record.py validates,
+/// diffs, reports, and renders this format.
+class RecordSink : public TraceSink {
  public:
   /// Truncates `path` and writes to it.
-  explicit JsonlTraceSink(const std::string& path);
+  explicit RecordSink(const std::string& path);
   /// Writes to a caller-owned stream (tests).
-  explicit JsonlTraceSink(std::ostream& os);
-  ~JsonlTraceSink() override;
+  explicit RecordSink(std::ostream& os);
+  ~RecordSink() override;
 
   void consume(const TrialTrace& trace) override;
-
-  static void writeTrace(std::ostream& os, const TrialTrace& trace);
-
- private:
-  std::mutex mutex_;
-  std::unique_ptr<std::ostream> owned_;
-  std::ostream* os_;
-};
-
-/// Chrome trace_event format (the JSON-array form chrome://tracing and
-/// Perfetto load directly). Spans become complete ("X") events, counters
-/// counter ("C") events, rounds a pair of counter tracks (engine.messages /
-/// engine.bits) plus marks as instants ("i"). pid = consumption sequence
-/// number (one process per consumed trial, labelled scenario#trial), tid =
-/// event lane (0 = trial thread, epoch number for pipelined recounts) — the
-/// lanes are what make epoch-pipeline overlap visible. Events accumulate and
-/// the file is written on destruction (program exit for the env-installed
-/// sink).
-class ChromeTraceSink : public TraceSink {
- public:
-  explicit ChromeTraceSink(const std::string& path);
-  ~ChromeTraceSink() override;
-
-  void consume(const TrialTrace& trace) override;
-
- private:
-  std::mutex mutex_;
-  std::string path_;
-  std::vector<std::string> lines_;  ///< pre-rendered event objects
-  std::uint32_t nextPid_ = 0;
-};
-
-/// Blame-graph exporter (BZC_ATTRIB, DESIGN.md §14): one JSON object per
-/// consumed trial carrying the canonical edge projection (kind/subset/cause/
-/// victim/count), the named reconciliation totals, and — when present — the
-/// victim-distance table for concentration-vs-distance curves.
-/// tools/blame_report.py renders and `--check`s this format.
-class AttribJsonlSink : public TraceSink {
- public:
-  /// Truncates `path` and writes to it.
-  explicit AttribJsonlSink(const std::string& path);
-  /// Writes to a caller-owned stream (tests).
-  explicit AttribJsonlSink(std::ostream& os);
-  ~AttribJsonlSink() override;
-
-  void consume(const TrialTrace& trace) override;
-
-  static void writeBlame(std::ostream& os, const TrialTrace& trace);
 
  private:
   std::mutex mutex_;
@@ -102,22 +57,6 @@ class CapturingTraceSink : public TraceSink {
  private:
   std::mutex mutex_;
   std::vector<TrialTrace> traces_;
-};
-
-/// Fans consume() out to both children (BZC_TRACE and BZC_TRACE_CHROME set
-/// together).
-class TeeTraceSink : public TraceSink {
- public:
-  TeeTraceSink(std::shared_ptr<TraceSink> a, std::shared_ptr<TraceSink> b)
-      : a_(std::move(a)), b_(std::move(b)) {}
-  void consume(const TrialTrace& trace) override {
-    if (a_) a_->consume(trace);
-    if (b_) b_->consume(trace);
-  }
-
- private:
-  std::shared_ptr<TraceSink> a_;
-  std::shared_ptr<TraceSink> b_;
 };
 
 }  // namespace bzc::obs

@@ -2,11 +2,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <iostream>
 #include <mutex>
 
-#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
+#include "support/knob.hpp"
 #include "support/log.hpp"
 
 namespace bzc::obs {
@@ -93,39 +95,27 @@ bool traceFlowMarks() noexcept { return g_flowMarks.load(std::memory_order_relax
 void ensureEnvTraceConfig() {
   static std::once_flag once;
   std::call_once(once, [] {
+    // The run record replaced these exporters; a stale script fails loudly
+    // instead of silently writing nothing.
+    for (const char* retired : {"BZC_METRICS", "BZC_ATTRIB", "BZC_TRACE_CHROME"}) {
+      if (std::getenv(retired) == nullptr) continue;
+      std::cerr << retired << " is no longer read: BZC_TRACE=path writes one run record per "
+                << "sampled trial with its histograms and blame graph, and "
+                << "tools/run_record.py chrome renders its timeline\n";
+      std::exit(2);
+    }
+    const auto sample =
+        static_cast<std::uint32_t>(envKnob("BZC_TRACE_TRIALS", 1, 1, UINT32_MAX));
+    const bool flow = envKnob("BZC_TRACE_FLOW", 0, 0, 1) == 1;
     {
       const std::lock_guard<std::mutex> lock(g_sinkMutex);
       if (g_sink != nullptr) return;  // programmatic install wins
     }
-    const char* jsonl = std::getenv("BZC_TRACE");
-    const char* chrome = std::getenv("BZC_TRACE_CHROME");
-    const char* metrics = std::getenv("BZC_METRICS");
-    const char* attrib = std::getenv("BZC_ATTRIB");
     // Empty string = unset (CI loops export "" for untraced iterations).
-    if (jsonl != nullptr && *jsonl == '\0') jsonl = nullptr;
-    if (chrome != nullptr && *chrome == '\0') chrome = nullptr;
-    if (metrics != nullptr && *metrics == '\0') metrics = nullptr;
-    if (attrib != nullptr && *attrib == '\0') attrib = nullptr;
-    if (jsonl == nullptr && chrome == nullptr && metrics == nullptr && attrib == nullptr) return;
-    std::shared_ptr<TraceSink> sink;
-    const auto tee = [&sink](std::shared_ptr<TraceSink> next) {
-      sink = sink ? std::static_pointer_cast<TraceSink>(
-                        std::make_shared<TeeTraceSink>(std::move(sink), std::move(next)))
-                  : std::move(next);
-    };
-    if (jsonl != nullptr) tee(std::make_shared<JsonlTraceSink>(std::string(jsonl)));
-    if (chrome != nullptr) tee(std::make_shared<ChromeTraceSink>(std::string(chrome)));
-    if (metrics != nullptr) tee(std::make_shared<MetricsJsonlSink>(std::string(metrics)));
-    if (attrib != nullptr) tee(std::make_shared<AttribJsonlSink>(std::string(attrib)));
-    std::uint32_t sample = 1;
-    if (const char* env = std::getenv("BZC_TRACE_TRIALS")) {
-      const int v = std::atoi(env);
-      if (v > 0) sample = static_cast<std::uint32_t>(v);
-    }
-    if (const char* env = std::getenv("BZC_TRACE_FLOW")) {
-      if (*env != '\0' && *env != '0') setTraceFlowMarks(true);
-    }
-    setTraceSink(std::move(sink), sample);
+    const char* path = std::getenv("BZC_TRACE");
+    if (path == nullptr || *path == '\0') return;
+    if (flow) setTraceFlowMarks(true);
+    setTraceSink(std::make_shared<RecordSink>(std::string(path)), sample);
   });
 }
 

@@ -21,8 +21,9 @@
 //    order* (ExperimentRunner feeds it after the parallel fan-out), so the
 //    exported stream is deterministic even though trials ran concurrently.
 //    Wall-clock fields (ts/dur/ns) are the one nondeterministic payload and
-//    are excluded from the deterministic projection tools/trace_summary.py
-//    and the determinism tests compare.
+//    are excluded from the deterministic projection `tools/run_record.py
+//    diff` and the determinism tests compare. The one file exporter is the
+//    run record (BZC_TRACE, obs/sinks.hpp).
 //
 // Pipelined churn trials: each epoch recount traces into its own child
 // buffer (installed on whichever worker runs the recount) and the serial
@@ -88,8 +89,8 @@ class TrialTrace {
   std::vector<TraceEvent> events;
   /// The trial's resolved blame graph (DESIGN.md §14), copied in by the
   /// runner at the serial sink point just before consume(); collection is
-  /// unconditional, so this is export plumbing only. AttribJsonlSink
-  /// (BZC_ATTRIB) serializes it.
+  /// unconditional, so this is export plumbing only. The run record
+  /// (RecordSink) writes it as the block's `blame` line.
   BlameGraph blame;
 
   void round(const RoundRecord& r) {
@@ -208,21 +209,21 @@ void setTraceSink(std::shared_ptr<TraceSink> sink, std::uint32_t sampleTrials = 
 [[nodiscard]] std::uint32_t traceSampleTrials() noexcept;
 
 /// Per-token walk lifecycle marks (walk.launch / walk.answer / walk.drop —
-/// the events ChromeTraceSink pairs into flow arrows). Off by default even
-/// when tracing: a traced agreement trial emits O(n) marks per iteration,
-/// which would dominate every nightly trace. BZC_TRACE_FLOW=1 (or a
+/// the events `tools/run_record.py chrome` pairs into flow arrows). Off by
+/// default even when tracing: a traced agreement trial emits O(n) marks per
+/// iteration, which would dominate every nightly trace. BZC_TRACE_FLOW=1 (or a
 /// programmatic set) opts in; purely an emission gate, so the protocol
 /// goldens are unaffected either way.
 void setTraceFlowMarks(bool enabled) noexcept;
 [[nodiscard]] bool traceFlowMarks() noexcept;
 
 /// Lazily configures the sink from the environment, once per process:
-/// BZC_TRACE=path (JSONL event stream), BZC_TRACE_CHROME=path (chrome
-/// trace_event timeline), BZC_METRICS=path (per-trial histogram/series JSONL
-/// derived at the sink, obs/metrics.hpp — tools/metrics_report.py renders
-/// it), BZC_ATTRIB=path (per-trial blame-graph JSONL, obs/provenance.hpp —
-/// tools/blame_report.py renders it), BZC_TRACE_TRIALS=k (sample width,
-/// default 1). Called by
+/// BZC_TRACE=path (the run record: one versioned block per sampled trial
+/// with its events, histograms and blame graph — RecordSink,
+/// tools/run_record.py), BZC_TRACE_TRIALS=k (sample width in [1, 2^32-1],
+/// default 1) and BZC_TRACE_FLOW=0|1 (flow marks, default 0). The two knobs
+/// parse strictly (support/knob.hpp); a retired exporter variable exits with
+/// status 2 and points at BZC_TRACE. Called by
 /// ExperimentRunner on first use so every bench/example/test honors the
 /// knobs without plumbing. A sink installed programmatically before the
 /// first run wins over the environment.

@@ -102,7 +102,7 @@ void foldBlameExtras(TrialOutcome& outcome) {
 }
 
 /// BFS hop distance from the placement victim (0xffff = unreachable), used
-/// by the blame-concentration-vs-distance curves in tools/blame_report.py.
+/// by the blame-concentration-vs-distance curves in `tools/run_record.py blame`.
 /// Computed only for sampled (traced) trials — it is O(n + m) per trial.
 std::vector<std::uint16_t> victimDistances(const Graph& g, NodeId victim) {
   if (victim >= g.numNodes()) return std::vector<std::uint16_t>(g.numNodes(), 0xffff);
@@ -429,7 +429,8 @@ ExperimentSummary ExperimentRunner::runWith(ThreadPool& pool, const std::string&
   });
   for (std::uint32_t i = 0; i < width; ++i) {
     // Sampled trials carry their blame graph out with the trace, so the
-    // BZC_ATTRIB sink sees the same per-trial attribution the extras project.
+    // run record's blame line is the same per-trial attribution the extras
+    // project.
     traces[i]->blame = outcomes[i].blame;
     sink->consume(*traces[i]);
   }

@@ -8,6 +8,11 @@
 // and the statistical depth the paper-reproduction benches need (both
 // Lenzen–Rybicki and Chatterjee–Pandurangan–Robinson evaluate across many
 // placements/seeds). See DESIGN.md §5.
+//
+// With a TraceSink installed, the leading traceTrials of each scenario run
+// traced and are handed to the sink serially, in trial order, after the
+// fan-out, each carrying its blame graph. BZC_TRACE=path installs the one
+// file sink, the run record (obs/sinks.hpp, DESIGN.md §12).
 #pragma once
 
 #include <algorithm>
@@ -193,7 +198,8 @@ struct TrialOutcome {
   /// Causal damage attribution for the adversarial protocols (Beacon,
   /// Agreement, Pipeline — incl. churn trials, which merge every recount's
   /// graph plus the rejoin lineage). Collected unconditionally; exported only
-  /// when BZC_ATTRIB installs a sink. Never folded into resultFingerprint.
+  /// as the `blame` line of a sampled trial's run record (BZC_TRACE). Never
+  /// folded into resultFingerprint.
   obs::BlameGraph blame;
 };
 

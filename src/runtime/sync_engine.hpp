@@ -163,7 +163,7 @@ class SyncEngine {
     // never inside one. Null keeps every probe below a dead branch — the
     // round loop reads no clock and builds no record (the "null sink" path).
     obs::TrialTrace* const tr = obs::currentTrace();
-    // Whole-window span (phase-time attribution in tools/metrics_report.py):
+    // Whole-window span (phase-time attribution in `tools/run_record.py report`):
     // emitted at every exit so span counts per trial stay deterministic.
     const std::int64_t winT0 = tr != nullptr ? obs::traceClockNs() : 0;
     for (std::uint32_t w = 1; rounds == 0 || w <= rounds; ++w) {

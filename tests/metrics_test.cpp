@@ -267,25 +267,6 @@ TEST(Metrics, FingerprintExcludesWallClockPayload) {
   EXPECT_NE(obs::metricsFingerprint(obs::buildTrialMetrics(d)), fa);
 }
 
-TEST(Metrics, JsonlSinkSchemaRoundTrip) {
-  std::ostringstream os;
-  obs::MetricsJsonlSink sink(os);
-  sink.consume(manualTrace());
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"type\":\"metrics\""), std::string::npos);
-  EXPECT_NE(out.find("\"scenario\":\"manual\""), std::string::npos);
-  EXPECT_NE(out.find("\"trial\":2"), std::string::npos);
-  EXPECT_NE(out.find("\"hists\":["), std::string::npos);
-  EXPECT_NE(out.find("\"series\":["), std::string::npos);
-  EXPECT_NE(out.find("\"name\":\"engine.messagesPerRound\""), std::string::npos);
-  EXPECT_NE(out.find("\"name\":\"beacon.undecidedHonest\""), std::string::npos);
-  // The embedded fingerprint is exactly metricsFingerprint() of the bundle.
-  std::ostringstream fp;
-  fp << "\"fingerprint\":\"0x" << std::hex
-     << obs::metricsFingerprint(obs::buildTrialMetrics(manualTrace())) << "\"";
-  EXPECT_NE(out.find(fp.str()), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Golden identity: deriving + exporting metrics is strictly observational.
 // ---------------------------------------------------------------------------
@@ -311,8 +292,8 @@ TEST(MetricsIdentity, GoldenFamiliesIdenticalWithMetricsDerived) {
     }
     EXPECT_EQ(traced, untraced);
     std::ostringstream os;
-    obs::MetricsJsonlSink(os).consume(trace);
-    EXPECT_NE(os.str().find("\"type\":\"metrics\""), std::string::npos);
+    obs::RecordSink(os).consume(trace);
+    EXPECT_NE(os.str().find("\"type\":\"hists\""), std::string::npos);
   }
   {
     const std::uint64_t untraced = golden::agreementFingerprint(6, 1.0);
@@ -408,15 +389,18 @@ TEST(MetricsInvariance, ExporterInstalledMovesNoResult) {
   ExperimentRunner runner(2);
   const ExperimentSummary off = runner.run(metricsChurnSpec());
   std::ostringstream os;
-  obs::setTraceSink(std::make_shared<obs::MetricsJsonlSink>(os), 2);
+  obs::setTraceSink(std::make_shared<obs::RecordSink>(os), 2);
   const ExperimentSummary on = runner.run(metricsChurnSpec());
   obs::setTraceSink(nullptr);
   EXPECT_EQ(on.combinedFingerprint, off.combinedFingerprint);
-  // Two sampled trials → two JSONL lines.
-  std::size_t lines = 0;
+  // Two sampled trials → two record blocks, each with one hists line.
   const std::string out = os.str();
-  for (const char ch : out) lines += ch == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 2U);
+  std::size_t hists = 0;
+  for (std::size_t at = out.find("\"type\":\"hists\""); at != std::string::npos;
+       at = out.find("\"type\":\"hists\"", at + 1)) {
+    ++hists;
+  }
+  EXPECT_EQ(hists, 2U);
 }
 
 // ---------------------------------------------------------------------------

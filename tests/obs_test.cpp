@@ -15,6 +15,7 @@
 #include "churn/schedule.hpp"
 #include "counting/local/attacks.hpp"
 #include "golden_scenarios.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 #include "runtime/experiment.hpp"
@@ -43,7 +44,7 @@ class SinkGuard {
 
 /// The deterministic projection of one event — every field except the
 /// wall-clock payload (tsNs, durNs, RoundRecord phase timings), rendered as
-/// a comparable line. Mirrors tools/trace_summary.py --diff.
+/// a comparable line. Mirrors `tools/run_record.py diff`.
 std::string projectionLine(const obs::TraceEvent& e) {
   std::ostringstream os;
   os << obs::eventKindName(e.kind) << ' ' << (e.name != nullptr ? e.name : "-") << ' ' << e.round
@@ -267,9 +268,17 @@ TEST(ObsReconcile, RoundRecordsSumToOutcomeTotals) {
 // Export plumbing.
 // ---------------------------------------------------------------------------
 
-TEST(ObsExport, JsonlCarriesReconciledTotals) {
+/// The block's lines, split at newlines.
+std::vector<std::string> lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) out.push_back(line);
+  return out;
+}
+
+TEST(ObsExport, RecordBlockCarriesEventsHistsBlameAndTotals) {
   obs::TrialTrace t;
-  t.scenario = "jsonl \"quoted\"";
+  t.scenario = "record \"quoted\"";
   t.trial = 3;
   obs::RoundRecord rd;
   rd.round = 1;
@@ -281,17 +290,42 @@ TEST(ObsExport, JsonlCarriesReconciledTotals) {
   t.counter("c", 2.5, 1);
   t.mark("m");
   t.span("s", obs::traceClockNs(), 1);
+  t.blame.add(obs::BlameKind::ContinueSpam, 9, obs::kBlameNone);
+  t.blame.add(obs::BlameKind::DroppedQuery, 7, 2, 3);
+  t.blame.addTotal("walk.droppedQueries", 3);
+  t.blame.subsetOf.assign(10, 0xff);
+  t.blame.subsetOf[7] = 1;
+  t.blame.victimDistance = {0, 1, 2};
   std::ostringstream os;
-  obs::JsonlTraceSink::writeTrace(os, t);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"type\":\"trial\""), std::string::npos);
-  EXPECT_NE(out.find("\\\"quoted\\\""), std::string::npos);
-  EXPECT_NE(out.find("\"type\":\"round\""), std::string::npos);
-  EXPECT_NE(out.find("\"type\":\"end\""), std::string::npos);
-  EXPECT_NE(out.find("\"events\":4"), std::string::npos);
-  EXPECT_NE(out.find("\"rounds\":1"), std::string::npos);
-  EXPECT_NE(out.find("\"messages\":5"), std::string::npos);
-  EXPECT_NE(out.find("\"bits\":40"), std::string::npos);
+  obs::RecordSink(os).consume(t);
+  const std::vector<std::string> block = lines(os.str());
+
+  // Header, four events in buffer order, hists, blame, end.
+  ASSERT_EQ(block.size(), 8U);
+  const std::string tag = "\"scenario\":\"record \\\"quoted\\\"\",\"trial\":3";
+  EXPECT_EQ(block[0], "{\"type\":\"trial\",\"v\":1," + tag + "}");
+  for (std::size_t i = 1; i <= 4; ++i) {
+    EXPECT_EQ(block[i].find("{\"type\":\"" +
+                            std::string(obs::eventKindName(t.events[i - 1].kind)) + "\""),
+              0U)
+        << block[i];
+  }
+  std::ostringstream fp;
+  fp << std::hex << obs::metricsFingerprint(obs::buildTrialMetrics(t));
+  EXPECT_EQ(block[5].find("{\"type\":\"hists\"," + tag + ",\"fingerprint\":\"0x" + fp.str() +
+                          "\",\"hists\":[{\"name\":\"engine.bitsPerRound\""),
+            0U)
+      << block[5];
+  EXPECT_EQ(block[5].find("\"series\""), std::string::npos);
+  // Canonical edge order (kind, cause, victim); -1 encodes kBlameNone and an
+  // unmapped subset.
+  EXPECT_EQ(block[6], "{\"type\":\"blame\"," + tag +
+                          ",\"edges\":[{\"kind\":\"droppedQuery\",\"subset\":1,\"cause\":7,"
+                          "\"victim\":2,\"count\":3},{\"kind\":\"continueSpam\",\"subset\":-1,"
+                          "\"cause\":9,\"victim\":-1,\"count\":1}],"
+                          "\"totals\":{\"walk.droppedQueries\":3},\"victimDist\":[0,1,2]}");
+  EXPECT_EQ(block[7], "{\"type\":\"end\"," + tag +
+                          ",\"events\":4,\"rounds\":1,\"messages\":5,\"bits\":40}");
 }
 
 TEST(ObsExport, NullSinkProbesAreInert) {

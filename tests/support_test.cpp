@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/trace.hpp"
 #include "support/knob.hpp"
 #include "support/require.hpp"
 #include "support/rng.hpp"
@@ -377,6 +378,28 @@ TEST(KnobDeathTest, ArgKnobExitsOnGarbage) {
     EXPECT_EXIT((void)argKnob(2, argv, 1, "n", 5, 1, 100), ::testing::ExitedWithCode(2),
                 "n='" + text + "'");
   }
+}
+
+// The trace knobs parse through envKnob too: "1e3" and "-3" are the values
+// atoi read as 1 trial, "false" the one a first-character check read as on.
+// The threadsafe style re-runs each child from main, so every child gets a
+// fresh once-per-process ensureEnvTraceConfig.
+TEST(KnobDeathTest, TraceTrialsExitsOnGarbage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* bad : {"abc", "-3", "1e3", "0", "4294967296", ""}) {
+    ::setenv("BZC_TRACE_TRIALS", bad, 1);
+    EXPECT_EXIT(obs::ensureEnvTraceConfig(), ::testing::ExitedWithCode(2), "BZC_TRACE_TRIALS");
+  }
+  ::unsetenv("BZC_TRACE_TRIALS");
+}
+
+TEST(KnobDeathTest, TraceFlowExitsOnGarbage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* bad : {"false", "true", "2", "-1", ""}) {
+    ::setenv("BZC_TRACE_FLOW", bad, 1);
+    EXPECT_EXIT(obs::ensureEnvTraceConfig(), ::testing::ExitedWithCode(2), "BZC_TRACE_FLOW");
+  }
+  ::unsetenv("BZC_TRACE_FLOW");
 }
 
 // BZC_ASSERT is live in debug builds and in -DBZC_CHECKED=ON builds, and
