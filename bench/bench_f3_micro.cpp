@@ -1,12 +1,16 @@
 // F3 — Microbenchmarks (google-benchmark): the hot paths of the simulator.
 //
 // Not a paper claim; engineering support for the experiment harnesses. Keeps
-// an eye on: beacon-round cost, path-arena operations, view integration,
-// view-graph builds, spectral sweeps, generators and PRNG draws.
+// an eye on: beacon-round cost, engine delivery rate, path-arena operations,
+// view integration, view-graph builds, spectral sweeps, generators and PRNG
+// draws.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
+#include "adversary/walk_adversary.hpp"
 #include "counting/beacon/path.hpp"
 #include "counting/beacon/protocol.hpp"
 #include "counting/local/view.hpp"
@@ -16,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
+#include "runtime/sync_engine.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/rng.hpp"
 
@@ -95,6 +100,78 @@ void BM_BeaconTracedRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_BeaconTracedRun)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+// The serial engine kernel on its own (DESIGN.md §1): one-round windows of
+// queued sends, flushed and received. Items are deliveries, so items/s is the
+// engine's delivery rate outside any protocol. Sender draws are fixed up
+// front and cycled over 64 rounds, so the first-delivery pattern is not one a
+// branch predictor can learn.
+constexpr std::size_t kEngineRoundSets = 64;
+
+// Beacon flooding at count-flood's shape: H(1024, 8), 437 broadcasts per round,
+// and a recv that reads the front delivery as Algorithm 2's relay does.
+void BM_EngineFloodRound(benchmark::State& state) {
+  constexpr NodeId n = 1024;
+  constexpr std::uint32_t kBroadcasts = 437;
+  Rng gen(7);
+  const Graph g = hnd(n, 8, gen);
+  const ByzantineSet none(n, {});
+  std::vector<std::vector<NodeId>> senders(kEngineRoundSets);
+  for (auto& set : senders) set = gen.sampleWithoutReplacement(n, kBroadcasts);
+  SyncEngine<BeaconFrame> engine(g, none);
+  std::uint64_t acc = 0;
+  const auto recv = [&](NodeId, Round, const SyncEngine<BeaconFrame>::Inbox& box) {
+    acc += box.front().payload.len;
+  };
+  std::size_t round = 0;
+  std::int64_t deliveries = 0;
+  for (auto _ : state) {
+    for (const NodeId u : senders[round++ % kEngineRoundSets]) {
+      engine.broadcast(u, BeaconFrame{u, kNoBeaconPath, u & 7U}, 64);
+      deliveries += g.degree(u);
+    }
+    engine.runWindow(1, recv);
+  }
+  benchmark::DoNotOptimize(acc);
+  state.SetItemsProcessed(deliveries);
+}
+BENCHMARK(BM_EngineFloodRound);
+
+// Walk-token forwarding at agree-walk's shape: H(8192, 8), 16k unicasts of
+// WalkToken to random neighbours per round, and a recv that reads every token.
+void BM_EngineWalkRound(benchmark::State& state) {
+  constexpr NodeId n = 8192;
+  constexpr std::uint32_t kTokens = 16384;
+  Rng gen(8);
+  const Graph g = hnd(n, 8, gen);
+  const ByzantineSet none(n, {});
+  std::vector<std::vector<std::pair<NodeId, NodeId>>> hops(kEngineRoundSets);
+  for (auto& set : hops) {
+    for (std::uint32_t i = 0; i < kTokens; ++i) {
+      const auto u = static_cast<NodeId>(gen.uniform(n));
+      const auto nbrs = g.neighbors(u);
+      set.emplace_back(u, nbrs[gen.uniform(nbrs.size())]);
+    }
+  }
+  SyncEngine<WalkToken> engine(g, none);
+  std::uint64_t acc = 0;
+  const auto recv = [&](NodeId, Round, const SyncEngine<WalkToken>::Inbox& box) {
+    for (const SyncEngine<WalkToken>::Delivery& d : box) acc += d.payload.hopsLeft;
+  };
+  std::size_t round = 0;
+  for (auto _ : state) {
+    for (const auto& [u, v] : hops[round++ % kEngineRoundSets]) {
+      WalkToken t;
+      t.origin = u;
+      t.hopsLeft = v & 15U;
+      engine.unicast(u, v, t, 64);
+    }
+    engine.runWindow(1, recv);
+  }
+  benchmark::DoNotOptimize(acc);
+  state.SetItemsProcessed(state.iterations() * std::int64_t{kTokens});
+}
+BENCHMARK(BM_EngineWalkRound);
 
 // Null-sink probe cost in isolation: a disabled ScopedTimer plus a disabled
 // counter probe per loop step — the per-probe price every protocol pays when

@@ -124,7 +124,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
     }
   };
 
-  const auto recv = [&](NodeId v, Round w, std::span<const Engine::Delivery> box) {
+  const auto recv = [&](NodeId v, Round w, const Engine::Inbox& box) {
     // The strategy sees the live honest split (the adaptive adversary is
     // omniscient about honest state); values only commit at window end, so
     // this is constant within an iteration.

@@ -36,7 +36,7 @@ CountingResult runGeometricMax(const Graph& g, const ByzantineSet& byz, Geometri
   // Later rounds: a node whose maximum improved relays it (dirty flooding).
   // Suppressing Byzantine nodes swallow updates; inflating ones keep quiet
   // after round 1 and let honest flooding do the damage for them.
-  auto step = [&](NodeId v, Round, std::span<const Engine::Delivery> box) {
+  auto step = [&](NodeId v, Round, const Engine::Inbox& box) {
     std::uint32_t incomingMax = 0;
     for (const Engine::Delivery& in : box) incomingMax = std::max(incomingMax, in.payload);
     if (incomingMax <= best[v]) return;

@@ -57,7 +57,7 @@ CountingResult runSpanningTreeCount(const Graph& g, const ByzantineSet& byz, Tre
       if (reported > 0 && parent[u] != kNoNode) engine.unicast(u, parent[u], reported, 64);
     }
   };
-  auto accumulate = [&](NodeId v, Round, std::span<const Engine::Delivery> box) {
+  auto accumulate = [&](NodeId v, Round, const Engine::Inbox& box) {
     for (const Engine::Delivery& in : box) subtree[v] += in.payload;
   };
   const WindowResult convergecast =

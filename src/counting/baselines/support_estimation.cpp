@@ -44,7 +44,7 @@ CountingResult runSupportEstimation(const Graph& g, const ByzantineSet& byz, Sup
   std::vector<double> incoming(static_cast<std::size_t>(n) * k,
                                std::numeric_limits<double>::infinity());
   std::vector<NodeId> touched;
-  auto fold = [&](NodeId v, Round, std::span<const Engine::Delivery> box) {
+  auto fold = [&](NodeId v, Round, const Engine::Inbox& box) {
     touched.push_back(v);
     for (const Engine::Delivery& in : box) {
       const std::size_t senderRow = static_cast<std::size_t>(in.sender) * k;

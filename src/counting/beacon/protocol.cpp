@@ -209,10 +209,10 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
       }
 
       // --- Beacon window: i+2 rounds of flooding on the engine. ---
-      auto beaconStep = [&](NodeId v, Round r, std::span<const Engine::Delivery> box) {
+      auto beaconStep = [&](NodeId v, Round r, const Engine::Inbox& box) {
         if (byz.contains(v)) {
           if (r < beaconWindow) {
-            const Engine::Delivery& in = box.front();
+            const Engine::Delivery in = box.front();
             const BeaconTransit act = adversary.onBeaconRelay(
                 ctxAt(v, r, recvRng[v]), {in.sender, ids.publicId(in.sender), in.payload});
             if (act.op == BeaconTransit::Op::Drop) {
@@ -249,30 +249,32 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
         // (decided re-entrants and nodes with shortestPath set just relay),
         // which keeps the prefix walks off the fan-out fast path.
         const bool needsAccept = !st.decided[v] && !st.hasShortest[v];
-        const Engine::Delivery* chosen = &box.front();
+        std::size_t chosen = 0;  // inbox position of the picked delivery
         bool chosenAcceptable = false;
         if (needsAccept) {
-          chosenAcceptable = pathAcceptable(st.blacklist[v], arena, chosen->payload,
-                                            ids.publicId(chosen->sender), suffix);
+          const Engine::Delivery first = box.front();
+          chosenAcceptable = pathAcceptable(st.blacklist[v], arena, first.payload,
+                                            ids.publicId(first.sender), suffix);
           if (params.choice == BeaconChoicePolicy::PreferAcceptable && box.size() > 1) {
             for (std::size_t k = 1; k < box.size(); ++k) {
-              const Engine::Delivery& cand = box[k];
-              if (chosenAcceptable && chosen->payload.len <= cand.payload.len) continue;
+              const Engine::Delivery cand = box[k];
+              const std::uint32_t chosenLen = box[chosen].payload.len;
+              if (chosenAcceptable && chosenLen <= cand.payload.len) continue;
               const bool acc = pathAcceptable(st.blacklist[v], arena, cand.payload,
                                               ids.publicId(cand.sender), suffix);
-              const bool better =
-                  (acc && !chosenAcceptable) ||
-                  (acc == chosenAcceptable && cand.payload.len < chosen->payload.len);
+              const bool better = (acc && !chosenAcceptable) ||
+                                  (acc == chosenAcceptable && cand.payload.len < chosenLen);
               if (better) {
-                chosen = &cand;
+                chosen = k;
                 chosenAcceptable = acc;
               }
             }
           }
         }
         // Line 16: the receiver appends the sender's (unfakeable) ID.
-        BeaconFrame forwarded = chosen->payload;
-        forwarded.path = arena.append(forwarded.path, ids.publicId(chosen->sender));
+        const Engine::Delivery picked = box[chosen];
+        BeaconFrame forwarded = picked.payload;
+        forwarded.path = arena.append(forwarded.path, ids.publicId(picked.sender));
         ++forwarded.len;
         // Lines 20-25: update shortestPath with the first acceptable beacon.
         if (chosenAcceptable && !st.hasShortest[v]) {
@@ -355,7 +357,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
         st.receivedContinue[u] = 1;  // sources need no re-entry signal
         engine.broadcast(u, BeaconFrame{}, kContinueBits);
       }
-      auto continueStep = [&](NodeId v, Round r, std::span<const Engine::Delivery>) {
+      auto continueStep = [&](NodeId v, Round r, const Engine::Inbox&) {
         if (st.receivedContinue[v]) return;
         st.receivedContinue[v] = 1;
         bool relays;

@@ -150,7 +150,7 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
   auto integrateNode = [&](NodeId u, Round round) {
     if (!keepsView(u)) return LocalDecideReason::Undecided;
     const bool isByz = byz.contains(u);
-    const std::span<const Engine::Delivery> box = engine.inboxOf(u);
+    const Engine::Inbox box = engine.inboxOf(u);
     // Line 5: a mute neighbour triggers an immediate decision. Every sending
     // neighbour contributes one delivery per incident edge, so a short inbox
     // means someone stayed silent.

@@ -1,11 +1,9 @@
 #include "obs/sinks.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "obs/metrics.hpp"
-#include "support/require.hpp"
 
 namespace bzc::obs {
 
@@ -158,11 +156,8 @@ void writeBlock(std::ostream& os, const TrialTrace& trace) {
 
 }  // namespace
 
-RecordSink::RecordSink(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)), os_(owned_.get()) {
-  BZC_REQUIRE(static_cast<std::ofstream&>(*owned_).is_open(),
-              "BZC_TRACE: cannot open " + path);
-}
+RecordSink::RecordSink(std::unique_ptr<std::ostream> owned)
+    : owned_(std::move(owned)), os_(owned_.get()) {}
 
 RecordSink::RecordSink(std::ostream& os) : os_(&os) {}
 

@@ -27,8 +27,8 @@ namespace bzc::obs {
 /// diffs, reports, and renders this format.
 class RecordSink : public TraceSink {
  public:
-  /// Truncates `path` and writes to it.
-  explicit RecordSink(const std::string& path);
+  /// Owns and writes to an opened stream (the BZC_TRACE file).
+  explicit RecordSink(std::unique_ptr<std::ostream> owned);
   /// Writes to a caller-owned stream (tests).
   explicit RecordSink(std::ostream& os);
   ~RecordSink() override;

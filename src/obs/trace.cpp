@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <memory>
 #include <mutex>
 
 #include "obs/sinks.hpp"
@@ -114,8 +116,15 @@ void ensureEnvTraceConfig() {
     // Empty string = unset (CI loops export "" for untraced iterations).
     const char* path = std::getenv("BZC_TRACE");
     if (path == nullptr || *path == '\0') return;
+    // Opened here, not in the runner's first fan-out, so a bad path exits
+    // like a bad knob instead of throwing across a worker thread.
+    auto file = std::make_unique<std::ofstream>(path, std::ios::trunc);
+    if (!file->is_open()) {
+      std::cerr << "BZC_TRACE: cannot open " << path << "\n";
+      std::exit(2);
+    }
     if (flow) setTraceFlowMarks(true);
-    setTraceSink(std::make_shared<RecordSink>(std::string(path)), sample);
+    setTraceSink(std::make_shared<RecordSink>(std::move(file)), sample);
   });
 }
 

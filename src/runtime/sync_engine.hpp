@@ -23,11 +23,19 @@
 // parallelism inside a trial is the runner-derived worker budget (DESIGN.md
 // §5), which protocols spend on their own per-node passes between windows.
 //
-// Provenance tags (DESIGN.md §14) ride inside Message payloads: the engine
-// moves/copies payloads opaquely through the flush, so tags like
-// WalkToken::taintNode or BeaconFrame::forgeNode arrive at the receiver
-// exactly as sent and never perturb ordering, metering, or RNG — blame
-// collection costs no simulated bits and no determinism caveats.
+// Deliveries by reference: an inbox holds 32-bit indices into the round's
+// send queue, and `recv(v, w, const Inbox&)` reads each delivery's sender and
+// payload through them (4 bytes written per delivery, not a payload copy). A
+// payload is valid from the round's flush through that round's recv and end
+// hooks (Algorithm 1 reads inboxes from its end hook, in parallel, read-only);
+// the next round's flush swaps the queue and invalidates it. Sends queued from
+// hooks go to a different vector, so they never move a payload being read.
+//
+// Provenance tags (DESIGN.md §14) ride inside Message payloads, which the
+// engine never rewrites, so tags like WalkToken::taintNode or
+// BeaconFrame::forgeNode arrive at the receiver exactly as sent and never
+// perturb ordering, metering, or RNG — blame collection costs no simulated
+// bits and no determinism caveats.
 //
 // A "window" is a bounded run of rounds (phase structures like Algorithm 2's
 // beacon/continue windows map onto it); `rounds == 0` means run until
@@ -36,9 +44,9 @@
 // up with skipRounds().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -91,12 +99,52 @@ class SyncEngine {
   };
 
  public:
+  /// One delivery: a view into the round's send queue (see the header comment
+  /// for how long `payload` stays valid).
   struct Delivery {
-    NodeId sender = kNoNode;
-    Message payload{};
+    NodeId sender;
+    const Message& payload;
   };
+
+  /// One receiver's deliveries for the current round, in inbox order.
+  class Inbox {
+   public:
+    class iterator {
+     public:
+      iterator(const std::uint32_t* at, const PendingSend* sends) : at_(at), sends_(sends) {}
+      Delivery operator*() const { return {sends_[*at_].from, sends_[*at_].payload}; }
+      iterator& operator++() {
+        ++at_;
+        return *this;
+      }
+      bool operator==(const iterator& o) const { return at_ == o.at_; }
+
+     private:
+      const std::uint32_t* at_;
+      const PendingSend* sends_;
+    };
+
+    Inbox() = default;
+    Inbox(const std::uint32_t* idx, std::uint32_t count, const PendingSend* sends)
+        : idx_(idx), count_(count), sends_(sends) {}
+
+    [[nodiscard]] std::size_t size() const noexcept { return count_; }
+    [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+    [[nodiscard]] Delivery operator[](std::size_t k) const {
+      return {sends_[idx_[k]].from, sends_[idx_[k]].payload};
+    }
+    [[nodiscard]] Delivery front() const { return (*this)[0]; }
+    [[nodiscard]] iterator begin() const { return {idx_, sends_}; }
+    [[nodiscard]] iterator end() const { return {idx_ + count_, sends_}; }
+
+   private:
+    const std::uint32_t* idx_ = nullptr;
+    std::uint32_t count_ = 0;
+    const PendingSend* sends_ = nullptr;
+  };
+
   struct NoRecv {
-    void operator()(NodeId, Round, std::span<const Delivery>) const noexcept {}
+    void operator()(NodeId, Round, const Inbox&) const noexcept {}
   };
 
   /// maxTotalRounds == 0 disables the engine-wide cap.
@@ -107,7 +155,8 @@ class SyncEngine {
         meter_(g.numNodes()),
         inboxCount_(g.numNodes(), 0),
         inboxStart_(g.numNodes(), 0),
-        inboxCursor_(g.numNodes(), 0) {
+        inboxCursor_(g.numNodes(), 0),
+        touched_(static_cast<std::size_t>(g.numNodes()) + 1) {
     BZC_REQUIRE(byz.numNodes() == g.numNodes(), "byzantine set size mismatch");
   }
 
@@ -144,9 +193,9 @@ class SyncEngine {
   [[nodiscard]] bool hasPending() const noexcept { return !sendQueue_.empty(); }
 
   /// Inbox of node v for the current round (valid inside recv/end hooks).
-  [[nodiscard]] std::span<const Delivery> inboxOf(NodeId v) const {
+  [[nodiscard]] Inbox inboxOf(NodeId v) const {
     if (inboxCount_[v] == 0) return {};
-    return {inboxArena_.data() + inboxStart_[v], inboxCount_[v]};
+    return {inboxArena_.data() + inboxStart_[v], inboxCount_[v], flushing_.data()};
   }
 
   // --- the round loop -------------------------------------------------------
@@ -195,7 +244,7 @@ class SyncEngine {
       const bool anyTraffic = !flushing_.empty();
       if (tr != nullptr) {
         rd.round = round_;
-        rd.touched = static_cast<std::uint32_t>(touched_.size());
+        rd.touched = touchedCount_;
         rd.messages = meter_.totalMessages() - msgs0;
         rd.bits = meter_.totalBits() - bits0;
       }
@@ -209,14 +258,15 @@ class SyncEngine {
         return res;
       }
       const std::int64_t recvT0 = tr != nullptr ? obs::traceClockNs() : 0;
-      for (NodeId v : touched_) {
+      for (std::uint32_t i = 0; i < touchedCount_; ++i) {
+        const NodeId v = touched_[i];
         recv(v, static_cast<Round>(w), inboxOf(v));
       }
       if (tr != nullptr) rd.recvNs = obs::traceClockNs() - recvT0;
       const bool keep = end(static_cast<Round>(w));
       if (tr != nullptr) tr->round(rd);
-      for (NodeId v : touched_) inboxCount_[v] = 0;
-      touched_.clear();
+      for (std::uint32_t i = 0; i < touchedCount_; ++i) inboxCount_[touched_[i]] = 0;
+      touchedCount_ = 0;
       if (!keep) {
         res.status = WindowStatus::Stopped;
         if (tr != nullptr) tr->span("engine.window", winT0, round_);
@@ -239,42 +289,40 @@ class SyncEngine {
   // contiguous slices of a single round arena (offsets assigned in
   // first-delivery order, which keeps `touched_` — and therefore the recv
   // order the goldens pin — identical to the old one-Delivery-per-push
-  // scheme), then a scatter pass writes payloads in send-queue order. At
-  // token-heavy scale (n >= 64k: one unicast per live walk token per round)
-  // this replaces n scattered vector headers and their growth reallocations
-  // with two flat arrays and a grow-only arena; delivery order, metering
-  // order and inbox contents are bit-identical (DESIGN.md §1).
+  // scheme), then a scatter pass writes each delivery's send index in
+  // send-queue order. Delivery order, metering order and inbox contents are
+  // bit-identical to per-receiver vectors of copied payloads (DESIGN.md §1).
+  //
+  // The first-delivery list is built without a data-dependent branch: every
+  // delivery writes its receiver at the tail, and the tail advances only on
+  // a first delivery. The spare slot n takes the write that follows the
+  // round's n-th first delivery.
   void flush() {
+    std::uint32_t tail = 0;
     for (const PendingSend& p : flushing_) {
       if (p.to == kNoNode) {
         if (!byz_.contains(p.from)) {
           meter_.recordBroadcast(p.from, p.bits, graph_.degree(p.from));
         }
         for (NodeId v : graph_.neighbors(p.from)) {
-          if (inboxCount_[v]++ == 0) touched_.push_back(v);
+          touched_[tail] = v;
+          tail += static_cast<std::uint32_t>(inboxCount_[v]++ == 0);
         }
       } else {
         if (!byz_.contains(p.from)) meter_.record(p.from, p.bits);
-        if (inboxCount_[p.to]++ == 0) touched_.push_back(p.to);
+        touched_[tail] = p.to;
+        tail += static_cast<std::uint32_t>(inboxCount_[p.to]++ == 0);
       }
     }
+    touchedCount_ = tail;
     layoutInboxes();
-    for (PendingSend& p : flushing_) {
+    const auto sends = static_cast<std::uint32_t>(flushing_.size());
+    for (std::uint32_t s = 0; s < sends; ++s) {
+      const PendingSend& p = flushing_[s];
       if (p.to == kNoNode) {
-        // The final delivery slot gets the payload moved, not copied: message
-        // types carrying buffers (walk tokens) pay one copy per neighbor less.
-        const auto nbrs = graph_.neighbors(p.from);
-        for (std::size_t j = 0; j + 1 < nbrs.size(); ++j) {
-          inboxArena_[inboxCursor_[nbrs[j]]++] = {p.from, Message(p.payload)};
-        }
-        if (!nbrs.empty()) {
-          inboxArena_[inboxCursor_[nbrs.back()]++] = {p.from, std::move(p.payload)};
-        }
+        for (NodeId v : graph_.neighbors(p.from)) inboxArena_[inboxCursor_[v]++] = s;
       } else {
-        // A unicast has exactly one receiver and flushing_ is discarded after
-        // the flush, so the payload can move (message types carrying buffers —
-        // walk tokens — ride this hot path).
-        inboxArena_[inboxCursor_[p.to]++] = {p.from, std::move(p.payload)};
+        inboxArena_[inboxCursor_[p.to]++] = s;
       }
     }
   }
@@ -283,13 +331,15 @@ class SyncEngine {
   // arena offset and scatter cursor; grows the arena to the round's total.
   void layoutInboxes() {
     std::uint64_t total = 0;
-    for (NodeId v : touched_) {
+    for (std::uint32_t i = 0; i < touchedCount_; ++i) {
+      const NodeId v = touched_[i];
       inboxStart_[v] = static_cast<std::uint32_t>(total);
       inboxCursor_[v] = static_cast<std::uint32_t>(total);
       total += inboxCount_[v];
     }
-    BZC_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
-                "a round's deliveries overflow the 32-bit inbox offsets");
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+    BZC_REQUIRE(total <= kMax && flushing_.size() <= kMax,
+                "a round's deliveries or sends overflow the 32-bit inbox entries");
     if (inboxArena_.size() < total) inboxArena_.resize(total);
   }
 
@@ -301,12 +351,14 @@ class SyncEngine {
 
   std::vector<PendingSend> sendQueue_;
   std::vector<PendingSend> flushing_;
-  std::vector<Delivery> inboxArena_;        ///< one round's deliveries, receiver-contiguous
-  // 32-bit bookkeeping: a round's deliveries must fit (layoutInboxes checks).
+  // 32-bit bookkeeping: a round's deliveries and sends must fit (layoutInboxes
+  // checks).
+  std::vector<std::uint32_t> inboxArena_;   ///< send indices into flushing_, receiver-contiguous
   std::vector<std::uint32_t> inboxCount_;   ///< per node; nonzero only for touched_ members
   std::vector<std::uint32_t> inboxStart_;   ///< arena offset; valid when inboxCount_ > 0
   std::vector<std::uint32_t> inboxCursor_;  ///< scatter cursor during flush()
-  std::vector<NodeId> touched_;
+  std::vector<NodeId> touched_;             ///< n + 1 slots; first touchedCount_ are live
+  std::uint32_t touchedCount_ = 0;
 };
 
 }  // namespace bzc

@@ -3,10 +3,12 @@
 // SyncEngine migration to the pre-refactor protocol behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "churn/schedule.hpp"
@@ -136,7 +138,7 @@ TEST(SyncEngine, InboxPreservesQueueOrderAndRecvFiresInFirstDeliveryOrder) {
 
   std::vector<NodeId> recvOrder;
   std::vector<int> centerInbox;
-  auto res = engine.runWindow(1, [&](NodeId v, Round, std::span<const IntEngine::Delivery> box) {
+  auto res = engine.runWindow(1, [&](NodeId v, Round, const IntEngine::Inbox& box) {
     recvOrder.push_back(v);
     if (v == 0) {
       for (const auto& d : box) centerInbox.push_back(d.payload);
@@ -167,7 +169,7 @@ TEST(SyncEngine, RunFullWindowKeepsGoingThroughIdleRounds) {
   auto emit = [&](Round w) {
     if (w == 3) engine.broadcast(0, 7, 8);  // traffic only in the last round
   };
-  auto recv = [&](NodeId, Round w, std::span<const IntEngine::Delivery>) {
+  auto recv = [&](NodeId, Round w, const IntEngine::Inbox&) {
     deliveries.push_back(w);
   };
   const auto res = engine.runWindow(3, emit, recv, NoEnd{}, IdlePolicy::RunFullWindow);
@@ -181,7 +183,7 @@ TEST(SyncEngine, RoundCapStopsEndlessFlood) {
   const ByzantineSet byz(6, {});
   IntEngine engine(g, byz, /*maxTotalRounds=*/4);
   engine.broadcast(0, 1, 8);
-  auto echo = [&](NodeId v, Round, std::span<const IntEngine::Delivery>) {
+  auto echo = [&](NodeId v, Round, const IntEngine::Inbox&) {
     engine.broadcast(v, 1, 8);  // every receiver re-floods forever
   };
   const auto res = engine.runWindow(0, echo);
@@ -195,7 +197,7 @@ TEST(SyncEngine, EndHookStopsTheWindow) {
   const ByzantineSet byz(4, {});
   IntEngine engine(g, byz);
   engine.broadcast(0, 1, 8);
-  auto echo = [&](NodeId v, Round, std::span<const IntEngine::Delivery>) {
+  auto echo = [&](NodeId v, Round, const IntEngine::Inbox&) {
     engine.broadcast(v, 1, 8);
   };
   auto stopAfterTwo = [&](Round) { return engine.round() < 2; };
@@ -212,7 +214,7 @@ TEST(SyncEngine, MetersHonestSendersOnly) {
   engine.broadcast(1, 6, 32);  // Byzantine: delivered but never metered
   engine.unicast(2, 3, 7, 16);  // honest unicast: one copy
   std::size_t delivered = 0;
-  auto res = engine.runWindow(1, [&](NodeId, Round, std::span<const IntEngine::Delivery> box) {
+  auto res = engine.runWindow(1, [&](NodeId, Round, const IntEngine::Inbox& box) {
     delivered += box.size();
   });
   EXPECT_EQ(res.status, WindowStatus::Completed);
@@ -225,6 +227,152 @@ TEST(SyncEngine, MetersHonestSendersOnly) {
   EXPECT_EQ(meter.messagesSent(2), 1u);
   EXPECT_EQ(meter.bitsSent(2), 16u);
   EXPECT_EQ(meter.totalMessages(), 3u);
+}
+
+// A naive reference for one flush: per-receiver vectors of copied
+// (sender, payload) pairs filled in send order, a first-delivery list, and
+// the honest traffic the meter must record.
+struct RefSend {
+  NodeId from;
+  NodeId to;  // kNoNode = broadcast
+  std::uint64_t payload;
+  std::size_t bits;
+};
+using RefInbox = std::vector<std::pair<NodeId, std::uint64_t>>;
+struct RefRound {
+  std::vector<RefInbox> inbox;
+  std::vector<NodeId> firstDelivery;
+  std::uint64_t messages = 0;
+  std::uint64_t bits = 0;
+};
+
+RefRound referenceFlush(const Graph& g, const ByzantineSet& byz,
+                        const std::vector<RefSend>& sends) {
+  RefRound r;
+  r.inbox.resize(g.numNodes());
+  const auto deliver = [&](NodeId v, const RefSend& s) {
+    if (r.inbox[v].empty()) r.firstDelivery.push_back(v);
+    r.inbox[v].emplace_back(s.from, s.payload);
+  };
+  for (const RefSend& s : sends) {
+    const std::uint64_t copies = s.to == kNoNode ? g.degree(s.from) : 1;
+    if (s.to == kNoNode) {
+      for (NodeId v : g.neighbors(s.from)) deliver(v, s);
+    } else {
+      deliver(s.to, s);
+    }
+    if (!byz.contains(s.from)) {
+      r.messages += copies;
+      r.bits += copies * s.bits;
+    }
+  }
+  return r;
+}
+
+// Random broadcasts and unicasts on an H(n, d) multigraph with Byzantine
+// senders, checked round by round against referenceFlush: recv order, every
+// inbox (read from recv and again from the end hook) and the meter totals.
+// One round touches every node (the first-delivery list's spare slot). The
+// first recv of every fifth round queues a burst larger than any earlier
+// queue, so the send queue reallocates while later receivers still read their
+// payloads; the sanitizer builds catch a payload read through a stale buffer.
+TEST(SyncEngine, MatchesNaiveReferenceOnRandomRounds) {
+  using U64Engine = SyncEngine<std::uint64_t>;
+  constexpr NodeId n = 24;
+  constexpr std::uint32_t kRounds = 30;
+  constexpr Round kFullRound = 7;
+  Rng gen(11);
+  const Graph g = hnd(n, 6, gen);
+  bool parallelEdge = false;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto nb = g.neighbors(u);
+    std::vector<NodeId> sorted(nb.begin(), nb.end());
+    std::sort(sorted.begin(), sorted.end());
+    parallelEdge |= std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+  }
+  ASSERT_TRUE(parallelEdge) << "the seed must give the multigraph a parallel edge";
+  const ByzantineSet byz(n, {3, 11, 20});
+  U64Engine engine(g, byz);
+  Rng rng(12);
+
+  std::vector<RefSend> pending;  // mirrors the engine's send queue
+  std::uint64_t nextPayload = 1;
+  std::size_t maxQueued = 0;
+  const auto queue = [&](NodeId from, NodeId to) {
+    const RefSend s{from, to, nextPayload++, 1 + rng.uniform(64)};
+    pending.push_back(s);
+    if (to == kNoNode) {
+      engine.broadcast(from, s.payload, s.bits);
+    } else {
+      engine.unicast(from, to, s.payload, s.bits);
+    }
+  };
+  const auto randomSend = [&](NodeId from) {
+    queue(from, rng.bernoulli(0.5) ? kNoNode : static_cast<NodeId>(rng.uniform(n)));
+  };
+  const auto inboxPairs = [](const U64Engine::Inbox& box) {
+    RefInbox got;
+    for (const U64Engine::Delivery& d : box) got.emplace_back(d.sender, d.payload);
+    for (std::size_t k = 0; k < box.size(); ++k) {
+      EXPECT_EQ(box[k].sender, got[k].first);
+      EXPECT_EQ(box[k].payload, got[k].second);
+    }
+    if (!box.empty()) {
+      EXPECT_EQ(box.front().payload, got.front().second);
+    }
+    EXPECT_EQ(box.empty(), got.empty());
+    return got;
+  };
+
+  RefRound expected;
+  std::uint64_t refMessages = 0;
+  std::uint64_t refBits = 0;
+  std::vector<NodeId> recvOrder;
+  std::uint32_t bursts = 0;
+  auto emit = [&](Round w) {
+    if (w == kFullRound) {
+      for (NodeId u = 0; u < n; ++u) queue(u, kNoNode);
+    } else {
+      const auto sends = rng.uniform(n);  // sometimes none: an idle round
+      for (std::uint64_t i = 0; i < sends; ++i) randomSend(static_cast<NodeId>(rng.uniform(n)));
+    }
+    // The engine flushes everything queued so far right after this hook.
+    expected = referenceFlush(g, byz, pending);
+    refMessages += expected.messages;
+    refBits += expected.bits;
+    maxQueued = std::max(maxQueued, pending.size());
+    pending.clear();
+    recvOrder.clear();
+  };
+  auto recv = [&](NodeId v, Round w, const U64Engine::Inbox& box) {
+    recvOrder.push_back(v);
+    EXPECT_EQ(inboxPairs(box), expected.inbox[v]) << "round " << w << " node " << v;
+    if (w % 5 == 0 && recvOrder.size() == 1) {
+      ++bursts;
+      const std::size_t burst = 2 * maxQueued + 64;  // beyond any earlier capacity
+      for (std::size_t i = 0; i < burst; ++i) {
+        queue(v, static_cast<NodeId>(rng.uniform(n)));
+      }
+    } else if (rng.bernoulli(0.6)) {
+      randomSend(v);
+    }
+  };
+  auto end = [&](Round w) {
+    EXPECT_EQ(recvOrder, expected.firstDelivery) << "round " << w;
+    if (w == kFullRound) {
+      EXPECT_EQ(expected.firstDelivery.size(), std::size_t{n});
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(inboxPairs(engine.inboxOf(v)), expected.inbox[v]) << "round " << w << " node " << v;
+    }
+    EXPECT_EQ(engine.meter().totalMessages(), refMessages) << "round " << w;
+    EXPECT_EQ(engine.meter().totalBits(), refBits) << "round " << w;
+    return true;
+  };
+  const auto res = engine.runWindow(kRounds, emit, recv, end, IdlePolicy::RunFullWindow);
+  EXPECT_EQ(res.status, WindowStatus::Completed);
+  EXPECT_EQ(res.roundsRun, kRounds);
+  EXPECT_GE(bursts, 4u);
 }
 
 TEST(SyncEngine, SkipRoundsChargesWallClockWithoutTraffic) {

@@ -402,6 +402,16 @@ TEST(KnobDeathTest, TraceFlowExitsOnGarbage) {
   ::unsetenv("BZC_TRACE_FLOW");
 }
 
+// An unopenable record path exits like a bad knob, before any trial runs,
+// instead of throwing from a runner worker and aborting the process.
+TEST(KnobDeathTest, TraceExitsOnUnopenablePath) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("BZC_TRACE", "/nonexistent/dir/x.jsonl", 1);
+  EXPECT_EXIT(obs::ensureEnvTraceConfig(), ::testing::ExitedWithCode(2),
+              "BZC_TRACE: cannot open /nonexistent/dir/x.jsonl");
+  ::unsetenv("BZC_TRACE");
+}
+
 // BZC_ASSERT is live in debug builds and in -DBZC_CHECKED=ON builds, and
 // compiled out otherwise; either way kAssertsLive says which. A run that
 // needs live asserts (the checked CI job) sets BZC_EXPECT_ASSERTS=1, so a
