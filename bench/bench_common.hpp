@@ -108,9 +108,24 @@ inline std::uint64_t rowSeed(std::uint64_t benchTag, std::uint64_t row) {
 
 // --- machine-readable results (BZC_OUTPUT=json) -----------------------------
 
-inline bool jsonOutputEnabled() {
-  const char* env = std::getenv("BZC_OUTPUT");
-  return env != nullptr && std::string(env) == "json";
+/// Where JSON rows go under BZC_OUTPUT=json: stdout, or $BZC_JSON_FILE
+/// opened for append when that is set and non-empty; nullptr under the
+/// default BZC_OUTPUT=text. Resolved once, first by experimentHeader, so a
+/// BZC_OUTPUT value other than text|json or an unopenable BZC_JSON_FILE exits
+/// with status 2 before any row runs.
+inline std::ostream* jsonSink() {
+  static std::ostream* const sink = []() -> std::ostream* {
+    if (envChoice("BZC_OUTPUT", {"text", "json"}).value_or(0) == 0) return nullptr;
+    const char* path = std::getenv("BZC_JSON_FILE");
+    if (path == nullptr || *path == '\0') return &std::cout;
+    static std::ofstream file(path, std::ios::app);
+    if (!file.is_open()) {
+      std::cerr << "BZC_JSON_FILE: cannot open " << path << "\n";
+      std::exit(2);
+    }
+    return &file;
+  }();
+  return sink;
 }
 
 /// Process peak RSS in KB (getrusage; Linux reports ru_maxrss in KB). A
@@ -147,13 +162,13 @@ inline void appendJsonSamples(std::ostringstream& os, const char* key,
   os << ']';
 }
 
-/// One ExperimentSummary as a single JSON line, written to stdout (or
-/// appended to $BZC_JSON_FILE when set) so perf trajectories (BENCH_*.json)
-/// can be tracked across PRs. No-op unless BZC_OUTPUT=json. Extras are
-/// keyed by name (tools/diff_bench_json.py pairs them by name and orients
-/// lower-is-better metrics like staleness by name).
+/// One ExperimentSummary as a single JSON line, written to jsonSink() so perf
+/// trajectories (BENCH_*.json) can be tracked across PRs. No-op unless
+/// BZC_OUTPUT=json. Extras are keyed by name (tools/diff_bench_json.py pairs
+/// them by name and orients lower-is-better metrics like staleness by name).
 inline void maybeEmitJson(const ExperimentSummary& s, double wallMs = -1.0) {
-  if (!jsonOutputEnabled()) return;
+  std::ostream* const out = jsonSink();
+  if (out == nullptr) return;
   std::ostringstream os;
   os.precision(12);
   os << "{\"name\":\"" << s.name << "\",\"trials\":" << s.trials
@@ -209,12 +224,7 @@ inline void maybeEmitJson(const ExperimentSummary& s, double wallMs = -1.0) {
   appendJsonSamples(os, "totalBits", s,
                     [](const TrialOutcome& t) { return static_cast<double>(t.totalBits); });
   os << "}}";
-  if (const char* path = std::getenv("BZC_JSON_FILE")) {
-    std::ofstream f(path, std::ios::app);
-    f << os.str() << '\n';
-  } else {
-    std::cout << os.str() << '\n';
-  }
+  *out << os.str() << '\n' << std::flush;
 }
 
 /// Declarative row: run spec on the runner and emit the JSON line.
@@ -326,8 +336,10 @@ inline EstimateSummary summarize(const CountingResult& result, const ByzantineSe
 
 inline std::string passFail(bool ok) { return ok ? "yes" : "NO"; }
 
-/// Prints the standard experiment header.
+/// Prints the standard experiment header, after checking the output knobs
+/// (jsonSink()) so a bad one exits before any row runs.
 inline void experimentHeader(const std::string& id, const std::string& claim) {
+  (void)jsonSink();
   printBanner(std::cout, id, claim);
 }
 

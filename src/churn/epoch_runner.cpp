@@ -29,25 +29,7 @@ constexpr std::uint64_t kChurnRepairStream = 0xc4e1;
 constexpr std::uint64_t kChurnGapStream = 0xc4e2;
 constexpr std::uint64_t kChurnRecountStream = 0xc4e3;
 
-constexpr unsigned kGapIterations = 32;      ///< power-iteration depth, cold start
-constexpr unsigned kGapIterationsWarm = 12;   ///< depth when seeded by the previous epoch
-                                             ///< (identical gaps within tolerance; pinned)
-
-/// Carries the previous epoch's Fiedler vector onto this epoch's membership:
-/// values follow global ids (both id lists are ascending — members_ is kept
-/// sorted), departed ids drop out, new ids start at zero and get filled in by
-/// the deflation + power iteration.
-std::vector<double> remapByGlobalId(const std::vector<double>& prev,
-                                    const std::vector<std::uint64_t>& prevIds,
-                                    const std::vector<std::uint64_t>& curIds) {
-  std::vector<double> warm(curIds.size(), 0.0);
-  std::size_t j = 0;
-  for (std::size_t i = 0; i < curIds.size(); ++i) {
-    while (j < prevIds.size() && prevIds[j] < curIds[i]) ++j;
-    if (j < prevIds.size() && prevIds[j] == curIds[i]) warm[i] = prev[j];
-  }
-  return warm;
-}
+constexpr unsigned kGapIterations = 32;  ///< power-iteration depth of every gap probe
 
 /// ln-scale estimate a recount handed the honest nodes, from the protocol
 /// family's own reporting: counting protocols expose mean L_u / ln n through
@@ -95,8 +77,7 @@ struct SnapshotSlot {
 //
 //   overlay stage (serial, this thread): churn events -> repair -> snapshot
 //     -> spectral-gap probe. Inherently sequential — each epoch's overlay is
-//     the previous epoch's plus one event batch, and the Fiedler warm start
-//     carries the previous probe's vector.
+//     the previous epoch's plus one event batch.
 //   recount stage (parallel, pool workers): runProtocolTrial on a finished
 //     snapshot. A pure function of (epochSpec, snapshot, per-epoch forked
 //     Rng), so recounts of different epochs are mutually independent.
@@ -137,11 +118,6 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
   double gapSum = 0.0;
   double firstGap = 0.0, lastGap = 0.0;
   std::uint64_t joins = 0, leaves = 0, rewires = 0;
-  // Spectral-probe warm-start carry: the previous epoch's Fiedler vector and
-  // the global ids its entries belong to. Serial overlay-stage state.
-  std::vector<double> gapState;
-  std::vector<std::uint64_t> gapStateIds;
-  std::uint64_t gapProbeIters = 0;
 
   std::vector<EpochStage> stages(spec.churn.epochs);
   // Snapshot ring: depth recounts in flight plus the epoch being
@@ -227,31 +203,11 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
       trace->counter("churn.byzCount", static_cast<double>(report.byzCount), epoch);
     }
 
+    // Each probe draws its random start from its own per-epoch stream.
     Rng gapRng = gapBase.fork(epoch);
-    // Epoch 1 reuses the trial's original graph, whose dense ids are their
-    // global ids; later epochs carry the snapshot's id map.
-    std::vector<std::uint64_t> curIds;
-    if (epoch == 1) {
-      curIds.resize(liveN);
-      for (NodeId u = 0; u < liveN; ++u) curIds[u] = u;
-    } else {
-      curIds = snap.denseToId;
-    }
-    std::vector<double> probeState;
-    if (spec.churn.gapWarmStart && !gapState.empty()) {
-      probeState = remapByGlobalId(gapState, gapStateIds, curIds);
-    }
-    // Depth and the callee's warm-vs-cold decision share one predicate, so a
-    // reduced-depth probe can never silently restart cold (e.g. after a full
-    // membership turnover zeroed the carry).
-    const bool warm = fiedlerWarmStartUsable(probeState, liveN);
-    const unsigned probeDepth = warm ? kGapIterationsWarm : kGapIterations;
     const std::int64_t gapT0 = trace != nullptr ? obs::traceClockNs() : 0;
-    report.spectralGap = spectralGapEstimate(snap.graph, probeDepth, gapRng, &probeState);
+    report.spectralGap = spectralGapEstimate(snap.graph, kGapIterations, gapRng);
     if (trace != nullptr) trace->span("epoch.gapProbe", gapT0, epoch);
-    gapProbeIters += probeDepth;
-    gapState = std::move(probeState);
-    gapStateIds = std::move(curIds);
     gapSum += report.spectralGap;
     lastGap = report.spectralGap;
     if (epoch == 1) firstGap = report.spectralGap;
@@ -376,8 +332,7 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
   // Joins count honest and Byzantine members, rewires degree-preserving
   // swaps. Staleness is |estimate - ln n(t)| / ln n(t) per epoch; drift is
   // the same for ln n at the last recount (the truth's drift net of protocol
-  // bias). gapDrift is the last epoch's spectral gap minus epoch 1's, and
-  // gapProbeIters shows the Fiedler warm start's saving.
+  // bias). gapDrift is the last epoch's spectral gap minus epoch 1's.
   NamedValues<double>& x = total.extra;
   x.set("epochs", epochsRun);
   x.set("recounts", static_cast<double>(recounts));
@@ -396,7 +351,6 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
   x.set("meanGap", gapSum / epochsRun);
   x.set("gapDrift", lastGap - firstGap);
   x.set("lastAgree", lastAgree);  // 0 unless the protocol runs agreement
-  x.set("gapProbeIters", static_cast<double>(gapProbeIters));
   return result;
 }
 

@@ -19,7 +19,7 @@
 //
 // Execution is a depth-bounded software pipeline (DESIGN.md §11) whose depth
 // is the trial's worker budget (trialWorkerBudget(), DESIGN.md §5): the
-// serial overlay stage (events, repair, snapshot, warm-started gap probe)
+// serial overlay stage (events, repair, snapshot, cold spectral-gap probe)
 // runs ahead while up to `depth` recounts — pure functions of their
 // materialised snapshots — execute on pool workers; the estimate/staleness/
 // drift fold is a serial finalization pass in epoch order, so every budget

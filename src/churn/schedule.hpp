@@ -55,13 +55,6 @@ struct ChurnSchedule {
   double byzRejoinBoost = 1.5;  ///< fresh Byzantine identities per faked departure (>= 1
                                 ///< inflates the effective budget; 1.0 = pure whitewashing)
 
-  /// Spectral-gap probe warm start (ROADMAP perf lever): epoch e seeds the
-  /// Fiedler power iteration with epoch e-1's vector (carried across
-  /// membership changes by global id) at a reduced iteration count. Gap
-  /// values match a fresh full-depth probe within tolerance (pinned by
-  /// churn_test); disable to force fresh full-depth probes every epoch.
-  bool gapWarmStart = true;
-
   /// True when the scenario should route through the EpochRunner. A default
   /// schedule is inert: every existing ScenarioSpec behaves exactly as before.
   [[nodiscard]] bool enabled() const noexcept {

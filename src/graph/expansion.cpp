@@ -115,15 +115,10 @@ void deflateAndNormalize(std::vector<double>& x, double dot, double degSum) {
 // (each neighbour sum in adjacency order) and the divisions stay divisions,
 // so the result equals the plain walk / deflate / normalize sequence bit for
 // bit. Do not reorder the sums or build this file with -ffast-math.
-std::vector<double> fiedlerVector(const Graph& g, unsigned iterations, Rng& rng,
-                                  const std::vector<double>* warmStart) {
+std::vector<double> fiedlerVector(const Graph& g, unsigned iterations, Rng& rng) {
   const NodeId n = g.numNodes();
   std::vector<double> x(n);
-  if (warmStart != nullptr && warmStart->size() == n) {
-    x = *warmStart;
-  } else {
-    for (auto& v : x) v = rng.uniformDouble() - 0.5;
-  }
+  for (auto& v : x) v = rng.uniformDouble() - 0.5;
   double degSum = 0.0;
   double dot = 0.0;
   for (NodeId u = 0; u < n; ++u) {
@@ -183,11 +178,10 @@ SweepCut sweepCutByOrder(const Graph& g, const std::vector<NodeId>& order,
   return best;
 }
 
-SweepCut fiedlerSweep(const Graph& g, unsigned iterations, Rng& rng,
-                      const std::vector<double>* warmStart) {
+SweepCut fiedlerSweep(const Graph& g, unsigned iterations, Rng& rng) {
   const NodeId n = g.numNodes();
   if (n < 2) return {};
-  const auto fiedler = fiedlerVector(g, iterations, rng, warmStart);
+  const auto fiedler = fiedlerVector(g, iterations, rng);
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
@@ -201,24 +195,10 @@ SweepCut fiedlerSweep(const Graph& g, unsigned iterations, Rng& rng,
   return ascending.expansion <= descending.expansion ? ascending : descending;
 }
 
-bool fiedlerWarmStartUsable(const std::vector<double>& state, NodeId n) {
-  if (state.size() != n || n == 0) return false;
-  // A warm start must survive deflation: an (effectively) zero vector would
-  // freeze the iteration at zero.
-  double norm = 0.0;
-  for (double v : state) norm += v * v;
-  return norm > 1e-12;
-}
-
-double spectralGapEstimate(const Graph& g, unsigned iterations, Rng& rng,
-                           std::vector<double>* state) {
+double spectralGapEstimate(const Graph& g, unsigned iterations, Rng& rng) {
   const NodeId n = g.numNodes();
-  if (n < 2) {
-    if (state != nullptr) state->clear();
-    return 0.0;
-  }
-  const bool warm = state != nullptr && fiedlerWarmStartUsable(*state, n);
-  auto x = fiedlerVector(g, iterations, rng, warm ? state : nullptr);
+  if (n < 2) return 0.0;
+  const auto x = fiedlerVector(g, iterations, rng);
   // Rayleigh quotient of W on the deflated vector approximates lambda2(W).
   std::vector<double> y(n);
   applyLazyWalk(g, x, y);
@@ -228,13 +208,7 @@ double spectralGapEstimate(const Graph& g, unsigned iterations, Rng& rng,
     num += x[u] * y[u];
     den += x[u] * x[u];
   }
-  const double gap = den < 1e-300 ? 0.0 : 1.0 - num / den;
-  if (state != nullptr) *state = std::move(x);
-  return gap;
-}
-
-double spectralGapEstimate(const Graph& g, unsigned iterations, Rng& rng) {
-  return spectralGapEstimate(g, iterations, rng, nullptr);
+  return den < 1e-300 ? 0.0 : 1.0 - num / den;
 }
 
 double sampledExpansionUpperBound(const Graph& g, unsigned samples, Rng& rng) {

@@ -35,11 +35,9 @@ namespace bzc {
 
 /// Approximate Fiedler vector: the second eigenvector of the lazy random
 /// walk matrix W = (I + D^{-1}A)/2, computed by power iteration with
-/// degree-weighted deflation against the stationary distribution.
-/// If `warmStart` is non-null and the right size it seeds the iteration
-/// (protocol code re-runs this on slowly growing views).
-[[nodiscard]] std::vector<double> fiedlerVector(const Graph& g, unsigned iterations, Rng& rng,
-                                                const std::vector<double>* warmStart = nullptr);
+/// degree-weighted deflation against the stationary distribution, from a
+/// random start drawn from `rng`.
+[[nodiscard]] std::vector<double> fiedlerVector(const Graph& g, unsigned iterations, Rng& rng);
 
 /// Result of a sweep cut over a node ordering.
 struct SweepCut {
@@ -57,27 +55,11 @@ struct SweepCut {
 
 /// Fiedler sweep upper bound on h(G). `iterations` controls power-iteration
 /// accuracy. Deterministic given rng.
-[[nodiscard]] SweepCut fiedlerSweep(const Graph& g, unsigned iterations, Rng& rng,
-                                    const std::vector<double>* warmStart = nullptr);
+[[nodiscard]] SweepCut fiedlerSweep(const Graph& g, unsigned iterations, Rng& rng);
 
 /// Estimate of the spectral expansion: 1 - lambda2(W) where W is the lazy
 /// walk matrix (in [0, 1/2]; larger means better expander).
 [[nodiscard]] double spectralGapEstimate(const Graph& g, unsigned iterations, Rng& rng);
-
-/// Whether `state` can seed the Fiedler power iteration for an n-node graph:
-/// right size and a norm that survives deflation. The single source of truth
-/// shared by spectralGapEstimate's stateful overload and callers that pick
-/// an iteration depth based on warm-vs-cold (the churn EpochRunner).
-[[nodiscard]] bool fiedlerWarmStartUsable(const std::vector<double>& state, NodeId n);
-
-/// Stateful variant for callers probing a slowly evolving graph (the churn
-/// EpochRunner): when fiedlerWarmStartUsable(*state, n) it seeds the power
-/// iteration (so far fewer iterations reach the same accuracy); on return
-/// `state` holds the computed Fiedler vector for the next probe. A
-/// null/mismatched/zero `state` falls back to the fresh random start and
-/// still writes the result back when `state` is non-null.
-[[nodiscard]] double spectralGapEstimate(const Graph& g, unsigned iterations, Rng& rng,
-                                         std::vector<double>* state);
 
 /// Upper-bounds h(G) by also trying `samples` random BFS-grown connected
 /// subsets (each <= n/2). Used by the T9 assumption-audit experiment.

@@ -110,7 +110,7 @@ double LogHistogram::quantile(double q) const {
 
 // --- TrialMetrics -----------------------------------------------------------
 
-TrialMetrics buildTrialMetrics(const TrialTrace& trace, unsigned precision) {
+TrialMetrics buildTrialMetrics(const TrialTrace& trace) {
   TrialMetrics m;
   m.scenario = trace.scenario;
   m.trial = trace.trial;
@@ -120,7 +120,7 @@ TrialMetrics buildTrialMetrics(const TrialTrace& trace, unsigned precision) {
   const auto histAt = [&](std::string name, bool wall) -> LogHistogram& {
     auto it = hists.find(name);
     if (it == hists.end()) {
-      NamedHistogram h{name, wall, LogHistogram(precision)};
+      NamedHistogram h{name, wall, LogHistogram()};
       it = hists.emplace(std::move(name), std::move(h)).first;
     }
     return it->second.hist;
@@ -137,7 +137,6 @@ TrialMetrics buildTrialMetrics(const TrialTrace& trace, unsigned precision) {
         histAt("engine.bitsPerRound", false).add(r.bits);
         // Wall-clock phase timings: reporting payload only.
         histAt("engine.recvNs", true).add(clampNs(r.recvNs));
-        histAt("engine.mergeNs", true).add(clampNs(r.mergeNs));
         histAt("engine.scatterNs", true).add(clampNs(r.scatterNs));
         break;
       }
@@ -146,12 +145,11 @@ TrialMetrics buildTrialMetrics(const TrialTrace& trace, unsigned precision) {
         break;
       case EventKind::Counter:
       case EventKind::Mark:
-        break;  // series payload, handled by buildSeries below
+        break;  // event lines in the run record; no histogram
     }
   }
   m.hists.reserve(hists.size());
   for (auto& [name, h] : hists) m.hists.push_back(std::move(h));
-  m.series = buildSeries(trace);
   return m;
 }
 
@@ -172,15 +170,6 @@ std::uint64_t metricsFingerprint(const TrialMetrics& metrics) {
       h = fnvPod(index, h);
       h = fnvPod(count, h);
     });
-  }
-  for (const TimeSeries& s : metrics.series) {
-    h = fnvStr(s.name, h);
-    h = fnvPod(s.points.size(), h);
-    for (const SeriesPoint& p : s.points) {
-      h = fnvPod(p.round, h);
-      h = fnvPod(p.lane, h);
-      h = fnvPod(p.value, h);
-    }
   }
   return h;
 }

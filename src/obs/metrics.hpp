@@ -13,14 +13,14 @@
 //    buckets (tests/metrics_test.cpp shuffles 256-way merges to pin this).
 //
 //  - TrialMetrics: the per-trial metrics bundle — named histograms distilled
-//    from SyncEngine round records and phase spans, plus the round-resolution
-//    TimeSeries of every domain counter (obs/series.hpp). It is *derived*
-//    from a completed TrialTrace at the serial sink point, never accumulated
+//    from SyncEngine round records and phase spans. It is *derived* from a
+//    completed TrialTrace at the serial sink point, never accumulated
 //    protocol-side, so it is strictly observational (golden fingerprints are
 //    bit-identical metrics on/off) and its deterministic projection — every
-//    histogram not flagged `wall`, plus all series — is a pure function of
-//    the trial at any runner thread count or pipeline depth.
-//    Wall-clock histograms (recv/merge/scatter ns, span durations) are kept
+//    histogram not flagged `wall` — is a pure function of the trial at any
+//    runner thread count or pipeline depth. Counters and marks feed no
+//    histogram: the run record carries them as event lines.
+//    Wall-clock histograms (recv/scatter ns, span durations) are kept
 //    for reporting but excluded from metricsFingerprint(), exactly like the
 //    trace projection excludes ts/dur fields.
 //
@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/series.hpp"
 #include "obs/trace.hpp"
 
 namespace bzc::obs {
@@ -106,21 +105,20 @@ struct TrialMetrics {
   std::string scenario;
   std::uint32_t trial = 0;
   std::vector<NamedHistogram> hists;  ///< sorted by name
-  std::vector<TimeSeries> series;     ///< sorted by name (obs/series.hpp)
 };
 
-/// Distills a completed trace: engine round records become the deterministic
-/// engine.{sends,touched,messages,bits}PerRound histograms plus wall-flagged
-/// engine.{recv,merge,scatter}Ns; spans become wall-flagged "span.<name>"
-/// duration histograms; counters and marks become TimeSeries via buildSeries.
-[[nodiscard]] TrialMetrics buildTrialMetrics(const TrialTrace& trace,
-                                             unsigned precision = LogHistogram::kDefaultPrecision);
+/// Distills a completed trace at the default precision: engine round records
+/// become the deterministic engine.{sends,touched,messages,bits}PerRound
+/// histograms plus wall-flagged engine.{recv,scatter}Ns; spans become
+/// wall-flagged "span.<name>" duration histograms. Counters and marks are
+/// skipped.
+[[nodiscard]] TrialMetrics buildTrialMetrics(const TrialTrace& trace);
 
-/// FNV-1a over the deterministic projection: scenario, trial, every non-wall
-/// histogram (name, precision, count, sum, min, max, non-empty buckets) and
-/// every series (name, points). Only deterministic trace content feeds the
-/// histograms/series hashed here, so the fingerprint is invariant across
-/// runner threads and pipeline depths (pinned by tests).
+/// FNV-1a over the deterministic projection: scenario, trial and every
+/// non-wall histogram (name, precision, count, sum, min, max, non-empty
+/// buckets). Only deterministic trace content feeds the histograms hashed
+/// here, so the fingerprint is invariant across runner threads and pipeline
+/// depths (pinned by tests).
 [[nodiscard]] std::uint64_t metricsFingerprint(const TrialMetrics& metrics);
 
 }  // namespace bzc::obs

@@ -20,11 +20,10 @@ namespace bzc::obs {
 ///   {"type":"blame","scenario":S,"trial":N,"edges":[...],"totals":{...},
 ///    "victimDist":[...]}                                  (victimDist optional)
 ///   {"type":"end","scenario":S,"trial":N,"events":E,"rounds":R,"messages":M,"bits":B}
-/// `hists` is buildTrialMetrics() with metricsFingerprint(); the series it
-/// also builds re-project the counter and mark lines, so they are hashed but
-/// not written. `end` carries totals summed from the events, so a truncated
-/// or corrupted block fails validation. tools/run_record.py validates,
-/// diffs, reports, and renders this format.
+/// `hists` is buildTrialMetrics() with metricsFingerprint(). `end` carries
+/// totals summed from the events, so a truncated or corrupted block fails
+/// validation. tools/run_record.py validates, diffs, reports, and renders
+/// this format.
 class RecordSink : public TraceSink {
  public:
   /// Owns and writes to an opened stream (the BZC_TRACE file).

@@ -34,6 +34,25 @@ std::uint64_t envKnob(const char* name, std::uint64_t fallback, std::uint64_t lo
   return env == nullptr ? fallback : parseOrExit(name, env, lo, hi);
 }
 
+std::optional<std::size_t> envChoice(const char* name,
+                                     std::initializer_list<std::string_view> accepted) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return std::nullopt;
+  std::size_t index = 0;
+  for (const std::string_view value : accepted) {
+    if (value == env) return index;
+    ++index;
+  }
+  std::cerr << name << "='" << env << "': expected one of";
+  const char* sep = " ";
+  for (const std::string_view value : accepted) {
+    std::cerr << sep << value;
+    sep = "|";
+  }
+  std::cerr << "\n";
+  std::exit(2);
+}
+
 std::uint64_t argKnob(int argc, char** argv, int index, const char* name, std::uint64_t fallback,
                       std::uint64_t lo, std::uint64_t hi) {
   return index < argc ? parseOrExit(name, argv[index], lo, hi) : fallback;

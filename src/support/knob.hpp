@@ -1,10 +1,13 @@
 // Strict parsing of the integer environment knobs the benches and examples
-// read (BZC_TRIALS, BZC_THREADS, BZC_N) and of the examples'
-// positional arguments. atoi-style parsing reads "1e6" as 1 and "abc" as 0;
-// these parsers take the whole string or nothing.
+// read (BZC_TRIALS, BZC_THREADS, BZC_N), of the enumerated ones (BZC_OUTPUT,
+// BZC_LOG) and of the examples' positional arguments. atoi-style parsing
+// reads "1e6" as 1 and "abc" as 0; these parsers take the whole string or
+// nothing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string_view>
 
@@ -21,6 +24,13 @@ namespace bzc {
 /// prints a message naming the knob to stderr and exits with status 2.
 [[nodiscard]] std::uint64_t envKnob(const char* name, std::uint64_t fallback, std::uint64_t lo,
                                     std::uint64_t hi);
+
+/// The enumerated environment knob `name`: nullopt when it is unset or empty,
+/// else the index of its value in `accepted`. Any other value (case
+/// included) prints a message naming the knob and listing the accepted
+/// values to stderr and exits with status 2.
+[[nodiscard]] std::optional<std::size_t> envChoice(
+    const char* name, std::initializer_list<std::string_view> accepted);
 
 /// Positional argument argv[index], called `name` in messages: `fallback`
 /// when argc <= index, else parsed like envKnob — a value that does not parse

@@ -1,9 +1,9 @@
 #include "support/log.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+
+#include "support/knob.hpp"
 
 namespace bzc {
 
@@ -21,24 +21,22 @@ const char* levelName(LogLevel level) {
   return "?";
 }
 
-/// BZC_LOG env knob; unset or unrecognized keeps the quiet default.
+/// BZC_LOG env knob; unset or empty keeps the quiet default. The accepted
+/// names are listed in LogLevel order, so a name's index is its level.
 int initialLevel() {
-  const char* env = std::getenv("BZC_LOG");
-  if (env == nullptr) return static_cast<int>(LogLevel::Warn);
-  const auto is = [&](const char* name) { return std::strcmp(env, name) == 0; };
-  if (is("off")) return static_cast<int>(LogLevel::Off);
-  if (is("error")) return static_cast<int>(LogLevel::Error);
-  if (is("warn")) return static_cast<int>(LogLevel::Warn);
-  if (is("info")) return static_cast<int>(LogLevel::Info);
-  if (is("debug")) return static_cast<int>(LogLevel::Debug);
-  if (is("trace")) return static_cast<int>(LogLevel::Trace);
-  return static_cast<int>(LogLevel::Warn);
+  const auto level =
+      envChoice("BZC_LOG", {"trace", "debug", "info", "warn", "error", "off"});
+  return static_cast<int>(level.value_or(static_cast<std::size_t>(LogLevel::Warn)));
 }
 
 std::atomic<int>& levelRef() {
   static std::atomic<int> level{initialLevel()};
   return level;
 }
+
+// Reads BZC_LOG during static initialisation, so a garbage value exits with
+// status 2 before main whether or not the program ever logs.
+[[maybe_unused]] const bool g_levelRead = (levelRef(), true);
 
 std::atomic<LogSinkFn> g_sink{&defaultLogSink};
 

@@ -2,8 +2,9 @@
 // mainly for example binaries and for debugging failing tests; it defaults
 // to Warn to keep test output quiet.
 //
-// The threshold initializes from BZC_LOG=off|error|warn|info|debug|trace on
-// first use (setLogLevel still overrides programmatically), and emission
+// The threshold initializes from BZC_LOG=off|error|warn|info|debug|trace at
+// static initialisation — any other non-empty value exits with status 2 —
+// and setLogLevel still overrides it programmatically. Emission
 // routes through a single pluggable sink: the default writes to stderr, and
 // the observability layer (src/obs/) swaps in a sink that additionally
 // mirrors Warn+ lines into the active trial trace, so a warning fired mid-

@@ -408,41 +408,6 @@ TEST(EpochRunner, ShrinkingOverlayClampsConfiguredFocusNodes) {
   EXPECT_GT(r.outcome.quality.fracDecided, 0.0);
 }
 
-TEST(EpochRunner, FiedlerWarmStartMatchesFreshProbesWithinTolerance) {
-  // The warm-started spectral probe (epoch e seeds from epoch e-1's Fiedler
-  // vector, carried by global id, at reduced depth) must reproduce the
-  // fresh full-depth gap values within tolerance while spending far fewer
-  // power iterations — the ROADMAP perf lever.
-  ScenarioSpec spec;
-  spec.name = "gap-warm-start";
-  spec.graph = {GraphKind::Hnd, 256, 8, 0.1};
-  spec.placement.kind = Placement::Random;
-  spec.placement.count = 4;
-  spec.protocol = ProtocolKind::GeometricMax;  // cheap recount; the probe is what's tested
-  spec.churn = ChurnSchedule::steady(/*epochs=*/6, /*rate=*/0.10);
-  spec.masterSeed = 0x9a9;
-
-  ScenarioSpec cold = spec;
-  cold.churn.gapWarmStart = false;
-
-  for (std::uint32_t trial : {0u, 1u, 2u}) {
-    const ChurnTrialResult warm = runChurnTrialDetailed(spec, trial);
-    const ChurnTrialResult fresh = runChurnTrialDetailed(cold, trial);
-    ASSERT_EQ(warm.epochs.size(), fresh.epochs.size());
-    // Epoch 1 has no carry: both paths probe cold at full depth, identically.
-    EXPECT_DOUBLE_EQ(warm.epochs[0].spectralGap, fresh.epochs[0].spectralGap);
-    for (std::size_t e = 1; e < warm.epochs.size(); ++e) {
-      EXPECT_NEAR(warm.epochs[e].spectralGap, fresh.epochs[e].spectralGap, 0.05)
-          << "epoch " << e + 1 << " trial " << trial;
-    }
-    // 32 + 5*12 warm vs 6*32 fresh: the probe savings are reported.
-    EXPECT_DOUBLE_EQ(warm.outcome.extra.at("gapProbeIters"), 92.0);
-    EXPECT_DOUBLE_EQ(fresh.outcome.extra.at("gapProbeIters"), 192.0);
-    // The protocol runs are untouched by the probe mode.
-    EXPECT_EQ(warm.outcome.resultFingerprint, fresh.outcome.resultFingerprint);
-  }
-}
-
 TEST(DynamicOverlay, MassDepartureWaveKeepsInvariantsAtScale) {
   // The incidence-indexed leave() path under the load it was built for: a
   // half-membership departure wave (the T10 mass-exodus shape) followed by a

@@ -144,33 +144,13 @@ TEST(SampledUpperBound, ExpanderStaysLarge) {
   EXPECT_GT(sampledExpansionUpperBound(g, 100, rng), 0.3);
 }
 
-TEST(Fiedler, WarmStartConverges) {
-  Rng gen(11);
-  const Graph g = hnd(64, 6, gen);
-  Rng r1(12);
-  const auto cold = fiedlerVector(g, 300, r1);
-  Rng r2(13);
-  auto warm = fiedlerVector(g, 50, r2);
-  Rng r3(14);
-  warm = fiedlerVector(g, 100, r3, &warm);
-  // Rayleigh quotients should agree (vectors may differ by sign).
-  double dot = 0;
-  for (std::size_t i = 0; i < warm.size(); ++i) dot += warm[i] * cold[i];
-  EXPECT_GT(std::abs(dot), 0.9);
-}
-
 // Bit-identity pin for the fused power iteration: a plain five-pass
 // reference (walk, deflate-dot, deflate-subtract, norm-sum, divide) that the
 // production kernel must reproduce bit for bit, on every input shape.
-std::vector<double> referenceFiedlerVector(const Graph& g, unsigned iterations, Rng& rng,
-                                           const std::vector<double>* warmStart = nullptr) {
+std::vector<double> referenceFiedlerVector(const Graph& g, unsigned iterations, Rng& rng) {
   const NodeId n = g.numNodes();
   std::vector<double> x(n);
-  if (warmStart != nullptr && warmStart->size() == n) {
-    x = *warmStart;
-  } else {
-    for (auto& v : x) v = rng.uniformDouble() - 0.5;
-  }
+  for (auto& v : x) v = rng.uniformDouble() - 0.5;
   auto deflate = [&](std::vector<double>& z) {
     double dot = 0.0;
     double norm = 0.0;
@@ -208,12 +188,11 @@ std::vector<double> referenceFiedlerVector(const Graph& g, unsigned iterations, 
   return x;
 }
 
-void expectBitIdenticalFiedler(const Graph& g, unsigned iterations, std::uint64_t seed,
-                               const std::vector<double>* warm = nullptr) {
+void expectBitIdenticalFiedler(const Graph& g, unsigned iterations, std::uint64_t seed) {
   Rng a(seed);
   Rng b(seed);
-  const auto got = fiedlerVector(g, iterations, a, warm);
-  const auto want = referenceFiedlerVector(g, iterations, b, warm);
+  const auto got = fiedlerVector(g, iterations, a);
+  const auto want = referenceFiedlerVector(g, iterations, b);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
@@ -256,17 +235,6 @@ TEST(FiedlerBitIdentity, EdgelessGraph) {
   // Degree sum 0: no deflation at all, only normalisation.
   const Graph g(6, {});
   expectBitIdenticalFiedler(g, 25, 32);
-}
-
-TEST(FiedlerBitIdentity, WarmStart) {
-  Rng gen(33);
-  const Graph g = hnd(300, 6, gen);
-  Rng seedRng(34);
-  const auto warm = fiedlerVector(g, 20, seedRng);
-  expectBitIdenticalFiedler(g, 10, 35, &warm);
-  // A mis-sized warm start falls back to the random start in both.
-  const std::vector<double> wrongSize(17, 0.25);
-  expectBitIdenticalFiedler(g, 10, 36, &wrongSize);
 }
 
 // Property sweep: h(H(n,d)) estimates stay comfortably above ring-level

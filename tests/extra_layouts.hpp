@@ -22,7 +22,7 @@ inline const std::vector<std::string> kAgreement = {
 inline const std::vector<std::string> kChurn = {
     "epochs",    "recounts", "finalN",        "growth",        "joins",     "leaves",
     "rewires",   "finalByz", "byzInflation",  "meanStaleness", "maxStaleness",
-    "meanDrift", "maxDrift", "meanGap",       "gapDrift",      "lastAgree", "gapProbeIters"};
+    "meanDrift", "maxDrift", "meanGap",       "gapDrift",      "lastAgree"};
 
 template <typename V>
 std::vector<std::string> namesOf(const NamedValues<V>& record) {

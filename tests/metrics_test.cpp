@@ -1,7 +1,7 @@
 // Tests for the metrics layer (DESIGN.md §13). The contract under test:
 // LogHistogram buckets are a pure function of (precision, data) with exact
 // associative merges — any merge grouping yields identical buckets; the
-// TrialMetrics deterministic projection (non-wall histograms + all series)
+// TrialMetrics deterministic projection (the non-wall histograms)
 // is invariant across runner threads and pipeline depth (set by the runner
 // width); deriving/exporting metrics never moves a golden
 // fingerprint; and the seeded-bootstrap CIs on Distribution are thread-count
@@ -20,7 +20,6 @@
 #include "counting/local/attacks.hpp"
 #include "golden_scenarios.hpp"
 #include "obs/metrics.hpp"
-#include "obs/series.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 #include "runtime/experiment.hpp"
@@ -166,7 +165,7 @@ TEST(LogHistogram, MergeGroupingInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Series + metrics derivation from a hand-built trace.
+// Metrics derivation from a hand-built trace.
 // ---------------------------------------------------------------------------
 
 obs::TrialTrace manualTrace() {
@@ -195,21 +194,7 @@ obs::TrialTrace manualTrace() {
   return t;
 }
 
-TEST(Series, BuildSortsByNameAndKeepsPointOrder) {
-  const obs::TrialTrace t = manualTrace();
-  const std::vector<obs::TimeSeries> series = obs::buildSeries(t);
-  ASSERT_EQ(series.size(), 3U);
-  EXPECT_EQ(series[0].name, "agreement.answered");
-  EXPECT_EQ(series[1].name, "beacon.undecidedHonest");
-  EXPECT_EQ(series[2].name, "mark.engine.skipRounds");
-  ASSERT_EQ(series[1].points.size(), 2U);
-  EXPECT_EQ(series[1].points[0].round, 1U);
-  EXPECT_EQ(series[1].points[0].value, 12.0);
-  EXPECT_EQ(series[1].points[1].round, 2U);
-  EXPECT_EQ(series[1].points[1].value, 5.0);
-}
-
-TEST(Metrics, BuildDistillsRoundsSpansAndSeries) {
+TEST(Metrics, BuildDistillsRoundsAndSpans) {
   const obs::TrialMetrics m = obs::buildTrialMetrics(manualTrace());
   EXPECT_EQ(m.scenario, "manual");
   EXPECT_EQ(m.trial, 2U);
@@ -230,11 +215,15 @@ TEST(Metrics, BuildDistillsRoundsSpansAndSeries) {
   const obs::NamedHistogram* span = find("span.beacon.decisions");
   ASSERT_NE(span, nullptr);
   EXPECT_TRUE(span->wall);
-  EXPECT_EQ(m.series.size(), 3U);
-  // hists arrive sorted by name (the canonical export order).
-  for (std::size_t i = 1; i < m.hists.size(); ++i) {
-    EXPECT_LT(m.hists[i - 1].name, m.hists[i].name);
-  }
+  // Counters and marks add no histogram: the rounds and the one span make
+  // them all, sorted by name (the canonical export order).
+  std::vector<std::string> names;
+  for (const obs::NamedHistogram& nh : m.hists) names.push_back(nh.name);
+  const std::vector<std::string> want = {
+      "engine.bitsPerRound", "engine.messagesPerRound", "engine.recvNs",
+      "engine.scatterNs",    "engine.sendsPerRound",    "engine.touchedPerRound",
+      "span.beacon.decisions"};
+  EXPECT_EQ(names, want);
 }
 
 TEST(Metrics, FingerprintExcludesWallClockPayload) {
@@ -259,12 +248,13 @@ TEST(Metrics, FingerprintExcludesWallClockPayload) {
     if (e.kind == obs::EventKind::Round) e.rd.messages += 1;
   }
   EXPECT_NE(obs::metricsFingerprint(obs::buildTrialMetrics(c)), fa);
-  // ...and so must a counter value (the series are part of the projection).
+  // ...while a counter value feeds no histogram, so it leaves the hists
+  // fingerprint alone (counters are pinned through the run record's events).
   obs::TrialTrace d = manualTrace();
   for (obs::TraceEvent& e : d.events) {
     if (e.kind == obs::EventKind::Counter) e.value += 1.0;
   }
-  EXPECT_NE(obs::metricsFingerprint(obs::buildTrialMetrics(d)), fa);
+  EXPECT_EQ(obs::metricsFingerprint(obs::buildTrialMetrics(d)), fa);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include "obs/trace.hpp"
 #include "support/knob.hpp"
+#include "support/log.hpp"
 #include "support/require.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -351,6 +352,16 @@ TEST(Knob, EnvKnobFallsBackWhenUnsetAndReadsValidValues) {
   ::unsetenv("BZC_TEST_KNOB");
 }
 
+TEST(Knob, EnvChoiceIndexesAcceptedValuesAndReadsEmptyAsUnset) {
+  ::unsetenv("BZC_TEST_KNOB");
+  EXPECT_EQ(envChoice("BZC_TEST_KNOB", {"text", "json"}), std::nullopt);
+  ::setenv("BZC_TEST_KNOB", "", 1);
+  EXPECT_EQ(envChoice("BZC_TEST_KNOB", {"text", "json"}), std::nullopt);
+  ::setenv("BZC_TEST_KNOB", "json", 1);
+  EXPECT_EQ(envChoice("BZC_TEST_KNOB", {"text", "json"}), 1u);
+  ::unsetenv("BZC_TEST_KNOB");
+}
+
 TEST(Knob, ArgKnobFallsBackPastArgcAndReadsValidValues) {
   char prog[] = "prog";
   char value[] = "42";
@@ -410,6 +421,18 @@ TEST(KnobDeathTest, TraceExitsOnUnopenablePath) {
   EXPECT_EXIT(obs::ensureEnvTraceConfig(), ::testing::ExitedWithCode(2),
               "BZC_TRACE: cannot open /nonexistent/dir/x.jsonl");
   ::unsetenv("BZC_TRACE");
+}
+
+// BZC_LOG is read during static initialisation, so the threadsafe style's
+// re-executed child exits before main, whatever the statement.
+TEST(KnobDeathTest, LogExitsOnGarbage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* bad : {"verbose", "WARN", "3"}) {
+    ::setenv("BZC_LOG", bad, 1);
+    EXPECT_EXIT((void)logLevel(), ::testing::ExitedWithCode(2),
+                "BZC_LOG='" + std::string(bad) + "': expected one of trace.debug.info.warn");
+  }
+  ::unsetenv("BZC_LOG");
 }
 
 // BZC_ASSERT is live in debug builds and in -DBZC_CHECKED=ON builds, and
