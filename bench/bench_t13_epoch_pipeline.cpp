@@ -6,17 +6,19 @@
 // Two row families, both T10-shaped steady-churn sweeps on the full
 // counting->agreement pipeline: recounting every epoch (the recount-dominated
 // regime where the pipeline has the most exposed work) and cadence 2 (sparse
-// recounts, where the ring-buffer backpressure path is exercised instead).
+// recounts, where non-recount epochs drop their snapshots after the gap
+// probe).
 // Each row runs its trials one after another on a one-thread runner, with
 // budget D installed around each trial (WorkerBudgetScope), so a trial
 // occupies at most D threads whatever BZC_THREADS says. Every budget runs the
 // *same* rowSeed — the budget only schedules, so the combined fingerprints
 // must be bit-identical down the sweep (pinned at test scale by
 // tests/epoch_pipeline_test.cpp, checked here at bench scale; like every
-// violated shape check, a mismatch makes the bench exit non-zero). 'speedup' is wall-clock vs D = 1 on this
-// machine: ~D× when >= D idle cores and recounts dominate the epoch loop,
-// <= 1× on a single core, where the table shows the future/ring bookkeeping
-// overhead instead.
+// violated shape check, a mismatch makes the bench exit non-zero). 'speedup'
+// is wall-clock vs D = 1 on this machine: up to D× when >= D idle cores and
+// recounts dominate the epoch loop (D threads recount: D - 1 pool workers
+// plus the trial's thread in ThreadPool::wait), <= 1× on a single core,
+// where the table shows the future and wait bookkeeping overhead instead.
 //
 // BZC_TRIALS / BZC_N override; CI smoke runs BZC_N=2048 BZC_TRIALS=2, the
 // nightly measures the n = 65536 sweep on 4-core runners.

@@ -270,12 +270,6 @@ void DynamicOverlay::repairToRegular(Rng& rng) {
 }
 
 OverlaySnapshot DynamicOverlay::snapshot() const {
-  OverlaySnapshot snap;
-  snapshotInto(snap);
-  return snap;
-}
-
-void DynamicOverlay::snapshotInto(OverlaySnapshot& out) const {
   const NodeId n = static_cast<NodeId>(members_.size());
   // members_ is an arbitrary permutation after swap-compacted departures;
   // dense indices must stay in increasing global-id order (epoch bookkeeping
@@ -292,7 +286,7 @@ void DynamicOverlay::snapshotInto(OverlaySnapshot& out) const {
   denseOf.resize(members_.size());
   for (std::size_t dense = 0; dense < order.size(); ++dense)
     denseOf[order[dense]] = static_cast<NodeId>(dense);
-  out.denseToId.clear();
+  OverlaySnapshot out;
   out.denseToId.reserve(n);
   std::vector<NodeId>& byzDense = snapByzDense_;
   byzDense.clear();
@@ -314,6 +308,7 @@ void DynamicOverlay::snapshotInto(OverlaySnapshot& out) const {
   // equality — the zero-churn identity tests rely on this.
   out.graph = Graph(n, denseEdges);
   out.byz = ByzantineSet(n, byzDense);
+  return out;
 }
 
 }  // namespace bzc

@@ -98,16 +98,10 @@ class DynamicOverlay {
   [[nodiscard]] NodeId degreeOf(std::uint64_t id) const;
 
   /// Dense snapshot for one epoch. Requires a repaired (or at least
-  /// self-loop-free) edge set; Graph construction validates the rest.
+  /// self-loop-free) edge set; Graph construction validates the rest. The
+  /// sort/index/edge scratch lives on the overlay, so a steady-state epoch
+  /// allocates only the snapshot's own arrays.
   [[nodiscard]] OverlaySnapshot snapshot() const;
-
-  /// Buffer-reusing variant for callers that materialise snapshots in a loop
-  /// (the epoch pipeline keeps a ring of depth+1 of them): the sort/index/
-  /// edge scratch lives on the overlay and `out`'s denseToId keeps its
-  /// capacity, so a steady-state epoch allocates only the Graph CSR arrays
-  /// and the byz mask instead of five fresh vectors. Produces bit-identical
-  /// snapshots to snapshot() — which is implemented on top of this.
-  void snapshotInto(OverlaySnapshot& out) const;
 
  private:
   [[nodiscard]] std::size_t indexOf(std::uint64_t id) const;  ///< npos when not live
@@ -138,7 +132,7 @@ class DynamicOverlay {
   /// lower_bound scans and no O(n) vector erases remain.
   std::unordered_map<std::uint64_t, std::size_t> indexOf_;
 
-  // snapshotInto() scratch (mutable: snapshots are logically const). Grow to
+  // snapshot() scratch (mutable: snapshots are logically const). Grow to
   // the high-water membership/edge count once, then serve every epoch.
   mutable std::vector<std::size_t> snapOrder_;
   mutable std::vector<NodeId> snapDenseOf_;

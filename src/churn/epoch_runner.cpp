@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <future>
 #include <memory>
 #include <utility>
@@ -53,22 +52,15 @@ struct EpochStage {
   EpochReport report;
   double trueLogN = 0.0;
   bool recount = false;
+  OverlaySnapshot snap;            ///< the recount's input; the recount frees it
   TrialOutcome out;                ///< recount result, retired from fut
   std::future<TrialOutcome> fut;   ///< valid while the recount is in flight
   /// Child probe buffer for traced trials (DESIGN.md §12): the recount traces
-  /// into it on whichever thread runs it (inline or a pool worker — same buffer
-  /// either way, so the deterministic projection is depth-invariant) and the
-  /// serial finalization fold splices it back in epoch order.
+  /// into it on whichever thread runs it (inline, a pool worker or the trial's
+  /// thread in wait() — same buffer either way, so the deterministic
+  /// projection is depth-invariant) and the serial finalization fold splices
+  /// it back in epoch order.
   std::unique_ptr<obs::TrialTrace> trace;
-};
-
-constexpr std::size_t kNoStage = static_cast<std::size_t>(-1);
-
-/// A reusable snapshot buffer plus the stage that last recounted from it —
-/// the slot cannot be overwritten until that recount retired.
-struct SnapshotSlot {
-  OverlaySnapshot snap;
-  std::size_t stage = kNoStage;
 };
 
 }  // namespace
@@ -78,18 +70,21 @@ struct SnapshotSlot {
 //   overlay stage (serial, this thread): churn events -> repair -> snapshot
 //     -> spectral-gap probe. Inherently sequential — each epoch's overlay is
 //     the previous epoch's plus one event batch.
-//   recount stage (parallel, pool workers): runProtocolTrial on a finished
-//     snapshot. A pure function of (epochSpec, snapshot, per-epoch forked
-//     Rng), so recounts of different epochs are mutually independent.
+//   recount stage (parallel, pool workers and then this thread):
+//     runProtocolTrial on a finished snapshot. A pure function of (epochSpec,
+//     snapshot, per-epoch forked Rng), so recounts of different epochs are
+//     mutually independent.
 //
 // The pipeline depth is the trial's worker budget (trialWorkerBudget(),
-// DESIGN.md §5): the overlay stage runs ahead, keeping up to that many
-// recounts in flight; every fold that *reads* recount outputs (estimate,
-// staleness, drift, the fingerprint chain, the totals) is deferred to a
-// serial finalization pass over the stages in epoch order, which is what
-// makes the pipelined schedule bit-identical to the sequential one at any
-// depth. Every recount goes through the recount pool; at depth 1 (or with a
-// single recount) that pool has no workers and submit() runs the recount
+// DESIGN.md §5): the overlay stage runs through every epoch without waiting,
+// submitting each recount to a pool of depth - 1 workers; then this thread
+// retires the futures in epoch order through ThreadPool::wait, which runs
+// still-queued recounts here, so depth threads recount. Every fold that
+// *reads* recount outputs (estimate, staleness, drift, the fingerprint
+// chain, the totals) is deferred to a serial finalization pass over the
+// stages in epoch order, which is what makes the pipelined schedule
+// bit-identical to the sequential one at any depth. At depth 1 (or with a
+// single recount) the pool has no workers and submit() runs the recount
 // inline on this thread.
 ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t index) {
   BZC_REQUIRE(spec.churn.enabled(), "runChurnTrial needs an enabled ChurnSchedule");
@@ -119,21 +114,14 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
   double firstGap = 0.0, lastGap = 0.0;
   std::uint64_t joins = 0, leaves = 0, rewires = 0;
 
+  // Fixed size, so stage addresses are stable for the recount lambdas.
+  // Declared before (destroyed after) the pool: if a fold throws mid-retire,
+  // workers still finishing queued recounts must find their stages alive.
   std::vector<EpochStage> stages(spec.churn.epochs);
-  // Snapshot ring: depth recounts in flight plus the epoch being
-  // materialised. Fixed size, so slot addresses are stable for the recount
-  // lambdas. Declared before (destroyed after) the pool: if a fold throws
-  // mid-retire, workers still finishing queued recounts must find their
-  // slots alive.
-  std::vector<SnapshotSlot> ring(static_cast<std::size_t>(depth) + 1);
-  std::deque<std::size_t> inflight;  ///< stage indices with unretired futures
-  // The overlay stage keeps this thread, so depth - 1 workers run recounts
-  // and the trial occupies at most its budget. Workers see the thread-local
-  // default budget of 1; an inline recount sees the trial's.
+  // depth - 1 workers plus this thread, which joins them in wait(), so the
+  // trial occupies at most its budget. Workers and wait() run recounts at a
+  // budget of 1; an inline recount (depth 1) sees the trial's.
   ThreadPool recountPool(depth);
-  const auto retire = [&stages](std::size_t s) {
-    if (stages[s].fut.valid()) stages[s].out = stages[s].fut.get();
-  };
 
   // Trace probe target (DESIGN.md §12). The overlay stage below runs on this
   // thread, so its spans/counters emit straight into the trial buffer;
@@ -176,22 +164,18 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
       rewires += report.rewires;
     }
 
-    // Materialise this epoch's snapshot into its ring slot, first waiting out
-    // any recount still reading the slot (epoch - depth - 1 or older: the
-    // natural pipeline-full backpressure). Epoch 1 reuses the already-built
+    // Materialise this epoch's snapshot. Epoch 1 reuses the already-built
     // static trial verbatim (the overlay round-trip is identity there, but
     // handing the protocol the original objects keeps that fact structural).
-    SnapshotSlot& slot = ring[(epoch - 1) % ring.size()];
-    if (slot.stage != kNoStage) retire(slot.stage);
-    slot.stage = kNoStage;
-    OverlaySnapshot& snap = slot.snap;
+    // A recount epoch's snapshot lives in its stage until the recount frees
+    // it; any other epoch's is dropped after the gap probe.
+    OverlaySnapshot snap;
     const std::int64_t snapT0 = trace != nullptr ? obs::traceClockNs() : 0;
     if (epoch == 1) {
       snap.graph = std::move(initial.graph);
       snap.byz = std::move(initial.byz);
-      snap.denseToId.clear();
     } else {
-      overlay.snapshotInto(snap);
+      snap = overlay.snapshot();
     }
     const NodeId liveN = snap.graph.numNodes();
     stage.trueLogN = std::log(static_cast<double>(liveN));
@@ -229,11 +213,8 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
         stage.trace->trial = trace->trial;
       }
       obs::TrialTrace* const childTrace = stage.trace.get();
-      while (inflight.size() >= depth) {  // cap in-flight recounts at depth
-        retire(inflight.front());
-        inflight.pop_front();
-      }
-      const OverlaySnapshot* snapPtr = &snap;
+      stage.snap = std::move(snap);
+      OverlaySnapshot* const snapPtr = &stage.snap;
       stage.fut = recountPool.submit(
           [es = std::move(epochSpec), snapPtr, rng = std::move(protoRng), childTrace]() mutable {
             // The child scope shadows the trial buffer when the recount runs
@@ -242,20 +223,18 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
             const obs::ScopedTimer timer("epoch.recount");
             TrialOutcome o = runProtocolTrial(es, snapPtr->graph, snapPtr->byz, std::move(rng));
             // Blame edges carry dense per-epoch node ids; remap to global
-            // overlay ids while the snapshot slot is still alive (it is
-            // reused once this recount retires). Epoch 1's empty map is the
+            // overlay ids, then free the snapshot, so snapshot memory is
+            // bounded by the unfinished recounts. Epoch 1's empty map is the
             // identity, keeping zero-churn blame bit-identical to the static
             // path.
             o.blame.remapNodes(snapPtr->denseToId);
+            *snapPtr = OverlaySnapshot{};
             return o;
           });
-      slot.stage = epoch - 1;
-      inflight.push_back(epoch - 1);
     }
   }
-  while (!inflight.empty()) {
-    retire(inflight.front());
-    inflight.pop_front();
+  for (EpochStage& stage : stages) {
+    if (stage.fut.valid()) stage.out = recountPool.wait(stage.fut);
   }
 
   // Serial finalization: fold recount outputs and the estimate/staleness/

@@ -11,7 +11,6 @@
 
 #include "obs/sinks.hpp"
 #include "support/knob.hpp"
-#include "support/log.hpp"
 
 namespace bzc::obs {
 
@@ -30,16 +29,26 @@ std::mutex g_sinkMutex;
 std::shared_ptr<TraceSink> g_sink;            // guarded by g_sinkMutex
 std::uint32_t g_sampleTrials = 1;             // guarded by g_sinkMutex
 
-/// Log bridge: mirrors Warn+ log lines into the active trace as Mark events
-/// (value = numeric level), keeping console output unchanged — the single
-/// sink support/log.hpp routes through once tracing is configured.
-void traceLogSink(LogLevel level, const std::string& message) {
-  defaultLogSink(level, message);
-  if (static_cast<int>(level) < static_cast<int>(LogLevel::Warn)) return;
-  if (TrialTrace* t = currentTrace()) {
-    t->mark("log.warn", static_cast<double>(static_cast<int>(level)));
+/// The run record replaced these exporters and the logger; a stale script
+/// fails loudly instead of silently writing nothing.
+void rejectRetiredKnobs() {
+  for (const char* retired : {"BZC_METRICS", "BZC_ATTRIB", "BZC_TRACE_CHROME"}) {
+    if (std::getenv(retired) == nullptr) continue;
+    std::cerr << retired << " is no longer read: BZC_TRACE=path writes one run record per "
+              << "sampled trial with its histograms and blame graph, and "
+              << "tools/run_record.py chrome renders its timeline\n";
+    std::exit(2);
+  }
+  if (std::getenv("BZC_LOG") != nullptr) {
+    std::cerr << "BZC_LOG is no longer read: the library has no logger, and BZC_TRACE=path "
+              << "records what a run did\n";
+    std::exit(2);
   }
 }
+
+// Checked during static initialisation, so every binary that links the
+// tracer exits with status 2 before main, whether or not it runs a trial.
+[[maybe_unused]] const bool g_retiredKnobsChecked = (rejectRetiredKnobs(), true);
 
 }  // namespace
 
@@ -71,7 +80,6 @@ void setTraceSink(std::shared_ptr<TraceSink> sink, std::uint32_t sampleTrials) {
   const std::lock_guard<std::mutex> lock(g_sinkMutex);
   g_sink = std::move(sink);
   g_sampleTrials = sampleTrials == 0 ? 1 : sampleTrials;
-  setLogSink(g_sink != nullptr ? traceLogSink : defaultLogSink);
 }
 
 std::shared_ptr<TraceSink> traceSink() {
@@ -97,15 +105,6 @@ bool traceFlowMarks() noexcept { return g_flowMarks.load(std::memory_order_relax
 void ensureEnvTraceConfig() {
   static std::once_flag once;
   std::call_once(once, [] {
-    // The run record replaced these exporters; a stale script fails loudly
-    // instead of silently writing nothing.
-    for (const char* retired : {"BZC_METRICS", "BZC_ATTRIB", "BZC_TRACE_CHROME"}) {
-      if (std::getenv(retired) == nullptr) continue;
-      std::cerr << retired << " is no longer read: BZC_TRACE=path writes one run record per "
-                << "sampled trial with its histograms and blame graph, and "
-                << "tools/run_record.py chrome renders its timeline\n";
-      std::exit(2);
-    }
     const auto sample =
         static_cast<std::uint32_t>(envKnob("BZC_TRACE_TRIALS", 1, 1, UINT32_MAX));
     const bool flow = envKnob("BZC_TRACE_FLOW", 0, 0, 1) == 1;

@@ -200,9 +200,7 @@ class TraceSink {
 };
 
 /// Installs the process-wide sink (null disables tracing) and how many
-/// leading trials of each scenario to sample. Also bridges BZC_WARN+ log
-/// lines into the active trace as Mark events (the "single sink" the log
-/// layer shares — support/log.hpp).
+/// leading trials of each scenario to sample.
 void setTraceSink(std::shared_ptr<TraceSink> sink, std::uint32_t sampleTrials = 1);
 
 [[nodiscard]] std::shared_ptr<TraceSink> traceSink();
@@ -222,8 +220,9 @@ void setTraceFlowMarks(bool enabled) noexcept;
 /// with its events, histograms and blame graph — RecordSink,
 /// tools/run_record.py), BZC_TRACE_TRIALS=k (sample width in [1, 2^32-1],
 /// default 1) and BZC_TRACE_FLOW=0|1 (flow marks, default 0). The two knobs
-/// parse strictly (support/knob.hpp); a retired exporter variable exits with
-/// status 2 and points at BZC_TRACE. Called by
+/// parse strictly (support/knob.hpp). A retired variable (the old exporters,
+/// BZC_LOG) already made the process exit with status 2 during static
+/// initialisation. Called by
 /// ExperimentRunner on first use so every bench/example/test honors the
 /// knobs without plumbing. A sink installed programmatically before the
 /// first run wins over the environment.

@@ -77,6 +77,19 @@ void ThreadPool::enqueue(std::function<void()> task) {
   wake_.notify_one();
 }
 
+bool ThreadPool::runQueuedTask() {
+  std::function<void()> task;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (tasks_.empty()) return false;
+    task = std::move(tasks_.front());
+    tasks_.pop_front();
+  }
+  const WorkerBudgetScope budget(1);
+  task();  // packaged_task traps exceptions into its own future
+  return true;
+}
+
 void ThreadPool::workerLoop() {
   std::uint64_t seenGeneration = 0;
   for (;;) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -58,8 +59,9 @@ class ThreadPool {
 
   /// Queues one task for asynchronous execution on a worker and returns the
   /// future for its result (the epoch pipeline's recount stage rides this).
-  /// Unlike parallelFor, the caller does NOT participate and does not block:
-  /// tasks run concurrently with whatever the caller does next. On a
+  /// Unlike parallelFor, the caller does NOT participate at submit and does
+  /// not block: tasks run concurrently with whatever the caller does next, and
+  /// the caller lends its thread only later, through wait(). On a
   /// single-thread pool the task executes inline before submit returns — the
   /// depth-1 epoch pipeline's serial identity is this code path. All futures
   /// must be waited on before the pool is destroyed; pending tasks still run
@@ -77,10 +79,25 @@ class ThreadPool {
     return fut;
   }
 
+  /// Returns fut's result (rethrowing a task's exception), running queued
+  /// submit() tasks on the calling thread until fut is ready, so a caller that
+  /// waits adds its thread to the workers instead of idling. Once the queue is
+  /// empty the caller blocks until whoever holds fut's task finishes it.
+  template <typename R>
+  R wait(std::future<R>& fut) {
+    while (fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready &&
+           runQueuedTask()) {
+    }
+    return fut.get();
+  }
+
  private:
   void workerLoop();
   void drain();
   void enqueue(std::function<void()> task);
+  /// Pops one submit() task and runs it here at a worker budget of 1, like a
+  /// worker would; false when the queue is empty.
+  bool runQueuedTask();
 
   unsigned threads_ = 1;
   std::vector<std::thread> workers_;

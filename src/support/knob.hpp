@@ -1,8 +1,7 @@
 // Strict parsing of the integer environment knobs the benches and examples
-// read (BZC_TRIALS, BZC_THREADS, BZC_N), of the enumerated ones (BZC_OUTPUT,
-// BZC_LOG) and of the examples' positional arguments. atoi-style parsing
-// reads "1e6" as 1 and "abc" as 0; these parsers take the whole string or
-// nothing.
+// read (BZC_TRIALS, BZC_THREADS, BZC_N), of the enumerated one (BZC_OUTPUT)
+// and of the examples' positional arguments. atoi-style parsing reads "1e6"
+// as 1 and "abc" as 0; these parsers take the whole string or nothing.
 #pragma once
 
 #include <cstddef>

@@ -5,9 +5,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -417,6 +421,49 @@ TEST(ThreadPool, PropagatesFirstException) {
   std::atomic<int> ran{0};
   pool.parallelFor(8, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 8);
+}
+
+// Parks the only worker of a 2-thread pool on a gate, so every later submit()
+// stays queued until the caller's wait() takes it.
+std::future<void> parkOnlyWorker(ThreadPool& pool, std::shared_future<void> gate) {
+  auto started = std::make_shared<std::promise<void>>();
+  std::future<void> running = started->get_future();
+  std::future<void> parked = pool.submit([gate, started] {
+    started->set_value();
+    gate.wait();
+  });
+  running.wait();
+  return parked;
+}
+
+// The task runs on the caller at a worker budget of 1, like one on a worker.
+TEST(ThreadPool, WaitRunsAQueuedTaskOnTheCallingThread) {
+  ThreadPool pool(2);
+  std::promise<void> open;
+  std::future<void> parked = parkOnlyWorker(pool, open.get_future().share());
+  const WorkerBudgetScope trialBudget(4);
+  auto fut = pool.submit([] { return std::pair(std::this_thread::get_id(), trialWorkerBudget()); });
+  EXPECT_EQ(pool.wait(fut), std::pair(std::this_thread::get_id(), 1u));
+  EXPECT_EQ(trialWorkerBudget(), 4u);
+  open.set_value();
+  pool.wait(parked);
+}
+
+TEST(ThreadPool, WaitRethrowsAQueuedTasksException) {
+  ThreadPool pool(2);
+  std::promise<void> open;
+  std::future<void> parked = parkOnlyWorker(pool, open.get_future().share());
+  std::future<int> fut = pool.submit([]() -> int { throw std::runtime_error("boom"); });
+  EXPECT_THROW(pool.wait(fut), std::runtime_error);
+  open.set_value();
+  pool.wait(parked);
+}
+
+TEST(ThreadPool, WaitOnAnInlineFutureReturnsAtOnce) {
+  ThreadPool pool(1);
+  std::future<int> fut = pool.submit([] { return 7; });
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(pool.wait(fut), 7);
 }
 
 // ---------------------------------------------------------------------------
