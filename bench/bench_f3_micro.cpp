@@ -17,7 +17,6 @@
 #include "graph/bfs.hpp"
 #include "graph/expansion.hpp"
 #include "graph/generators.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 #include "runtime/sync_engine.hpp"
@@ -185,35 +184,6 @@ void BM_NullSinkProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NullSinkProbe);
-
-// Metrics layer (DESIGN.md §13): cost of the streaming histogram hot paths —
-// add is on the per-round distillation path, merge is the per-epoch /
-// per-trial fold. Both must stay trivially cheap next to a protocol round.
-void BM_LogHistogramAdd(benchmark::State& state) {
-  obs::LogHistogram h;
-  Rng rng(6);
-  std::uint64_t v = rng.next();
-  for (auto _ : state) {
-    v = v * 6364136223846793005ULL + 1442695040888963407ULL;  // cheap LCG step
-    h.add(v >> (v & 31U));
-    benchmark::DoNotOptimize(h.count());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LogHistogramAdd);
-
-void BM_LogHistogramMerge(benchmark::State& state) {
-  obs::LogHistogram src;
-  Rng rng(7);
-  for (int i = 0; i < 4096; ++i) src.add(rng.uniform(1ULL << (1 + rng.uniform(40))));
-  for (auto _ : state) {
-    obs::LogHistogram dst;
-    dst.merge(src);
-    benchmark::DoNotOptimize(dst.count());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LogHistogramMerge);
 
 void BM_ViewIntegrate(benchmark::State& state) {
   const NodeId n = 1024;

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "counting/beacon/protocol.hpp"
 #include "graph/generators.hpp"
@@ -44,22 +45,22 @@ int main(int argc, char** argv) {
 
   // 4. Report.
   const double logN = std::log(static_cast<double>(n));
-  Histogram estimates(0.0, 2.0 * logN, 16);
-  std::size_t decided = 0;
+  std::vector<double> estimates;
   for (NodeId u = 0; u < n; ++u) {
-    if (byz.contains(u)) continue;
-    if (outcome.result.decisions[u].decided) {
-      ++decided;
-      estimates.add(outcome.result.decisions[u].estimate);
-    }
+    if (!byz.contains(u) && outcome.result.decisions[u].decided)
+      estimates.push_back(outcome.result.decisions[u].estimate);
   }
   std::cout << "network: H(" << n << ",8), " << byz.count() << " Byzantine nodes (flooder)\n"
             << "true ln n = " << Table::num(logN, 2) << "\n"
-            << "honest nodes decided: " << decided << " / " << (n - byz.count()) << "\n"
+            << "honest nodes decided: " << estimates.size() << " / " << (n - byz.count()) << "\n"
             << "rounds: " << outcome.result.totalRounds
             << ", highest phase: " << outcome.stats.lastPhase
-            << ", forged beacons neutralised: " << outcome.stats.beaconsForged << "\n\n"
-            << "estimate distribution (phase units ~ constant * ln n):\n"
-            << estimates.render() << '\n';
+            << ", forged beacons neutralised: " << outcome.stats.beaconsForged << "\n";
+  if (!estimates.empty()) {
+    std::cout << "estimates (phase units ~ constant * ln n): min "
+              << Table::num(quantile(estimates, 0.0), 2) << ", median "
+              << Table::num(quantile(estimates, 0.5), 2) << ", max "
+              << Table::num(quantile(estimates, 1.0), 2) << '\n';
+  }
   return 0;
 }

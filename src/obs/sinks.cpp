@@ -3,15 +3,13 @@
 #include <cstdio>
 #include <sstream>
 
-#include "obs/metrics.hpp"
-
 namespace bzc::obs {
 
 namespace {
 
 /// Bumped on any change a reader must know about; tools/run_record.py
 /// refuses other versions.
-constexpr int kRecordVersion = 1;
+constexpr int kRecordVersion = 2;
 
 /// Minimal JSON string escaping (names are static identifiers; scenario
 /// names come from bench code and could in principle carry anything).
@@ -37,8 +35,8 @@ std::string jsonEscape(const std::string& s) {
   return out;
 }
 
-/// `{"type":T,"scenario":S,"trial":N` — the opening of the hists, blame and
-/// end lines; callers append their fields and close the object.
+/// `{"type":T,"scenario":S,"trial":N` — the opening of the blame and end
+/// lines; callers append their fields and close the object.
 void openLine(std::ostream& os, const char* type, const TrialTrace& trace) {
   os << "{\"type\":\"" << type << "\",\"scenario\":\"" << jsonEscape(trace.scenario)
      << "\",\"trial\":" << trace.trial;
@@ -66,31 +64,6 @@ void writeEvent(std::ostream& os, const TraceEvent& e) {
          << ",\"ts\":" << e.tsNs << "}\n";
       break;
   }
-}
-
-/// Every histogram with its sparse non-empty buckets ([index, lo, count]).
-void writeHists(std::ostream& os, const TrialTrace& trace) {
-  const TrialMetrics m = buildTrialMetrics(trace);
-  openLine(os, "hists", trace);
-  os << ",\"fingerprint\":\"0x" << std::hex << metricsFingerprint(m) << std::dec
-     << "\",\"hists\":[";
-  for (std::size_t i = 0; i < m.hists.size(); ++i) {
-    const NamedHistogram& nh = m.hists[i];
-    if (i > 0) os << ',';
-    os << "{\"name\":\"" << jsonEscape(nh.name) << "\",\"wall\":" << (nh.wall ? 1 : 0)
-       << ",\"precision\":" << nh.hist.precision() << ",\"count\":" << nh.hist.count()
-       << ",\"sum\":" << nh.hist.sum() << ",\"min\":" << nh.hist.min()
-       << ",\"max\":" << nh.hist.max() << ",\"buckets\":[";
-    bool first = true;
-    nh.hist.forEachNonzero(
-        [&](std::size_t index, std::uint64_t lo, std::uint64_t, std::uint64_t count) {
-          if (!first) os << ',';
-          first = false;
-          os << '[' << index << ',' << lo << ',' << count << ']';
-        });
-    os << "]}";
-  }
-  os << "]}\n";
 }
 
 /// The canonical edge projection, the named reconciliation totals and, when
@@ -145,7 +118,6 @@ void writeBlock(std::ostream& os, const TrialTrace& trace) {
     messages += e.rd.messages;
     bits += e.rd.bits;
   }
-  writeHists(os, trace);
   writeBlame(os, trace);
   // Totals let the validator reconcile without re-walking, and let tests pin
   // trace-vs-MessageMeter identity from the export alone.

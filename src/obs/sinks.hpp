@@ -14,16 +14,14 @@ namespace bzc::obs {
 
 /// The run record: one versioned block of JSON lines per consumed trial, in
 /// consumption order —
-///   {"type":"trial","v":1,"scenario":S,"trial":N}       header
+///   {"type":"trial","v":2,"scenario":S,"trial":N}       header
 ///   {"type":"round"|"span"|"counter"|"mark",...}         events, buffer order
-///   {"type":"hists","scenario":S,"trial":N,"fingerprint":"0x..","hists":[...]}
 ///   {"type":"blame","scenario":S,"trial":N,"edges":[...],"totals":{...},
 ///    "victimDist":[...]}                                  (victimDist optional)
 ///   {"type":"end","scenario":S,"trial":N,"events":E,"rounds":R,"messages":M,"bits":B}
-/// `hists` is buildTrialMetrics() with metricsFingerprint(). `end` carries
-/// totals summed from the events, so a truncated or corrupted block fails
-/// validation. tools/run_record.py validates, diffs, reports, and renders
-/// this format.
+/// `end` carries totals summed from the events, so a truncated or corrupted
+/// block fails validation. tools/run_record.py validates, diffs, reports, and
+/// renders this format.
 class RecordSink : public TraceSink {
  public:
   /// Owns and writes to an opened stream (the BZC_TRACE file).

@@ -35,7 +35,7 @@ void rejectRetiredKnobs() {
   for (const char* retired : {"BZC_METRICS", "BZC_ATTRIB", "BZC_TRACE_CHROME"}) {
     if (std::getenv(retired) == nullptr) continue;
     std::cerr << retired << " is no longer read: BZC_TRACE=path writes one run record per "
-              << "sampled trial with its histograms and blame graph, and "
+              << "sampled trial with its events and blame graph, and "
               << "tools/run_record.py chrome renders its timeline\n";
     std::exit(2);
   }

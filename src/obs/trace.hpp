@@ -46,7 +46,7 @@ enum class EventKind : std::uint8_t {
   Round,    ///< one engine round: traffic, touched receivers, phase timings
   Span,     ///< completed phase span (name, start, duration)
   Counter,  ///< named domain counter sampled at a serial point
-  Mark,     ///< point annotation (log mirror, skip notes)
+  Mark,     ///< point annotation (skipped rounds, walk flow ends)
 };
 
 [[nodiscard]] const char* eventKindName(EventKind kind);
@@ -217,7 +217,7 @@ void setTraceFlowMarks(bool enabled) noexcept;
 
 /// Lazily configures the sink from the environment, once per process:
 /// BZC_TRACE=path (the run record: one versioned block per sampled trial
-/// with its events, histograms and blame graph — RecordSink,
+/// with its events and blame graph — RecordSink,
 /// tools/run_record.py), BZC_TRACE_TRIALS=k (sample width in [1, 2^32-1],
 /// default 1) and BZC_TRACE_FLOW=0|1 (flow marks, default 0). The two knobs
 /// parse strictly (support/knob.hpp). A retired variable (the old exporters,

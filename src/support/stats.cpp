@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "support/require.hpp"
 
@@ -86,37 +85,6 @@ LinearFit fitLinear(const std::vector<double>& x, const std::vector<double>& y) 
   }
   fit.r2 = ssTot > 1e-12 ? 1.0 - ssRes / ssTot : 1.0;
   return fit;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
-  BZC_REQUIRE(hi > lo, "histogram range empty");
-  BZC_REQUIRE(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto i = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  i = std::clamp<std::ptrdiff_t>(i, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(i)];
-  ++total_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  const double step = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double left = lo_ + step * static_cast<double>(i);
-    os.setf(std::ios::fixed);
-    os.precision(2);
-    os << '[' << left << ", " << left + step << ") ";
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) * static_cast<double>(width));
-    for (std::size_t b = 0; b < bar; ++b) os << '#';
-    os << ' ' << counts_[i] << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace bzc

@@ -1,10 +1,8 @@
-// Summary statistics, histograms and least-squares fits used by the
+// Summary statistics, quantiles and least-squares fits used by the
 // experiment harnesses to report and verify scaling claims.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace bzc {
@@ -43,24 +41,5 @@ struct LinearFit {
 
 /// Fits y against x; requires |x| == |y| and at least two points.
 [[nodiscard]] LinearFit fitLinear(const std::vector<double>& x, const std::vector<double>& y);
-
-/// Fixed-width histogram over [lo, hi); values outside clamp to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// Multi-line ASCII rendering, useful in example binaries.
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace bzc

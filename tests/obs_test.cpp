@@ -15,7 +15,6 @@
 #include "churn/schedule.hpp"
 #include "counting/local/attacks.hpp"
 #include "golden_scenarios.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 #include "runtime/experiment.hpp"
@@ -23,8 +22,7 @@
 namespace bzc {
 namespace {
 
-/// Installs a capturing sink for the test body and restores the null sink
-/// (which also restores the default log sink — setTraceSink swaps both) on
+/// Installs a capturing sink for the test body and restores the null sink on
 /// every exit path.
 class SinkGuard {
  public:
@@ -189,7 +187,9 @@ TEST(ObsRunner, ChurnTracedIdenticalAndDepthInvariantProjection) {
 TEST(ObsRunner, TraceProjectionInvariantAcrossRunnerThreadCounts) {
   std::vector<std::vector<std::string>> baseline;
   std::uint64_t baselineFp = 0;
-  for (const unsigned threads : {1U, 2U, 8U}) {
+  // Two trials on 1/2/4/8 threads get worker budgets 1/1/2/4, which set the
+  // epoch pipeline's depth.
+  for (const unsigned threads : {1U, 2U, 4U, 8U}) {
     SinkGuard guard;
     ExperimentRunner runner(threads);
     const ExperimentSummary summary = runner.run(obsChurnSpec());
@@ -276,7 +276,7 @@ std::vector<std::string> lines(const std::string& text) {
   return out;
 }
 
-TEST(ObsExport, RecordBlockCarriesEventsHistsBlameAndTotals) {
+TEST(ObsExport, RecordBlockCarriesEventsBlameAndTotals) {
   obs::TrialTrace t;
   t.scenario = "record \"quoted\"";
   t.trial = 3;
@@ -300,32 +300,49 @@ TEST(ObsExport, RecordBlockCarriesEventsHistsBlameAndTotals) {
   obs::RecordSink(os).consume(t);
   const std::vector<std::string> block = lines(os.str());
 
-  // Header, four events in buffer order, hists, blame, end.
-  ASSERT_EQ(block.size(), 8U);
+  // Header, four events in buffer order, blame, end.
+  ASSERT_EQ(block.size(), 7U);
   const std::string tag = "\"scenario\":\"record \\\"quoted\\\"\",\"trial\":3";
-  EXPECT_EQ(block[0], "{\"type\":\"trial\",\"v\":1," + tag + "}");
+  EXPECT_EQ(block[0], "{\"type\":\"trial\",\"v\":2," + tag + "}");
   for (std::size_t i = 1; i <= 4; ++i) {
     EXPECT_EQ(block[i].find("{\"type\":\"" +
                             std::string(obs::eventKindName(t.events[i - 1].kind)) + "\""),
               0U)
         << block[i];
   }
-  std::ostringstream fp;
-  fp << std::hex << obs::metricsFingerprint(obs::buildTrialMetrics(t));
-  EXPECT_EQ(block[5].find("{\"type\":\"hists\"," + tag + ",\"fingerprint\":\"0x" + fp.str() +
-                          "\",\"hists\":[{\"name\":\"engine.bitsPerRound\""),
-            0U)
-      << block[5];
-  EXPECT_EQ(block[5].find("\"series\""), std::string::npos);
   // Canonical edge order (kind, cause, victim); -1 encodes kBlameNone and an
   // unmapped subset.
-  EXPECT_EQ(block[6], "{\"type\":\"blame\"," + tag +
+  EXPECT_EQ(block[5], "{\"type\":\"blame\"," + tag +
                           ",\"edges\":[{\"kind\":\"droppedQuery\",\"subset\":1,\"cause\":7,"
                           "\"victim\":2,\"count\":3},{\"kind\":\"continueSpam\",\"subset\":-1,"
                           "\"cause\":9,\"victim\":-1,\"count\":1}],"
                           "\"totals\":{\"walk.droppedQueries\":3},\"victimDist\":[0,1,2]}");
-  EXPECT_EQ(block[7], "{\"type\":\"end\"," + tag +
+  EXPECT_EQ(block[6], "{\"type\":\"end\"," + tag +
                           ",\"events\":4,\"rounds\":1,\"messages\":5,\"bits\":40}");
+}
+
+/// Occurrences of `needle` in `text`.
+std::size_t countOf(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ObsExport, RecordSinkInstalledMovesNoResult) {
+  ExperimentRunner runner(2);
+  const ExperimentSummary off = runner.run(obsChurnSpec());
+  std::ostringstream os;
+  obs::setTraceSink(std::make_shared<obs::RecordSink>(os), 2);
+  const ExperimentSummary on = runner.run(obsChurnSpec());
+  obs::setTraceSink(nullptr);
+  EXPECT_EQ(on.combinedFingerprint, off.combinedFingerprint);
+  // Two sampled trials → two record blocks, each closed by one end line.
+  const std::string out = os.str();
+  EXPECT_EQ(countOf(out, "\"type\":\"end\""), 2U);
+  EXPECT_EQ(countOf(out, "\"type\":\"hists\""), 0U);
 }
 
 TEST(ObsExport, NullSinkProbesAreInert) {

@@ -283,25 +283,6 @@ TEST(FitLinear, MismatchedSizesThrow) {
   EXPECT_THROW((void)fitLinear({1}, {1}), std::invalid_argument);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.9);    // bin 4
-  h.add(-3.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(2), 1u);
-  EXPECT_EQ(h.bin(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_FALSE(h.render().empty());
-}
-
-TEST(Histogram, InvalidRangeThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(Table, RendersAlignedRows) {
   Table t({"name", "value"});
   t.addRow({"alpha", Table::num(1.5, 1)});

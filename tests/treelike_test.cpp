@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/tree_like.hpp"
@@ -59,13 +61,30 @@ TEST(TreeLike, ParallelEdgeBreaksTreeness) {
   EXPECT_TRUE(isLocallyTreeLike(g, 2, 1));  // radius 1 sees only the 1-2 edge
 }
 
-TEST(TreeLike, MaskMatchesCount) {
-  Rng rng(31);
-  const Graph g = hnd(128, 6, rng);
-  const auto mask = treeLikeMask(g, 2);
-  std::size_t ones = 0;
-  for (char c : mask) ones += c;
-  EXPECT_EQ(ones, countTreeLike(g, 2));
+// The mask and the count share one BFS scratch across roots and reset only
+// each ball's nodes, early exits included; a per-node call starts from a
+// fresh scratch. On H(4096, 8) most radius-1 balls are trees, radius 2 mixes
+// both answers and no radius-3 ball is a tree; the parallel edges fail balls
+// at every radius. Early exits are therefore followed by balls that must pass.
+TEST(TreeLike, MaskMatchesPerNodeCalls) {
+  Rng rng31(31);
+  const Graph small = hnd(128, 6, rng31);
+  Rng rng41(41);
+  const Graph expander = hnd(4096, 8, rng41);
+  const Graph parallel(8, {{0, 1}, {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {5, 6},
+                           {6, 7}});
+  for (const Graph* g : {&small, &expander, &parallel}) {
+    for (std::uint32_t r = 1; r <= 3; ++r) {
+      const std::vector<char> mask = treeLikeMask(*g, r);
+      std::size_t ones = 0;
+      for (NodeId u = 0; u < g->numNodes(); ++u) {
+        EXPECT_EQ(mask[u] != 0, isLocallyTreeLike(*g, u, r))
+            << "n=" << g->numNodes() << " r=" << r << " u=" << u;
+        ones += mask[u] != 0 ? 1 : 0;
+      }
+      EXPECT_EQ(countTreeLike(*g, r), ones) << "n=" << g->numNodes() << " r=" << r;
+    }
+  }
 }
 
 // Lemma 2: in H(n,d), at least n - O(n^0.8) nodes are locally tree-like at

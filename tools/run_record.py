@@ -10,19 +10,20 @@ Usage:
 
 A run record holds one block of JSON lines per sampled trial:
 
-  {"type":"trial","v":1,"scenario":S,"trial":N}              header
+  {"type":"trial","v":2,"scenario":S,"trial":N}              header
   {"type":"round"|"span"|"counter"|"mark",...}                events, buffer order
-  {"type":"hists",...,"fingerprint":F,"hists":[...]}          histograms
   {"type":"blame",...,"edges":[...],"totals":{...}}           blame graph
   {"type":"end",...,"events":E,"rounds":R,"messages":M,"bits":B}
 
 validate  schema, header/end pairing and totals, per-lane round order,
-          histogram bucket sums, and the blame identities below.
+          and the blame identities below. Records of any other version
+          are refused.
 diff      compares the deterministic projections of two records: events
-          without their wall-clock keys, non-wall histograms, blame lines and
-          end totals. Both records are validated first.
+          without their wall-clock keys, blame lines and end totals. Both
+          records are validated first.
 report    per trial: convergence curves (counter series), phase-time
-          attribution (spans) and histograms, plus bench rows (--bench) with
+          attribution (spans) and per-round engine traffic (round lines:
+          mean/min/max of each field), plus bench rows (--bench) with
           bootstrap CIs; markdown to --out or stdout, optional --html with
           inline-SVG charts. --check also fails when a section would be empty.
 blame     damage by kind, by coalition subset, top-k offenders with their
@@ -59,7 +60,7 @@ import json
 import sys
 from pathlib import Path
 
-VERSION = 1
+VERSION = 2
 EVENT_KEYS = {
     "round": {"round", "sends", "touched", "messages", "bits", "idle", "lane"},
     "span": {"name", "round", "lane"},
@@ -67,14 +68,14 @@ EVENT_KEYS = {
     "mark": {"name", "round", "lane", "value"},
 }
 LINE_KEYS = {
-    "hists": {"scenario", "trial", "fingerprint", "hists"},
     "blame": {"scenario", "trial", "edges", "totals"},
     "end": {"scenario", "trial", "events", "rounds", "messages", "bits"},
 }
-# The line type each block line must follow: header, events, hists, blame, end.
-FOLLOWS = {"hists": "events", "blame": "hists", "end": "blame"}
+# The line type each block line must follow: header, events, blame, end.
+FOLLOWS = {"blame": "events", "end": "blame"}
 WALL_KEYS = {"ts", "dur", "recvNs", "mergeNs", "scatterNs"}
-HIST_KEYS = {"name", "wall", "precision", "count", "sum", "min", "max", "buckets"}
+# Round-line fields the report summarises per trial (the last two are wall).
+ROUND_FIELDS = ["sends", "touched", "messages", "bits", "recvNs", "scatterNs"]
 EDGE_KEYS = {"kind", "subset", "cause", "victim", "count"}
 
 # (edge kinds, totals): the kinds' edge counts sum to the totals; a leading
@@ -115,7 +116,7 @@ def tag(block):
 
 
 def load(path):
-    """The record's blocks in file order: {header, events, hists, blame, end}.
+    """The record's blocks in file order: {header, events, blame, end}.
     Raises RecordError on a line that does not parse or is out of place."""
     blocks, block, last = [], None, None
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -181,12 +182,6 @@ def block_problems(block):
     for key, got in sums.items():
         if block["end"][key] != got:
             problems.append(f"end.{key}={block['end'][key]} but the events sum to {got}")
-    for h in block["hists"]["hists"]:
-        if HIST_KEYS - h.keys():
-            problems.append(f"hist {h.get('name')!r} missing {sorted(HIST_KEYS - h.keys())}")
-        elif sum(c for _, _, c in h["buckets"]) != h["count"]:
-            problems.append(f"hist {h['name']!r} buckets sum to "
-                            f"{sum(c for _, _, c in h['buckets'])}, count says {h['count']}")
     edges, totals = block["blame"]["edges"], block["blame"]["totals"]
     if any(EDGE_KEYS - e.keys() for e in edges):
         return problems + [f"a blame edge misses one of {sorted(EDGE_KEYS)}"]
@@ -218,8 +213,6 @@ def projection(block):
     """The deterministic part of a block, section by section."""
     return {
         "events": [{k: v for k, v in e.items() if k not in WALL_KEYS} for e in block["events"]],
-        "hists": [block["hists"]["fingerprint"]]
-                 + [h for h in block["hists"]["hists"] if not h["wall"]],
         "blame edges": block["blame"]["edges"],
         "blame totals": [block["blame"]["totals"], block["blame"].get("victimDist")],
         "end": [block["end"][k] for k in ("events", "rounds", "messages", "bits")],
@@ -374,7 +367,7 @@ def render_markdown(blocks, bench_rows):
     out = ["# Run record report", "",
            f"Traced trials: {len(blocks)}; bench rows: {len(bench_rows)}.", ""]
     for b in blocks:
-        end, hists = b["end"], b["hists"]
+        end = b["end"]
         series, spans = trial_view(b)
         out += [f"## {tag(b)}: {end['rounds']} rounds, {end['messages']} messages, "
                 f"{end['bits']} bits", ""]
@@ -388,12 +381,12 @@ def render_markdown(blocks, bench_rows):
             out += ["### Phase-time attribution", ""] + md_table(
                 ["span", "count", "total ms", "% of trial"],
                 [[f"`{name}`", count, ms, share] for name, count, ms, share in span_rows(spans)])
-        out += ["### Histograms (deterministic projection flagged wall=0)", "",
-                f"metrics fingerprint: `{hists['fingerprint']}`", ""] + md_table(
-            ["histogram", "wall", "count", "mean", "min", "max"],
-            [[f"`{h['name']}`", h["wall"], h["count"],
-              fmt(h["sum"] / h["count"] if h["count"] else 0.0), h["min"], h["max"]]
-             for h in hists["hists"]])
+        rounds = [e for e in b["events"] if e["type"] == "round"]
+        if rounds:
+            out += ["### Per-round engine traffic", ""] + md_table(
+                ["field", "rounds", "mean", "min", "max"],
+                [[f"`{key}`", len(vals), fmt(sum(vals) / len(vals)), min(vals), max(vals)]
+                 for key, vals in ((k, [e[k] for e in rounds]) for k in ROUND_FIELDS)])
     if bench_rows:
         out += ["## Bench summary", ""] + md_table(BENCH_HEAD, map(bench_cells, bench_rows))
     return "\n".join(out) + "\n"
@@ -584,8 +577,8 @@ def cmd_chrome(args):
 
 def cmd_validate(args):
     blocks = load_all(args.records)
-    print(f"OK: {len(blocks)} block(s) in {len(args.records)} file(s); schema, totals, "
-          "histograms and blame identities reconcile")
+    print(f"OK: {len(blocks)} block(s) in {len(args.records)} file(s); schema, totals "
+          "and blame identities reconcile")
     return 0
 
 
