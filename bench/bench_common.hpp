@@ -22,6 +22,7 @@
 #include "graph/generators.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/fingerprint.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sim/byzantine.hpp"
 #include "support/knob.hpp"
 #include "support/rng.hpp"
@@ -38,10 +39,10 @@ inline std::uint32_t trialCount(std::uint32_t defaultTrials = 5) {
   return static_cast<std::uint32_t>(envKnob("BZC_TRIALS", defaultTrials, 1, UINT32_MAX));
 }
 
-/// Worker threads for the ExperimentRunner. BZC_THREADS overrides; 0 (the
-/// default) picks the hardware concurrency.
+/// Worker threads for the ExperimentRunner. BZC_THREADS overrides, up to
+/// kMaxPoolThreads; 0 (the default) picks the hardware concurrency.
 inline unsigned threadCount() {
-  return static_cast<unsigned>(envKnob("BZC_THREADS", 0, 0, UINT32_MAX));
+  return static_cast<unsigned>(envKnob("BZC_THREADS", 0, 0, kMaxPoolThreads));
 }
 
 /// Network size for benches that support scaling their rows (currently T7).

@@ -52,14 +52,11 @@ struct EpochStage {
   EpochReport report;
   double trueLogN = 0.0;
   bool recount = false;
-  OverlaySnapshot snap;            ///< the recount's input; the recount frees it
   TrialOutcome out;                ///< recount result, retired from fut
   std::future<TrialOutcome> fut;   ///< valid while the recount is in flight
   /// Child probe buffer for traced trials (DESIGN.md §12): the recount traces
-  /// into it on whichever thread runs it (inline, a pool worker or the trial's
-  /// thread in wait() — same buffer either way, so the deterministic
-  /// projection is depth-invariant) and the serial finalization fold splices
-  /// it back in epoch order.
+  /// into it (a traced trial runs its recounts inline, on its own thread) and
+  /// the serial finalization fold splices it back in epoch order.
   std::unique_ptr<obs::TrialTrace> trace;
 };
 
@@ -75,17 +72,16 @@ struct EpochStage {
 //     snapshot, per-epoch forked Rng), so recounts of different epochs are
 //     mutually independent.
 //
-// The pipeline depth is the trial's worker budget (trialWorkerBudget(),
-// DESIGN.md §5): the overlay stage runs through every epoch without waiting,
-// submitting each recount to a pool of depth - 1 workers; then this thread
-// retires the futures in epoch order through ThreadPool::wait, which runs
-// still-queued recounts here, so depth threads recount. Every fold that
-// *reads* recount outputs (estimate, staleness, drift, the fingerprint
-// chain, the totals) is deferred to a serial finalization pass over the
-// stages in epoch order, which is what makes the pipelined schedule
-// bit-identical to the sequential one at any depth. At depth 1 (or with a
-// single recount) the pool has no workers and submit() runs the recount
-// inline on this thread.
+// The recounts run on the trial's pool (trialPool(), DESIGN.md §5): the
+// overlay stage runs through every epoch without waiting, submitting each
+// recount; then this thread retires the futures in epoch order through
+// ThreadPool::wait, which runs still-queued recounts (this trial's or
+// another's) here. Every fold that *reads* recount outputs (estimate,
+// staleness, drift, the fingerprint chain, the totals) is deferred to a
+// serial finalization pass over the stages in epoch order, which is what
+// makes the pipelined schedule bit-identical to the sequential one on any
+// pool. On the inline pool (traced trials, calls outside a runner) submit()
+// runs each recount on this thread before the next epoch starts.
 ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t index) {
   BZC_REQUIRE(spec.churn.enabled(), "runChurnTrial needs an enabled ChurnSchedule");
   BZC_REQUIRE(spec.churn.epochs >= 1, "churn schedule needs at least one epoch");
@@ -106,22 +102,12 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
   std::unique_ptr<ChurnModel> model =
       spec.churn.kind != ChurnModelKind::None ? makeChurnModel(spec.churn) : nullptr;
 
-  // Epochs 1, 1 + recountEvery, ... recount; more depth than that buys nothing.
-  const std::uint32_t recountEpochs = (spec.churn.epochs - 1) / spec.churn.recountEvery + 1;
-  const std::uint32_t depth = std::min(trialWorkerBudget(), recountEpochs);
-
   double gapSum = 0.0;
   double firstGap = 0.0, lastGap = 0.0;
   std::uint64_t joins = 0, leaves = 0, rewires = 0;
 
-  // Fixed size, so stage addresses are stable for the recount lambdas.
-  // Declared before (destroyed after) the pool: if a fold throws mid-retire,
-  // workers still finishing queued recounts must find their stages alive.
   std::vector<EpochStage> stages(spec.churn.epochs);
-  // depth - 1 workers plus this thread, which joins them in wait(), so the
-  // trial occupies at most its budget. Workers and wait() run recounts at a
-  // budget of 1; an inline recount (depth 1) sees the trial's.
-  ThreadPool recountPool(depth);
+  ThreadPool& pool = trialPool();
 
   // Trace probe target (DESIGN.md §12). The overlay stage below runs on this
   // thread, so its spans/counters emit straight into the trial buffer;
@@ -167,8 +153,8 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
     // Materialise this epoch's snapshot. Epoch 1 reuses the already-built
     // static trial verbatim (the overlay round-trip is identity there, but
     // handing the protocol the original objects keeps that fact structural).
-    // A recount epoch's snapshot lives in its stage until the recount frees
-    // it; any other epoch's is dropped after the gap probe.
+    // A recount epoch's snapshot moves into its recount, which frees it; any
+    // other epoch's is dropped after the gap probe.
     OverlaySnapshot snap;
     const std::int64_t snapT0 = trace != nullptr ? obs::traceClockNs() : 0;
     if (epoch == 1) {
@@ -212,34 +198,32 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
         stage.trace->scenario = trace->scenario;
         stage.trace->trial = trace->trial;
       }
-      obs::TrialTrace* const childTrace = stage.trace.get();
-      stage.snap = std::move(snap);
-      OverlaySnapshot* const snapPtr = &stage.snap;
-      stage.fut = recountPool.submit(
-          [es = std::move(epochSpec), snapPtr, rng = std::move(protoRng), childTrace]() mutable {
-            // The child scope shadows the trial buffer when the recount runs
-            // inline, so its events land where they would from a worker.
-            const obs::TraceScope scope(childTrace);
-            const obs::ScopedTimer timer("epoch.recount");
-            TrialOutcome o = runProtocolTrial(es, snapPtr->graph, snapPtr->byz, std::move(rng));
-            // Blame edges carry dense per-epoch node ids; remap to global
-            // overlay ids, then free the snapshot, so snapshot memory is
-            // bounded by the unfinished recounts. Epoch 1's empty map is the
-            // identity, keeping zero-churn blame bit-identical to the static
-            // path.
-            o.blame.remapNodes(snapPtr->denseToId);
-            *snapPtr = OverlaySnapshot{};
-            return o;
-          });
+      // The task owns its inputs, so one still queued when the trial
+      // unwinds early is safe to run later. Only a traced trial has a child
+      // buffer, and it runs its recounts inline (DESIGN.md §5).
+      stage.fut = pool.submit([es = std::move(epochSpec), snap = std::move(snap),
+                               rng = std::move(protoRng), childTrace = stage.trace.get()]() mutable {
+        // The child scope shadows whatever buffer the running thread has.
+        const obs::TraceScope scope(childTrace);
+        const obs::ScopedTimer timer("epoch.recount");
+        TrialOutcome o = runProtocolTrial(es, snap.graph, snap.byz, std::move(rng));
+        // Blame edges carry dense per-epoch node ids; remap to global overlay
+        // ids, then free the snapshot, so snapshot memory is bounded by the
+        // unfinished recounts (DESIGN.md §11). Epoch 1's empty map is the
+        // identity, keeping zero-churn blame bit-identical to the static path.
+        o.blame.remapNodes(snap.denseToId);
+        snap = OverlaySnapshot{};
+        return o;
+      });
     }
   }
   for (EpochStage& stage : stages) {
-    if (stage.fut.valid()) stage.out = recountPool.wait(stage.fut);
+    if (stage.fut.valid()) stage.out = pool.wait(stage.fut);
   }
 
   // Serial finalization: fold recount outputs and the estimate/staleness/
-  // drift chain in epoch order — identical arithmetic, identical order, at
-  // every pipeline depth.
+  // drift chain in epoch order — identical arithmetic, identical order, on
+  // any pool.
   ChurnTrialResult result;
   result.epochs.reserve(spec.churn.epochs);
   const std::int64_t foldT0 = trace != nullptr ? obs::traceClockNs() : 0;
@@ -271,7 +255,7 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
       total.totalMessages += out.totalMessages;
       total.totalBits += out.totalBits;
       total.hitRoundCap = total.hitRoundCap || out.hitRoundCap;
-      // Keyed sums in epoch order: depth-invariant like the rest of the fold.
+      // Keyed sums in epoch order: schedule-invariant like the rest of the fold.
       total.blame.merge(out.blame);
       if (!haveFingerprint) {
         // First recount seeds the fold, so a single-epoch schedule carries
@@ -295,8 +279,7 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
     if (trace != nullptr) {
       // Children splice back here, in epoch order, tagged with their epoch as
       // the lane — a serial point, so the merged event order is a pure
-      // function of the trial at any pipeline depth. Timestamps are preserved:
-      // overlapped recounts still overlap on the chrome timeline.
+      // function of the trial.
       if (stage.trace != nullptr) trace->splice(std::move(*stage.trace), report.epoch);
       trace->counter("epoch.estimate", report.estimate, report.epoch);
       trace->counter("epoch.staleness", report.staleness, report.epoch);

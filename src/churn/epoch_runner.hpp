@@ -17,16 +17,15 @@
 // is the static kProtocolStream fork, which is what makes the zero-churn
 // identity exact rather than statistical.
 //
-// Execution is a software pipeline (DESIGN.md §11) of `depth` threads, the
-// trial's worker budget (trialWorkerBudget(), DESIGN.md §5): the serial
-// overlay stage (events, repair, snapshot, cold spectral-gap probe) runs
-// through every epoch without waiting and submits each recount — a pure
-// function of its epoch's snapshot — to depth - 1 pool workers; the trial's
-// thread then retires the recounts in epoch order, running still-queued ones
-// itself (ThreadPool::wait). The estimate/staleness/drift fold is a serial
-// finalization pass in epoch order, so every budget produces the identical
-// ChurnTrialResult (epoch_pipeline_test pins budget 1 == budget D, report by
-// report).
+// Execution is a software pipeline (DESIGN.md §11) on the trial's pool
+// (trialPool(), DESIGN.md §5): the serial overlay stage (events, repair,
+// snapshot, cold spectral-gap probe) runs through every epoch without
+// waiting and submits each recount — a pure function of its epoch's
+// snapshot — to the pool; the trial's thread then retires the recounts in
+// epoch order, running still-queued ones itself (ThreadPool::wait). The
+// estimate/staleness/drift fold is a serial finalization pass in epoch
+// order, so every runner width produces the identical ChurnTrialResult
+// (epoch_pipeline_test pins width 1 == width D, report by report).
 //
 // Reporting: per-trial aggregates land in TrialOutcome::extra under the
 // names runChurnTrialDetailed sets (deliberately outside fingerprint(), like

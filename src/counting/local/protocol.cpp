@@ -129,17 +129,16 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
   // --- Integration + checks, run once per round over all nodes. ---
   // Both passes are per-node pure work (DESIGN.md §2): node u reads its own
   // inbox, its senders' delta slices and its own view and monitor, and writes
-  // only its own view, its own monitor and pending[u]. They run over the
-  // trial's worker budget on a pool the trial owns; the decisions are applied
+  // only its own view, its own monitor and pending[u]. They run on the
+  // trial's pool (trialPool(), DESIGN.md §5); the decisions are applied
   // afterwards, serially and in node order, so the outcome is bit-identical
-  // at any budget. A one-worker pool starts no threads and runs both passes
-  // inline on the trial's thread.
-  const unsigned workers = std::min<unsigned>(trialWorkerBudget(), n);
-  ThreadPool workerPool(workers);
+  // on any pool. The inline pool runs both passes on the trial's thread.
+  ThreadPool& workers = trialPool();
+  const bool parallel = workers.threadCount() > 1;
   // Each sender's log storage as of the start of a parallel integration
   // pass, indexed by node: receivers read slices through these, never
   // through another node's vector, which its owner appends to meanwhile.
-  std::vector<const RecordIdx*> logData(workers > 1 ? n : 0, nullptr);
+  std::vector<const RecordIdx*> logData(parallel ? n : 0, nullptr);
   const bool relays = adversary.relaysHonest();
   // Byzantine nodes keep a view only when their strategy relays.
   auto keepsView = [&](NodeId u) { return !decided[u] && (relays || !byz.contains(u)); };
@@ -165,8 +164,8 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
     for (const Engine::Delivery& in : box) {
       const DeltaMsg& m = in.payload;
       if (m.begin < m.end) {
-        // At budget 1 the pass is serial and a sender's log may have moved
-        // since the round began, so the slice is read through the vector.
+        // On the inline pool the pass is serial and a sender's log may have
+        // moved since the round began, so the slice is read through the vector.
         const RecordIdx* log = logData.empty() ? m.log->data() : logData[in.sender];
         for (std::uint32_t k = m.begin; k < m.end; ++k) {
           if (!absorb(log[k])) return LocalDecideReason::Inconsistency;
@@ -198,7 +197,7 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
       // Receivers read their senders' log slices while each appends to its
       // own log, so no log may move inside a parallel pass: every live view
       // first reserves room for all it was sent, then its storage is noted.
-      if (workers > 1) {
+      if (parallel) {
         for (NodeId u = 0; u < n; ++u) {
           if (keepsView(u)) {
             std::size_t incoming = 0;
@@ -211,7 +210,7 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
           logData[u] = views[u].integrationLog().data();
         }
       }
-      workerPool.parallelFor(n, [&](std::size_t u) {
+      workers.parallelForTasks(n, [&](std::size_t u) {
         pending[u] = integrateNode(static_cast<NodeId>(u), round);
       });
       for (NodeId u = 0; u < logData.size(); ++u) {
@@ -220,7 +219,7 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
     }
     {
       const obs::ScopedTimer span("local.checks", round);
-      workerPool.parallelFor(n, [&](std::size_t u) {
+      workers.parallelForTasks(n, [&](std::size_t u) {
         if (pending[u] == LocalDecideReason::Undecided) {
           pending[u] = checkNode(static_cast<NodeId>(u), round);
         }

@@ -1,33 +1,10 @@
 #include "graph/io.hpp"
 
-#include <algorithm>
-#include <istream>
-#include <ostream>
 #include <sstream>
 
 #include "support/require.hpp"
 
 namespace bzc {
-
-void writeEdgeList(std::ostream& os, const Graph& g) {
-  os << g.numNodes() << ' ' << g.numEdges() << '\n';
-  for (const auto& [u, v] : g.edgeList()) os << u << ' ' << v << '\n';
-}
-
-Graph readEdgeList(std::istream& is) {
-  std::size_t n = 0;
-  std::size_t m = 0;
-  BZC_REQUIRE(static_cast<bool>(is >> n >> m), "edge list header unreadable");
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    std::uint64_t u = 0;
-    std::uint64_t v = 0;
-    BZC_REQUIRE(static_cast<bool>(is >> u >> v), "edge list truncated");
-    edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
-  }
-  return Graph(static_cast<NodeId>(n), edges);
-}
 
 std::string toDot(const Graph& g, const std::vector<NodeId>& highlight) {
   std::vector<char> marked(g.numNodes(), 0);

@@ -1,20 +1,13 @@
-// Graph serialization: edge-list text round-trip and Graphviz DOT export
-// (examples render small topologies; benches can dump workloads for
-// inspection).
+// Graph serialization: Graphviz DOT export (examples render small
+// topologies).
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "graph/graph.hpp"
 
 namespace bzc {
-
-/// Writes "n m" then one "u v" line per edge.
-void writeEdgeList(std::ostream& os, const Graph& g);
-
-/// Parses the writeEdgeList format; throws std::invalid_argument on damage.
-[[nodiscard]] Graph readEdgeList(std::istream& is);
 
 /// Graphviz DOT (undirected). `highlight` nodes are drawn filled red —
 /// examples use it to mark Byzantine placements.

@@ -371,24 +371,18 @@ unsigned ExperimentRunner::threadCount() const noexcept { return pool_->threadCo
 
 ExperimentSummary ExperimentRunner::run(const ScenarioSpec& spec) {
   const TrialFn fn = [&spec](std::uint32_t index) { return runTrial(spec, index); };
-  // runWith hands each trial a worker budget of max(1, pool threads /
-  // trials), which Algorithm 1 spends on its per-node end-of-round passes and
-  // the epoch runner on its recount pipeline depth: fan-out wins whenever
-  // trials >= threads (the budget is 1). The outcome is unchanged either way
-  // (trials are pure functions of their index, and the budget never changes
-  // what a trial computes) — only scheduling shifts.
-  return runWith(*pool_, spec.name, spec.trials, fn, spec.traceTrials);
+  return runWith(spec.name, spec.trials, fn, spec.traceTrials);
 }
 
 ExperimentSummary ExperimentRunner::runCustom(const std::string& name, std::uint32_t trials,
                                               const TrialFn& fn) {
-  return runWith(*pool_, name, trials, fn);
+  return runWith(name, trials, fn);
 }
 
-ExperimentSummary ExperimentRunner::runWith(ThreadPool& pool, const std::string& name,
-                                            std::uint32_t trials, const TrialFn& fn,
-                                            std::uint32_t traceTrials) {
+ExperimentSummary ExperimentRunner::runWith(const std::string& name, std::uint32_t trials,
+                                            const TrialFn& fn, std::uint32_t traceTrials) {
   BZC_REQUIRE(trials > 0, "need at least one trial");
+  ThreadPool& pool = *pool_;
   // Trace sampling (DESIGN.md §12): the first `width` trials get a private
   // event buffer installed scoped around their execution. Probes never feed
   // back into protocol state, so outcomes are unchanged; buffers drain to the
@@ -407,22 +401,22 @@ ExperimentSummary ExperimentRunner::runWith(ThreadPool& pool, const std::string&
     traces[i]->trial = i;
   }
   std::vector<TrialOutcome> outcomes(trials);
-  // Each trial may occupy its share of the pool's threads for its own
-  // intra-trial passes (Algorithm 1's end-of-round hook and the epoch
-  // pipeline use it): the whole pool for a single trial, 1 once
-  // trials >= threads.
-  const unsigned budget = std::max(1u, pool.threadCount() / trials);
   // Chunked dispatch: one std::function call per worker instead of one per
   // trial. Which worker runs a trial never matters (pure function of the
-  // index), so the static partition is invisible in the results.
+  // index), so the static partition is invisible in the results. A trial
+  // spreads its own work (Algorithm 1's end-of-round passes, the epoch
+  // pipeline's recounts) over this same pool through trialPool(), except a
+  // traced one, which runs it inline on its own thread so that its spans
+  // nest (DESIGN.md §5).
   pool.parallelForChunked(trials, [&](std::size_t lo, std::size_t hi) {
-    const WorkerBudgetScope budgetScope(budget);
     for (std::size_t i = lo; i < hi; ++i) {
       if (i < width) {
+        const ThreadPool::TrialPoolScope inlinePool(nullptr);
         const obs::TraceScope scope(traces[i].get());
         const obs::ScopedTimer timer("trial");
         outcomes[i] = fn(static_cast<std::uint32_t>(i));
       } else {
+        const ThreadPool::TrialPoolScope runnerPool(&pool);
         outcomes[i] = fn(static_cast<std::uint32_t>(i));
       }
     }

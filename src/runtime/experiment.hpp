@@ -259,7 +259,8 @@ struct ExperimentSummary {
 
 class ExperimentRunner {
  public:
-  /// threads == 0 picks the hardware concurrency.
+  /// threads == 0 picks the hardware concurrency; more than kMaxPoolThreads
+  /// throws. Trials spread their own work over the same pool (trialPool()).
   explicit ExperimentRunner(unsigned threads = 0);
   ~ExperimentRunner();
 
@@ -278,11 +279,10 @@ class ExperimentRunner {
                                             const TrialFn& fn);
 
  private:
-  /// Shared fan-out core: aggregation is identical whichever pool runs it.
-  /// traceTrials > 0 overrides the process-wide trace sample width.
-  static ExperimentSummary runWith(ThreadPool& pool, const std::string& name,
-                                   std::uint32_t trials, const TrialFn& fn,
-                                   std::uint32_t traceTrials = 0);
+  /// Shared fan-out core of run and runCustom. traceTrials > 0 overrides
+  /// the process-wide trace sample width.
+  ExperimentSummary runWith(const std::string& name, std::uint32_t trials, const TrialFn& fn,
+                            std::uint32_t traceTrials = 0);
 
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -1,24 +1,17 @@
 #include "runtime/thread_pool.hpp"
 
+#include "support/require.hpp"
+
 namespace bzc {
 
-namespace {
-thread_local unsigned t_workerBudget = 1;
-}  // namespace
-
-unsigned trialWorkerBudget() noexcept { return t_workerBudget; }
-
-WorkerBudgetScope::WorkerBudgetScope(unsigned workers) noexcept : prev_(t_workerBudget) {
-  t_workerBudget = workers > 0 ? workers : 1;
+ThreadPool& trialPool() noexcept {
+  static ThreadPool inlinePool(1);
+  return ThreadPool::trial_ != nullptr ? *ThreadPool::trial_ : inlinePool;
 }
 
-WorkerBudgetScope::~WorkerBudgetScope() { t_workerBudget = prev_; }
-
 ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
+  BZC_REQUIRE(threads <= kMaxPoolThreads, "thread count above kMaxPoolThreads");
+  if (threads == 0) threads = std::clamp(std::thread::hardware_concurrency(), 1u, kMaxPoolThreads);
   threads_ = threads;
   workers_.reserve(threads_ - 1);
   for (unsigned t = 1; t < threads_; ++t) {
@@ -39,6 +32,7 @@ void ThreadPool::parallelFor(std::size_t count, const std::function<void(std::si
   if (count == 0) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    BZC_CHECK(job_ == nullptr, "parallelFor is already running on this pool");
     job_ = &body;
     jobCount_ = count;
     cursor_.store(0, std::memory_order_relaxed);
@@ -48,8 +42,18 @@ void ThreadPool::parallelFor(std::size_t count, const std::function<void(std::si
   }
   wake_.notify_all();
   drain();  // the caller works too
+  // Then it runs queued tasks until its workers are done: a worker may hold
+  // the only trial in flight, whose tasks need this thread.
   std::unique_lock<std::mutex> lock(mutex_);
-  done_.wait(lock, [this] { return activeWorkers_ == 0; });
+  for (;;) {
+    done_.wait(lock, [this] { return activeWorkers_ == 0 || !tasks_.empty(); });
+    if (activeWorkers_ == 0) break;
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop_front();
+    lock.unlock();
+    task();
+    lock.lock();
+  }
   job_ = nullptr;
   if (firstError_) {
     std::exception_ptr err = firstError_;
@@ -69,12 +73,35 @@ void ThreadPool::parallelForChunked(
   });
 }
 
+void ThreadPool::parallelForTasks(std::size_t count,
+                                  const std::function<void(std::size_t)>& body) {
+  std::atomic<std::size_t> cursor{0};
+  std::exception_ptr error;
+  std::once_flag firstError;
+  // Never throws, so every task is retired before this frame goes.
+  const auto share = [&] {
+    try {
+      for (std::size_t i; (i = cursor.fetch_add(1, std::memory_order_relaxed)) < count;) body(i);
+    } catch (...) {
+      std::call_once(firstError, [&] { error = std::current_exception(); });
+    }
+  };
+  std::vector<std::future<void>> helpers;
+  for (std::size_t t = 1; t < std::min<std::size_t>(threads_, count); ++t) {
+    helpers.push_back(submit(share));
+  }
+  share();
+  for (std::future<void>& helper : helpers) wait(helper);
+  if (error) std::rethrow_exception(error);
+}
+
 void ThreadPool::enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tasks_.push_back(std::move(task));
   }
   wake_.notify_one();
+  done_.notify_one();  // a parallelFor caller waiting for its workers helps too
 }
 
 bool ThreadPool::runQueuedTask() {
@@ -85,8 +112,7 @@ bool ThreadPool::runQueuedTask() {
     task = std::move(tasks_.front());
     tasks_.pop_front();
   }
-  const WorkerBudgetScope budget(1);
-  task();  // packaged_task traps exceptions into its own future
+  task();
   return true;
 }
 
@@ -110,7 +136,7 @@ void ThreadPool::workerLoop() {
       }
     }
     if (task) {
-      task();  // packaged_task traps exceptions into the future
+      task();
       continue;
     }
     drain();

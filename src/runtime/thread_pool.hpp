@@ -28,11 +28,15 @@
 
 namespace bzc {
 
+/// Upper bound on a pool's thread count; the BZC_THREADS knob shares it.
+inline constexpr unsigned kMaxPoolThreads = 1024;
+
 class ThreadPool {
  public:
-  /// threads == 0 picks the hardware concurrency (at least 1). One worker
-  /// means no extra threads at all: parallelFor runs inline on the caller,
-  /// and submit() executes the task immediately at the call site.
+  /// threads == 0 picks the hardware concurrency, at most kMaxPoolThreads;
+  /// more throws before any thread starts. One worker means no extra threads
+  /// at all: parallelFor runs inline on the caller, and submit() executes the
+  /// task immediately at the call site.
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
@@ -42,29 +46,29 @@ class ThreadPool {
   [[nodiscard]] unsigned threadCount() const noexcept { return threads_; }
 
   /// Runs body(0) .. body(count-1) across the pool (the calling thread
-  /// participates). Blocks until all indices finished; the first exception
-  /// thrown by any body is rethrown here after the loop drains.
+  /// participates). Blocks until all indices finished, running queued
+  /// submit() tasks meanwhile once its own share is done; the first exception
+  /// thrown by any body is rethrown here after the loop drains. The pool has
+  /// one loop slot: a nested or concurrent call throws std::logic_error.
   void parallelFor(std::size_t count, const std::function<void(std::size_t)>& body);
 
   /// Static-partition variant: splits [0, count) into at most threadCount()
   /// contiguous chunks and dispatches body(lo, hi) once per chunk — one
   /// std::function call per worker instead of one per index. For fine-grained
-  /// loops (the runner's trial fan-out, Algorithm 1's per-node passes) the
-  /// per-index virtual dispatch is the measurable cost (bench_f3 pins the
-  /// ratio). Same blocking/exception semantics as parallelFor; the partition
-  /// is a pure function of (count, threadCount()), and each index is still a
-  /// pure function of its input, so chunking never affects results.
+  /// loops (the runner's trial fan-out) the per-index virtual dispatch is the
+  /// measurable cost (bench_f3 pins the ratio). Same blocking/exception
+  /// semantics as parallelFor; the partition is a pure function of (count,
+  /// threadCount()), and each index is still a pure function of its input, so
+  /// chunking never affects results.
   void parallelForChunked(std::size_t count,
                           const std::function<void(std::size_t, std::size_t)>& body);
 
   /// Queues one task for asynchronous execution on a worker and returns the
-  /// future for its result (the epoch pipeline's recount stage rides this).
-  /// Unlike parallelFor, the caller does NOT participate at submit and does
-  /// not block: tasks run concurrently with whatever the caller does next, and
-  /// the caller lends its thread only later, through wait(). On a
-  /// single-thread pool the task executes inline before submit returns — the
-  /// depth-1 epoch pipeline's serial identity is this code path. All futures
-  /// must be waited on before the pool is destroyed; pending tasks still run
+  /// future for its result (the epoch pipeline's recounts ride this). The
+  /// caller does NOT participate at submit and does not block; it lends its
+  /// thread only later, through wait(). The task runs with the submitting
+  /// thread's trialPool(), whichever thread takes it. On a single-thread pool
+  /// the task executes inline before submit returns. Pending tasks still run
   /// during shutdown, but nothing restarts a worker after join.
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
@@ -75,14 +79,18 @@ class ThreadPool {
       (*task)();
       return fut;
     }
-    enqueue([task] { (*task)(); });
+    enqueue([task, home = trial_] {
+      const TrialPoolScope scope(home);
+      (*task)();  // packaged_task traps exceptions into its own future
+    });
     return fut;
   }
 
   /// Returns fut's result (rethrowing a task's exception), running queued
-  /// submit() tasks on the calling thread until fut is ready, so a caller that
-  /// waits adds its thread to the workers instead of idling. Once the queue is
-  /// empty the caller blocks until whoever holds fut's task finishes it.
+  /// submit() tasks (any trial's) on the calling thread until fut is ready;
+  /// a task that waits on its own queued child runs it the same way. Once the
+  /// queue is empty the caller blocks until whoever holds fut's task
+  /// finishes it.
   template <typename R>
   R wait(std::future<R>& fut) {
     while (fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready &&
@@ -91,13 +99,37 @@ class ThreadPool {
     return fut.get();
   }
 
+  /// parallelFor built from submit() tasks, so it nests inside a
+  /// parallelFor body or a task on the same pool (Algorithm 1's per-node
+  /// passes inside a runner's trial): threadCount() - 1 tasks and the caller
+  /// share one atomic cursor over the indices, and the caller retires the
+  /// tasks through wait(). The first exception thrown by a body is rethrown
+  /// once the others have finished.
+  void parallelForTasks(std::size_t count, const std::function<void(std::size_t)>& body);
+
+  /// RAII install of the pool trialPool() returns on this thread (nullptr:
+  /// the inline pool); restores the previous one, like obs::TraceScope.
+  class TrialPoolScope {
+   public:
+    explicit TrialPoolScope(ThreadPool* pool) noexcept : prev_(std::exchange(trial_, pool)) {}
+    ~TrialPoolScope() { trial_ = prev_; }
+    TrialPoolScope(const TrialPoolScope&) = delete;
+    TrialPoolScope& operator=(const TrialPoolScope&) = delete;
+
+   private:
+    ThreadPool* prev_;
+  };
+
  private:
   void workerLoop();
   void drain();
   void enqueue(std::function<void()> task);
-  /// Pops one submit() task and runs it here at a worker budget of 1, like a
-  /// worker would; false when the queue is empty.
+  /// Pops one submit() task and runs it here, like a worker would; false
+  /// when the queue is empty.
   bool runQueuedTask();
+  friend ThreadPool& trialPool() noexcept;
+
+  static inline thread_local ThreadPool* trial_ = nullptr;  ///< nullptr: the inline pool
 
   unsigned threads_ = 1;
   std::vector<std::thread> workers_;
@@ -115,24 +147,10 @@ class ThreadPool {
   std::deque<std::function<void()>> tasks_;  ///< submit() queue, drained before stop
 };
 
-/// Worker budget of the trial this thread is running: how many threads the
-/// trial may occupy for its own intra-trial passes. ExperimentRunner installs
-/// max(1, pool threads / trials) around every trial (DESIGN.md §5); anywhere
-/// else it is 1. Like the pool's index contract, the budget may decide how
-/// many threads compute a result, never what the result is.
-[[nodiscard]] unsigned trialWorkerBudget() noexcept;
-
-/// RAII install of a worker budget on this thread (nests: restores the
-/// previous budget, like obs::TraceScope).
-class WorkerBudgetScope {
- public:
-  explicit WorkerBudgetScope(unsigned workers) noexcept;
-  ~WorkerBudgetScope();
-  WorkerBudgetScope(const WorkerBudgetScope&) = delete;
-  WorkerBudgetScope& operator=(const WorkerBudgetScope&) = delete;
-
- private:
-  unsigned prev_;
-};
+/// The pool the running trial spreads its own work over (DESIGN.md §5): in
+/// an untraced ExperimentRunner trial, and in the tasks it submits, the
+/// runner's pool; everywhere else (traced trials, code outside a runner) a
+/// one-thread pool whose submit() and parallelForTasks run inline.
+[[nodiscard]] ThreadPool& trialPool() noexcept;
 
 }  // namespace bzc

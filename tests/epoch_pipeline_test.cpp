@@ -1,8 +1,8 @@
-// Tests for pipelined epoch execution, whose depth is the trial's worker
-// budget (DESIGN.md §11): paired bit-identity of budgets 2/4/8 against the
-// budget-1 serial path across every churn model, the budget-beyond-recounts
-// edge case, and invariance across runner widths (which set the budget). These
-// are the pins behind the claim in DESIGN.md §11 that the depth is a pure
+// Tests for pipelined epoch execution on the trial's pool (DESIGN.md §11):
+// paired bit-identity of one trial alone on 2/4/8-thread runners against the
+// one-thread serial path across every churn model, the width-beyond-recounts
+// edge case, and invariance of multi-trial runs across runner widths. These
+// are the pins behind the claim in DESIGN.md §11 that the width is a pure
 // scheduling choice — every field of ChurnTrialResult, including each
 // EpochReport, must match exactly.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "churn/schedule.hpp"
 #include "extra_layouts.hpp"
 #include "runtime/experiment.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace bzc {
 namespace {
@@ -80,16 +79,21 @@ void expectTrialResultsIdentical(const ChurnTrialResult& a, const ChurnTrialResu
   }
 }
 
-/// runChurnTrialDetailed with `budget` installed as the trial's worker budget,
-/// as ExperimentRunner does around every trial.
-ChurnTrialResult runAtBudget(const ScenarioSpec& spec, std::uint32_t trial, unsigned budget) {
-  const WorkerBudgetScope scope(budget);
-  return runChurnTrialDetailed(spec, trial);
+/// runChurnTrialDetailed as the one trial of a runner `width` threads wide.
+ChurnTrialResult runAtWidth(const ScenarioSpec& spec, std::uint32_t trial, unsigned width) {
+  ExperimentRunner runner(width);
+  ChurnTrialResult result;
+  (void)runner.runCustom(spec.name, 1, [&](std::uint32_t) {
+    result = runChurnTrialDetailed(spec, trial);
+    return result.outcome;
+  });
+  return result;
 }
 
-TEST(EpochPipeline, PipelinedMatchesSequentialAcrossModelsAndBudgets) {
-  // The tentpole pin: budgets {2, 4, 8} against the budget-1 serial path, for
-  // each churn model, comparing the full detailed trajectory field by field.
+TEST(EpochPipeline, PipelinedMatchesSequentialAcrossModelsAndWidths) {
+  // The tentpole pin: runner widths {2, 4, 8} against the one-thread serial
+  // path, for each churn model, comparing the full detailed trajectory field
+  // by field.
   struct Model {
     const char* name;
     ChurnSchedule schedule;
@@ -108,37 +112,36 @@ TEST(EpochPipeline, PipelinedMatchesSequentialAcrossModelsAndBudgets) {
     spec.masterSeed = 0xd1f0;
     spec.churn = model.schedule;
     for (std::uint32_t trial = 0; trial < 3; ++trial) {
-      const ChurnTrialResult serial = runAtBudget(spec, trial, 1);
-      for (const unsigned budget : {2u, 4u, 8u}) {
-        const ChurnTrialResult piped = runAtBudget(spec, trial, budget);
+      const ChurnTrialResult serial = runAtWidth(spec, trial, 1);
+      for (const unsigned width : {2u, 4u, 8u}) {
+        const ChurnTrialResult piped = runAtWidth(spec, trial, width);
         expectTrialResultsIdentical(serial, piped,
-                                    std::string(model.name) + " budget " +
-                                        std::to_string(budget) + " trial " +
+                                    std::string(model.name) + " width " +
+                                        std::to_string(width) + " trial " +
                                         std::to_string(trial));
       }
     }
   }
-  EXPECT_EQ(trialWorkerBudget(), 1u);  // every scope restored the default
 }
 
-TEST(EpochPipeline, BudgetBeyondRecountCountIsIdentity) {
-  // budget > epochs (and budget >> recount count under cadence) must clamp to
-  // the available work without deadlock or divergence.
+TEST(EpochPipeline, WidthBeyondRecountCountIsIdentity) {
+  // width > epochs (and width >> recount count under cadence) leaves threads
+  // idle, without deadlock or divergence.
   ScenarioSpec spec = basePipelineSpec();
   spec.masterSeed = 0xdee9;
   spec.churn = ChurnSchedule::steady(/*epochs=*/3, /*rate=*/0.08, /*recountEvery=*/2);
   for (std::uint32_t trial = 0; trial < 2; ++trial) {
-    const ChurnTrialResult serial = runAtBudget(spec, trial, 1);
-    const ChurnTrialResult piped = runAtBudget(spec, trial, 8);  // > the 3-epoch trajectory
+    const ChurnTrialResult serial = runAtWidth(spec, trial, 1);
+    const ChurnTrialResult piped = runAtWidth(spec, trial, 8);  // > the 3-epoch trajectory
     expectTrialResultsIdentical(serial, piped,
-                                "budget 8 over 3 epochs trial " + std::to_string(trial));
+                                "width 8 over 3 epochs trial " + std::to_string(trial));
   }
 }
 
 TEST(EpochPipeline, ScenarioRunIsInvariantAcrossRunnerWidths) {
   // End-to-end through ExperimentRunner: 2 trials on 1/2/4/8-thread runners
-  // get budgets 1/1/2/4, so the aggregated summary (fingerprints, cost
-  // distributions, churn extras) is pinned across pipeline depths.
+  // share the pool with each other's recounts, and the aggregated summary
+  // (fingerprints, cost distributions, churn extras) is pinned across widths.
   ScenarioSpec spec = basePipelineSpec();
   spec.name = "pipelined-churn-invariance";
   spec.churn = ChurnSchedule::steady(/*epochs=*/4, /*rate=*/0.08, /*recountEvery=*/1);

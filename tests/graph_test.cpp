@@ -1,7 +1,5 @@
-// Unit tests for the graph substrate: CSR graph, generators, BFS, IO.
+// Unit tests for the graph substrate: CSR graph, generators, BFS, DOT export.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
@@ -257,22 +255,6 @@ TEST(Bfs, ApproxDiameterLowerBoundsExact) {
   const Graph g = hnd(256, 6, rng);
   EXPECT_LE(approxDiameter(g), exactDiameter(g));
   EXPECT_GE(approxDiameter(g) + 2, exactDiameter(g));  // double sweep is tight on expanders
-}
-
-TEST(Io, EdgeListRoundTrip) {
-  Rng rng(9);
-  const Graph g = hnd(50, 4, rng);
-  std::stringstream ss;
-  writeEdgeList(ss, g);
-  const Graph h = readEdgeList(ss);
-  EXPECT_EQ(h.numNodes(), g.numNodes());
-  EXPECT_EQ(h.numEdges(), g.numEdges());
-  for (NodeId u = 0; u < g.numNodes(); ++u) EXPECT_EQ(g.degree(u), h.degree(u));
-}
-
-TEST(Io, TruncatedInputThrows) {
-  std::stringstream ss("5 3\n0 1\n");
-  EXPECT_THROW((void)readEdgeList(ss), std::invalid_argument);
 }
 
 TEST(Io, DotContainsHighlight) {

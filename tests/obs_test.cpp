@@ -2,7 +2,7 @@
 // traces are strictly observational — every golden fingerprint is
 // bit-identical with tracing on or off, the deterministic projection of a
 // trace (everything except wall-clock fields) is a pure function of the
-// trial at any runner-thread count and any epoch-pipeline depth, and the
+// trial at any runner-thread count, whatever other trials run beside it, and the
 // per-round records reconcile exactly with the end-of-run meter totals.
 #include <gtest/gtest.h>
 
@@ -136,7 +136,7 @@ TEST(ObsIdentity, LocalGoldenIdenticalTraced) {
 }
 
 // ---------------------------------------------------------------------------
-// Runner integration: sampling, thread-count determinism, depth invariance.
+// Runner integration: sampling, thread-count determinism.
 // ---------------------------------------------------------------------------
 
 ScenarioSpec obsChurnSpec() {
@@ -155,55 +155,78 @@ ScenarioSpec obsChurnSpec() {
   return spec;
 }
 
-TEST(ObsRunner, ChurnTracedIdenticalAndDepthInvariantProjection) {
-  // 2 trials on 2 threads run at budget 1 (pipeline depth 1); on 8 threads
-  // they run at budget 4, so the 3 recounts of each trial overlap.
+TEST(ObsRunner, ChurnTracedIdenticalAndWidthInvariantProjection) {
+  // Untraced, the 3 recounts of each trial overlap on the runner's pool;
+  // traced, each trial runs them inline on its own thread, on 2 threads as
+  // on 8.
   ExperimentRunner runner(2);
   ExperimentRunner wideRunner(8);
   const ExperimentSummary untraced = runner.run(obsChurnSpec());
 
   SinkGuard guard;
-  const ExperimentSummary depth1 = runner.run(obsChurnSpec());
+  const ExperimentSummary narrow = runner.run(obsChurnSpec());
   ASSERT_EQ(guard.sink().traces().size(), 2U);
   const std::vector<std::vector<std::string>> proj1 = {projection(guard.sink().traces()[0]),
                                                        projection(guard.sink().traces()[1])};
   guard.sink().clear();
 
-  const ExperimentSummary deep = wideRunner.run(obsChurnSpec());
+  const ExperimentSummary wide = wideRunner.run(obsChurnSpec());
   ASSERT_EQ(guard.sink().traces().size(), 2U);
 
   // Tracing must not move a single result, with or without pipelining.
-  EXPECT_EQ(depth1.combinedFingerprint, untraced.combinedFingerprint);
-  EXPECT_EQ(deep.combinedFingerprint, untraced.combinedFingerprint);
+  EXPECT_EQ(narrow.combinedFingerprint, untraced.combinedFingerprint);
+  EXPECT_EQ(wide.combinedFingerprint, untraced.combinedFingerprint);
+  EXPECT_EQ(wideRunner.run(obsChurnSpec()).combinedFingerprint, untraced.combinedFingerprint);
 
-  // The deterministic projection is pipeline-depth invariant: epoch recount
-  // children splice back in epoch order at the serial fold whichever worker
-  // ran them.
+  // The deterministic projection is width invariant: epoch recount children
+  // splice back in epoch order at the serial fold.
   for (std::uint32_t i = 0; i < 2; ++i) {
     EXPECT_EQ(projection(guard.sink().traces()[i]), proj1[i]) << "trial " << i;
   }
 }
 
+/// Two Algorithm 1 trials, only the first traced: the untraced one spreads
+/// its end-of-round passes over the runner's pool while the traced one runs
+/// inline beside it.
+ScenarioSpec obsLocalSpec() {
+  ScenarioSpec spec;
+  spec.name = "obs-local";
+  spec.graph = {GraphKind::Hnd, 256, 8, 0.1};
+  spec.placement.kind = Placement::Random;
+  spec.byzGamma = 0.5;
+  spec.protocol = ProtocolKind::Local;
+  spec.localAdversary = [] { return makeFakeWorldLocalAdversary({}); };
+  spec.trials = 2;
+  spec.masterSeed = 0x10b5;
+  spec.traceTrials = 1;
+  return spec;
+}
+
 TEST(ObsRunner, TraceProjectionInvariantAcrossRunnerThreadCounts) {
-  std::vector<std::vector<std::string>> baseline;
-  std::uint64_t baselineFp = 0;
-  // Two trials on 1/2/4/8 threads get worker budgets 1/1/2/4, which set the
-  // epoch pipeline's depth.
-  for (const unsigned threads : {1U, 2U, 4U, 8U}) {
-    SinkGuard guard;
-    ExperimentRunner runner(threads);
-    const ExperimentSummary summary = runner.run(obsChurnSpec());
-    ASSERT_EQ(guard.sink().traces().size(), 2U) << "threads=" << threads;
-    std::vector<std::vector<std::string>> projections;
-    projections.reserve(2);
-    for (const obs::TrialTrace& t : guard.sink().traces()) projections.push_back(projection(t));
-    if (baseline.empty()) {
-      baseline = std::move(projections);
-      baselineFp = summary.combinedFingerprint;
-      continue;
+  // Two trials on 1/2/4/8 threads. Traced trials run their intra-trial work
+  // inline; untraced ones run theirs on the pool, where any thread, one
+  // inside a traced trial included, may pick it up. Nothing of that may
+  // reach a trace.
+  for (const ScenarioSpec& spec : {obsChurnSpec(), obsLocalSpec()}) {
+    SCOPED_TRACE(spec.name);
+    std::vector<std::vector<std::string>> baseline;
+    std::uint64_t baselineFp = 0;
+    for (const unsigned threads : {1U, 2U, 4U, 8U}) {
+      SinkGuard guard;
+      ExperimentRunner runner(threads);
+      const ExperimentSummary summary = runner.run(spec);
+      ASSERT_EQ(guard.sink().traces().size(), spec.traceTrials) << "threads=" << threads;
+      std::vector<std::vector<std::string>> projections;
+      for (const obs::TrialTrace& t : guard.sink().traces()) projections.push_back(projection(t));
+      if (baseline.empty()) {
+        ASSERT_FALSE(projections.front().empty());
+        baseline = std::move(projections);
+        baselineFp = summary.combinedFingerprint;
+        continue;
+      }
+      EXPECT_EQ(summary.combinedFingerprint, baselineFp) << "threads=" << threads;
+      EXPECT_EQ(projections, baseline) << "threads=" << threads;
     }
-    EXPECT_EQ(summary.combinedFingerprint, baselineFp) << "threads=" << threads;
-    EXPECT_EQ(projections, baseline) << "threads=" << threads;
   }
 }
 

@@ -4,8 +4,8 @@
 // every blame-edge family reconciles bit-for-bit against the protocol-side
 // AdversaryStats / BeaconRunStats counters (recorder and counter increment at
 // the same program point), and the canonical blame projection is a pure
-// function of the trial across runner threads (the runner width also sets
-// the epoch pipeline's depth).
+// function of the trial across runner threads (on which an untraced trial's
+// epoch recounts overlap).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -368,8 +368,8 @@ TEST(ProvenanceChurn, ByzantineRejoinsLeaveLineageEdges)  {
 
 // ---------------------------------------------------------------------------
 // Determinism matrix: the canonical blame projection is invariant across
-// runner threads {1, 2, 4, 8}. Two trials get worker budgets 1/1/2/4, which
-// set the epoch pipeline's depth.
+// runner threads {1, 2, 4, 8}, on which the two trials' epoch recounts
+// overlap.
 // ---------------------------------------------------------------------------
 
 ScenarioSpec matrixSpec() {

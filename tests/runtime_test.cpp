@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -15,11 +16,14 @@
 #include <utility>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
 #include "churn/schedule.hpp"
 #include "counting/local/attacks.hpp"
 #include "extra_layouts.hpp"
 #include "golden_scenarios.hpp"
 #include "graph/generators.hpp"
+#include "obs/sinks.hpp"
+#include "obs/trace.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/fingerprint.hpp"
 #include "runtime/sync_engine.hpp"
@@ -86,17 +90,21 @@ void expectLocalGoldens() {
 
 TEST(GoldenMigration, LocalMatchesPreRefactorDecisions) { expectLocalGoldens(); }
 
-// Algorithm 1's end-of-round passes run over the trial's worker budget; the
-// goldens must not see it. Fake-world grows the name pool mid-run and relays,
-// so its logs are the ones a careless reservation would let move.
-TEST(GoldenMigration, LocalGoldensHoldAtAnyWorkerBudget) {
-  for (const unsigned budget : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE(testing::Message() << "worker budget " << budget);
-    const WorkerBudgetScope scope(budget);
-    ASSERT_EQ(trialWorkerBudget(), budget);
-    expectLocalGoldens();
+// Algorithm 1's end-of-round passes run on the pool of the runner the trial
+// runs on; the goldens must not see it. Fake-world grows the name pool
+// mid-run and relays, so its logs are the ones a careless reservation would
+// let move.
+TEST(GoldenMigration, LocalGoldensHoldAtAnyRunnerWidth) {
+  for (const unsigned width : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "runner width " << width);
+    ExperimentRunner runner(width);
+    (void)runner.runCustom("local-goldens", 1, [width](std::uint32_t) {
+      EXPECT_EQ(trialPool().threadCount(), width);
+      expectLocalGoldens();
+      return TrialOutcome{};
+    });
   }
-  EXPECT_EQ(trialWorkerBudget(), 1u);
+  EXPECT_EQ(trialPool().threadCount(), 1u);
 }
 
 TEST(GoldenMigration, AgreementOnEngineIsPinned) {
@@ -436,16 +444,44 @@ std::future<void> parkOnlyWorker(ThreadPool& pool, std::shared_future<void> gate
   return parked;
 }
 
-// The task runs on the caller at a worker budget of 1, like one on a worker.
+// The task runs on the caller with the trial pool of the thread that
+// submitted it, like one on a worker.
 TEST(ThreadPool, WaitRunsAQueuedTaskOnTheCallingThread) {
   ThreadPool pool(2);
   std::promise<void> open;
   std::future<void> parked = parkOnlyWorker(pool, open.get_future().share());
-  const WorkerBudgetScope trialBudget(4);
-  auto fut = pool.submit([] { return std::pair(std::this_thread::get_id(), trialWorkerBudget()); });
-  EXPECT_EQ(pool.wait(fut), std::pair(std::this_thread::get_id(), 1u));
-  EXPECT_EQ(trialWorkerBudget(), 4u);
+  std::future<std::pair<std::thread::id, ThreadPool*>> fut;
+  {
+    const ThreadPool::TrialPoolScope trial(&pool);
+    fut = pool.submit([] { return std::pair(std::this_thread::get_id(), &trialPool()); });
+  }
+  EXPECT_NE(&trialPool(), &pool);  // outside the scope: the inline pool
+  EXPECT_EQ(pool.wait(fut), std::pair(std::this_thread::get_id(), &pool));
+  EXPECT_NE(&trialPool(), &pool);
   open.set_value();
+  pool.wait(parked);
+}
+
+// A task run by wait() may itself wait on a child it queued: the nested wait
+// runs the child on the same thread. If it did not, the child would sit
+// queued until the watchdog below released the worker after 5 s, and run
+// there.
+TEST(ThreadPool, NestedWaitRunsAQueuedChild) {
+  ThreadPool pool(2);
+  std::promise<void> open;
+  std::future<void> parked = parkOnlyWorker(pool, open.get_future().share());
+  std::promise<void> finished;
+  std::thread watchdog([&open, done = finished.get_future()] {
+    (void)done.wait_for(std::chrono::seconds(5));
+    open.set_value();
+  });
+  auto outer = pool.submit([&pool] {
+    auto child = pool.submit([] { return std::this_thread::get_id(); });
+    return pool.wait(child);
+  });
+  EXPECT_EQ(pool.wait(outer), std::this_thread::get_id());
+  finished.set_value();
+  watchdog.join();
   pool.wait(parked);
 }
 
@@ -464,6 +500,92 @@ TEST(ThreadPool, WaitOnAnInlineFutureReturnsAtOnce) {
   std::future<int> fut = pool.submit([] { return 7; });
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_EQ(pool.wait(fut), 7);
+}
+
+// One loop slot: a body that starts a second parallelFor on its own pool
+// gets std::logic_error, the outer call rethrows it, and the pool still works.
+TEST(ThreadPool, ParallelForRefusesToNest) {
+  ThreadPool pool(2);
+  EXPECT_THROW(pool.parallelFor(4, [&pool](std::size_t) { pool.parallelFor(2, [](std::size_t) {}); }),
+               std::logic_error);
+  std::atomic<int> ran{0};
+  pool.parallelFor(8, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 8);
+}
+
+// Waits up to 5 s for `arrivals` to reach `expected`.
+bool meet(std::atomic<int>& arrivals, int expected) {
+  arrivals.fetch_add(1);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (arrivals.load() < expected) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// The caller of parallelFor runs queued tasks until its workers are done.
+// Two indices meet first, so they run on different threads; the one on the
+// worker queues two tasks that must meet each other. It runs one itself in
+// wait(), and only the caller, whose own index is finished, can run the
+// other one in time.
+TEST(ThreadPool, ParallelForCallerRunsQueuedTasksUntilItsWorkersAreDone) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<int> tasks{0};
+  std::atomic<bool> startedApart{true}, met{true};
+  pool.parallelFor(2, [&](std::size_t) {
+    if (!meet(started, 2)) startedApart = false;
+    if (std::this_thread::get_id() == caller) return;
+    auto a = pool.submit([&] { return meet(tasks, 2); });
+    auto b = pool.submit([&] { return meet(tasks, 2); });
+    const bool metA = pool.wait(a);
+    const bool metB = pool.wait(b);
+    met = metA && metB;
+  });
+  EXPECT_TRUE(startedApart);
+  EXPECT_TRUE(met);
+}
+
+// parallelForTasks nests where parallelFor cannot: inside a parallelFor body
+// on the same pool, each call still runs every index exactly once.
+TEST(ThreadPool, ParallelForTasksNestsInsideParallelFor) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(4 * 101);
+  pool.parallelFor(4, [&](std::size_t outer) {
+    pool.parallelForTasks(101, [&](std::size_t i) { hits[outer * 101 + i].fetch_add(1); });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_THROW(pool.parallelForTasks(64,
+                                     [](std::size_t i) {
+                                       if (i == 9) throw std::runtime_error("boom");
+                                     }),
+               std::runtime_error);
+  std::atomic<int> ran{0};
+  trialPool().parallelForTasks(5, [&](std::size_t) { ran.fetch_add(1); });  // inline
+  EXPECT_EQ(ran.load(), 5);
+}
+
+// The bound is checked before any thread starts.
+TEST(ThreadPool, RefusesMoreThreadsThanTheBound) {
+  EXPECT_THROW(ThreadPool(kMaxPoolThreads + 1), std::invalid_argument);
+  EXPECT_THROW(ExperimentRunner(kMaxPoolThreads + 1), std::invalid_argument);
+  EXPECT_GE(ThreadPool(0).threadCount(), 1u);
+  EXPECT_LE(ThreadPool(0).threadCount(), kMaxPoolThreads);
+}
+
+// BZC_THREADS parses into [0, kMaxPoolThreads]; only the parse runs here, no
+// pool is built.
+TEST(KnobDeathTest, ThreadsKnobExitsAboveThePoolBound) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("BZC_THREADS", std::to_string(kMaxPoolThreads).c_str(), 1);
+  EXPECT_EQ(bench::threadCount(), kMaxPoolThreads);
+  for (const std::string& bad : {std::to_string(kMaxPoolThreads + 1), std::string("4294967295")}) {
+    ::setenv("BZC_THREADS", bad.c_str(), 1);
+    EXPECT_EXIT((void)bench::threadCount(), ::testing::ExitedWithCode(2), "BZC_THREADS");
+  }
+  ::unsetenv("BZC_THREADS");
 }
 
 // ---------------------------------------------------------------------------
@@ -602,28 +724,38 @@ TEST(ExperimentRunner, AgreementScenarioThreadCountInvariant) {
   EXPECT_GT(a.extras.at("compromised").mean, 0.0);
 }
 
-TEST(ExperimentRunner, TrialWorkerBudgetSharesThePoolAmongTrials) {
-  // max(1, threads / trials), installed around every trial.
-  const auto budgets = [](unsigned threads, std::uint32_t trials) {
+TEST(ExperimentRunner, UntracedTrialsSpreadOnTheRunnersPool) {
+  // An untraced trial and the tasks it submits see the runner's pool; a
+  // traced one (the leading traceTrials) and the calling thread see the
+  // inline one-thread pool.
+  const auto widths = [](unsigned threads, bool traced) {
+    if (traced) obs::setTraceSink(std::make_shared<obs::CapturingTraceSink>(), 1);
     ExperimentRunner runner(threads);
-    const ExperimentSummary s = runner.runCustom("budget", trials, [](std::uint32_t) {
+    const ExperimentSummary s = runner.runCustom("trial-pool", 3, [](std::uint32_t) {
       TrialOutcome t;
-      t.extra.set("budget", static_cast<double>(trialWorkerBudget()));
+      ThreadPool& pool = trialPool();
+      auto inTask = pool.submit([] { return trialPool().threadCount(); });
+      t.extra.set("width", static_cast<double>(pool.threadCount()));
+      t.extra.set("taskWidth", static_cast<double>(pool.wait(inTask)));
       return t;
     });
-    return std::make_pair(s.extras.at("budget").min, s.extras.at("budget").max);
+    obs::setTraceSink(nullptr);
+    std::vector<double> out;
+    for (const TrialOutcome& t : s.perTrial) {
+      out.push_back(t.extra.at("width"));
+      out.push_back(t.extra.at("taskWidth"));
+    }
+    return out;
   };
-  EXPECT_EQ(budgets(1, 1), std::make_pair(1.0, 1.0));
-  EXPECT_EQ(budgets(8, 1), std::make_pair(8.0, 8.0));
-  EXPECT_EQ(budgets(8, 3), std::make_pair(2.0, 2.0));
-  EXPECT_EQ(budgets(4, 4), std::make_pair(1.0, 1.0));
-  EXPECT_EQ(budgets(2, 9), std::make_pair(1.0, 1.0));
-  EXPECT_EQ(trialWorkerBudget(), 1u);  // the calling thread keeps its own
+  EXPECT_EQ(widths(1, false), std::vector<double>(6, 1.0));
+  EXPECT_EQ(widths(4, false), std::vector<double>(6, 4.0));
+  EXPECT_EQ(widths(4, true), (std::vector<double>{1, 1, 4, 4, 4, 4}));
+  EXPECT_EQ(trialPool().threadCount(), 1u);  // the calling thread keeps the inline pool
 }
 
 TEST(ExperimentRunner, LocalSingleTrialInvariantAcrossRunnerWidths) {
-  // One trial in flight gets the whole pool as its worker budget, so this
-  // runs Algorithm 1's end-of-round passes on 1, 2, 4 and 8 threads.
+  // One trial in flight has the whole pool to itself, so this runs
+  // Algorithm 1's end-of-round passes on 1, 2, 4 and 8 threads.
   ScenarioSpec spec;
   spec.name = "local-one-trial";
   spec.graph = {GraphKind::Hnd, 256, 8, 0.1};
@@ -656,9 +788,8 @@ TEST(ExperimentRunner, LocalSingleTrialInvariantAcrossRunnerWidths) {
 }
 
 TEST(ExperimentRunner, ChurnSingleTrialInvariantAcrossRunnerWidths) {
-  // One churn trial in flight gets the whole pool as its worker budget, which
-  // sets the epoch pipeline's depth: recounts run on pipeline workers on 2, 4
-  // and 8 threads.
+  // One churn trial in flight has the whole pool to itself: its recounts run
+  // on pool workers on 2, 4 and 8 threads.
   ScenarioSpec pipeline;
   pipeline.name = "churn-pipeline-one-trial";
   pipeline.graph = {GraphKind::Hnd, 128, 8, 0.1};
@@ -673,8 +804,9 @@ TEST(ExperimentRunner, ChurnSingleTrialInvariantAcrossRunnerWidths) {
   pipeline.trials = 1;
   pipeline.masterSeed = 0xc1a0;
 
-  // Algorithm 1 recounts: with three recounts they run on pipeline workers
-  // at budget 1; with one they run inline on the trial's own budget.
+  // Algorithm 1 recounts: with three recounts they run concurrently, each
+  // spreading its passes over the same pool; with one, the recount's passes
+  // have the pool to themselves.
   ScenarioSpec local;
   local.name = "churn-local-one-trial";
   local.graph = {GraphKind::Hnd, 128, 8, 0.1};
