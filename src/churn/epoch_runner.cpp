@@ -108,6 +108,21 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
 
   std::vector<EpochStage> stages(spec.churn.epochs);
   ThreadPool& pool = trialPool();
+  // If the trial unwinds early, every recount still in flight is retired
+  // before the stages go; their own errors yield to the one unwinding.
+  struct RetireInFlight {
+    ThreadPool& pool;
+    std::vector<EpochStage>& stages;
+    ~RetireInFlight() {
+      for (EpochStage& stage : stages) {
+        if (!stage.fut.valid()) continue;
+        try {
+          (void)pool.wait(stage.fut);
+        } catch (...) {
+        }
+      }
+    }
+  } retire{pool, stages};
 
   // Trace probe target (DESIGN.md §12). The overlay stage below runs on this
   // thread, so its spans/counters emit straight into the trial buffer;
@@ -198,9 +213,8 @@ ChurnTrialResult runChurnTrialDetailed(const ScenarioSpec& spec, std::uint32_t i
         stage.trace->scenario = trace->scenario;
         stage.trace->trial = trace->trial;
       }
-      // The task owns its inputs, so one still queued when the trial
-      // unwinds early is safe to run later. Only a traced trial has a child
-      // buffer, and it runs its recounts inline (DESIGN.md §5).
+      // The task owns its inputs. Only a traced trial has a child buffer,
+      // and it runs its recounts inline (DESIGN.md §5).
       stage.fut = pool.submit([es = std::move(epochSpec), snap = std::move(snap),
                                rng = std::move(protoRng), childTrace = stage.trace.get()]() mutable {
         // The child scope shadows whatever buffer the running thread has.

@@ -129,16 +129,18 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
   // --- Integration + checks, run once per round over all nodes. ---
   // Both passes are per-node pure work (DESIGN.md §2): node u reads its own
   // inbox, its senders' delta slices and its own view and monitor, and writes
-  // only its own view, its own monitor and pending[u]. They run on the
-  // trial's pool (trialPool(), DESIGN.md §5); the decisions are applied
+  // only its own view, its own monitor and pending[u]. Each pass runs on the
+  // trial's thread plus whichever threads of the trial's pool are idle when
+  // it starts (trialPool(), DESIGN.md §5); the decisions are applied
   // afterwards, serially and in node order, so the outcome is bit-identical
-  // on any pool. The inline pool runs both passes on the trial's thread.
+  // on any schedule. On the inline pool, or when every thread is busy, a
+  // pass is serial.
   ThreadPool& workers = trialPool();
-  const bool parallel = workers.threadCount() > 1;
   // Each sender's log storage as of the start of a parallel integration
   // pass, indexed by node: receivers read slices through these, never
   // through another node's vector, which its owner appends to meanwhile.
-  std::vector<const RecordIdx*> logData(parallel ? n : 0, nullptr);
+  // Empty while the pass is serial.
+  std::vector<const RecordIdx*> logData;
   const bool relays = adversary.relaysHonest();
   // Byzantine nodes keep a view only when their strategy relays.
   auto keepsView = [&](NodeId u) { return !decided[u] && (relays || !byz.contains(u)); };
@@ -164,8 +166,8 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
     for (const Engine::Delivery& in : box) {
       const DeltaMsg& m = in.payload;
       if (m.begin < m.end) {
-        // On the inline pool the pass is serial and a sender's log may have
-        // moved since the round began, so the slice is read through the vector.
+        // A serial pass reserves nothing, and a sender's log may have moved
+        // since the round began, so the slice is read through the vector.
         const RecordIdx* log = logData.empty() ? m.log->data() : logData[in.sender];
         for (std::uint32_t k = m.begin; k < m.end; ++k) {
           if (!absorb(log[k])) return LocalDecideReason::Inconsistency;
@@ -197,7 +199,9 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
       // Receivers read their senders' log slices while each appends to its
       // own log, so no log may move inside a parallel pass: every live view
       // first reserves room for all it was sent, then its storage is noted.
-      if (parallel) {
+      const unsigned helpers = workers.idleThreads();
+      logData.assign(helpers > 0 ? n : 0, nullptr);
+      if (helpers > 0) {
         for (NodeId u = 0; u < n; ++u) {
           if (keepsView(u)) {
             std::size_t incoming = 0;
@@ -210,7 +214,7 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
           logData[u] = views[u].integrationLog().data();
         }
       }
-      workers.parallelForTasks(n, [&](std::size_t u) {
+      workers.parallelForTasks(n, helpers, [&](std::size_t u) {
         pending[u] = integrateNode(static_cast<NodeId>(u), round);
       });
       for (NodeId u = 0; u < logData.size(); ++u) {
@@ -219,7 +223,7 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
     }
     {
       const obs::ScopedTimer span("local.checks", round);
-      workers.parallelForTasks(n, [&](std::size_t u) {
+      workers.parallelForTasks(n, workers.idleThreads(), [&](std::size_t u) {
         if (pending[u] == LocalDecideReason::Undecided) {
           pending[u] = checkNode(static_cast<NodeId>(u), round);
         }

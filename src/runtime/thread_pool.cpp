@@ -46,7 +46,9 @@ void ThreadPool::parallelFor(std::size_t count, const std::function<void(std::si
   // the only trial in flight, whose tasks need this thread.
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
+    ++idle_;
     done_.wait(lock, [this] { return activeWorkers_ == 0 || !tasks_.empty(); });
+    --idle_;
     if (activeWorkers_ == 0) break;
     std::function<void()> task = std::move(tasks_.front());
     tasks_.pop_front();
@@ -73,26 +75,50 @@ void ThreadPool::parallelForChunked(
   });
 }
 
-void ThreadPool::parallelForTasks(std::size_t count,
+void ThreadPool::parallelForTasks(std::size_t count, unsigned helpers,
                                   const std::function<void(std::size_t)>& body) {
-  std::atomic<std::size_t> cursor{0};
-  std::exception_ptr error;
-  std::once_flag firstError;
-  // Never throws, so every task is retired before this frame goes.
-  const auto share = [&] {
+  if (count == 0) return;
+  helpers = static_cast<unsigned>(std::min<std::size_t>({helpers, workers_.size(), count - 1}));
+  if (helpers == 0) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
+  }
+  // Shared with the helpers. One that starts after the caller found no
+  // helper running finds the cursor spent and never touches `body`, so it
+  // may run after this frame is gone.
+  struct FanOut {
+    std::atomic<std::size_t> cursor{0};
+    std::mutex mutex;
+    std::condition_variable finished;
+    unsigned running = 0;
+    std::exception_ptr error;
+  };
+  const auto fan = std::make_shared<FanOut>();
+  const auto share = [&body, count](FanOut& f) {
     try {
-      for (std::size_t i; (i = cursor.fetch_add(1, std::memory_order_relaxed)) < count;) body(i);
+      for (std::size_t i; (i = f.cursor.fetch_add(1, std::memory_order_relaxed)) < count;) body(i);
     } catch (...) {
-      std::call_once(firstError, [&] { error = std::current_exception(); });
+      f.cursor.store(count);  // abandon the rest, so no late helper runs `body`
+      const std::lock_guard<std::mutex> lock(f.mutex);
+      if (!f.error) f.error = std::current_exception();
     }
   };
-  std::vector<std::future<void>> helpers;
-  for (std::size_t t = 1; t < std::min<std::size_t>(threads_, count); ++t) {
-    helpers.push_back(submit(share));
+  for (unsigned h = 0; h < helpers; ++h) {
+    enqueue([fan, share, home = trial_] {
+      {
+        const std::lock_guard<std::mutex> lock(fan->mutex);
+        ++fan->running;
+      }
+      const TrialPoolScope scope(home);
+      share(*fan);
+      const std::lock_guard<std::mutex> lock(fan->mutex);
+      if (--fan->running == 0) fan->finished.notify_all();
+    });
   }
-  share();
-  for (std::future<void>& helper : helpers) wait(helper);
-  if (error) std::rethrow_exception(error);
+  share(*fan);
+  std::unique_lock<std::mutex> lock(fan->mutex);
+  fan->finished.wait(lock, [&] { return fan->running == 0; });
+  if (fan->error) std::rethrow_exception(fan->error);
 }
 
 void ThreadPool::enqueue(std::function<void()> task) {
@@ -122,9 +148,11 @@ void ThreadPool::workerLoop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      ++idle_;
       wake_.wait(lock, [&] {
         return stopping_ || generation_ != seenGeneration || !tasks_.empty();
       });
+      --idle_;
       if (!tasks_.empty()) {
         // Tasks drain even during shutdown so submitted futures never break.
         task = std::move(tasks_.front());

@@ -99,13 +99,24 @@ class ThreadPool {
     return fut.get();
   }
 
-  /// parallelFor built from submit() tasks, so it nests inside a
-  /// parallelFor body or a task on the same pool (Algorithm 1's per-node
-  /// passes inside a runner's trial): threadCount() - 1 tasks and the caller
-  /// share one atomic cursor over the indices, and the caller retires the
-  /// tasks through wait(). The first exception thrown by a body is rethrown
-  /// once the others have finished.
-  void parallelForTasks(std::size_t count, const std::function<void(std::size_t)>& body);
+  /// Pool threads waiting for work right now (idle workers and a parallelFor
+  /// caller whose own share is done): how many helpers a parallelForTasks
+  /// can use. A hint, stale as soon as it returns.
+  [[nodiscard]] unsigned idleThreads() const noexcept {
+    return idle_.load(std::memory_order_relaxed);
+  }
+
+  /// A cursor fan-out that nests inside a parallelFor body or a task on the
+  /// same pool (Algorithm 1's per-node passes inside a runner's trial): the
+  /// caller and up to `helpers` queued helper tasks share one atomic cursor
+  /// over the indices. The caller never runs another queued task; once its
+  /// own share is done it waits only for helpers that already started, and a
+  /// helper that starts later does nothing, so it may outlive this call. With
+  /// no helpers (or a one-thread pool) the loop runs inline. The first
+  /// exception thrown by a body abandons the indices not yet started and is
+  /// rethrown once the running helpers finish.
+  void parallelForTasks(std::size_t count, unsigned helpers,
+                        const std::function<void(std::size_t)>& body);
 
   /// RAII install of the pool trialPool() returns on this thread (nullptr:
   /// the inline pool); restores the previous one, like obs::TraceScope.
@@ -141,6 +152,7 @@ class ThreadPool {
   std::size_t jobCount_ = 0;
   std::atomic<std::size_t> cursor_{0};
   std::size_t activeWorkers_ = 0;
+  std::atomic<unsigned> idle_{0};  ///< threads blocked waiting for work (see idleThreads())
   std::uint64_t generation_ = 0;
   bool stopping_ = false;
   std::exception_ptr firstError_;

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -554,17 +555,85 @@ TEST(ThreadPool, ParallelForTasksNestsInsideParallelFor) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(4 * 101);
   pool.parallelFor(4, [&](std::size_t outer) {
-    pool.parallelForTasks(101, [&](std::size_t i) { hits[outer * 101 + i].fetch_add(1); });
+    pool.parallelForTasks(101, 3, [&](std::size_t i) { hits[outer * 101 + i].fetch_add(1); });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_THROW(pool.parallelForTasks(64,
+  EXPECT_THROW(pool.parallelForTasks(64, 3,
                                      [](std::size_t i) {
                                        if (i == 9) throw std::runtime_error("boom");
                                      }),
                std::runtime_error);
   std::atomic<int> ran{0};
-  trialPool().parallelForTasks(5, [&](std::size_t) { ran.fetch_add(1); });  // inline
+  trialPool().parallelForTasks(5, 3, [&](std::size_t) { ran.fetch_add(1); });  // inline
   EXPECT_EQ(ran.load(), 5);
+}
+
+// The caller of parallelForTasks runs no other queued task: with the only
+// worker blocked, it runs every index itself and returns, leaving a foreign
+// task and its own unstarted helper queued. The helper then runs after the
+// call is gone and touches nothing.
+TEST(ThreadPool, ParallelForTasksCallerRunsNoQueuedTask) {
+  ThreadPool pool(2);
+  std::atomic<int> blocking{0};
+  std::atomic<bool> release{false};
+  auto blocker = pool.submit([&] {
+    blocking.fetch_add(1);
+    while (!release.load()) std::this_thread::yield();
+  });
+  ASSERT_TRUE(meet(blocking, 2));  // the worker holds the blocker
+  std::thread::id foreignRanOn;
+  auto foreign = pool.submit([&] { foreignRanOn = std::this_thread::get_id(); });
+  std::vector<int> hits(32, 0);
+  pool.parallelForTasks(hits.size(), 1, [&](std::size_t i) { ++hits[i]; });
+  EXPECT_EQ(foreign.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+  release = true;
+  blocker.get();
+  foreign.get();
+  EXPECT_NE(foreignRanOn, std::this_thread::get_id());
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 32);
+}
+
+// A throwing body abandons the indices not yet started: the helper that runs
+// after the call has rethrown runs none of them.
+TEST(ThreadPool, ParallelForTasksAbandonsTheRestAfterAThrow) {
+  ThreadPool pool(2);
+  std::atomic<int> blocking{0};
+  std::atomic<bool> release{false};
+  auto blocker = pool.submit([&] {
+    blocking.fetch_add(1);
+    while (!release.load()) std::this_thread::yield();
+  });
+  ASSERT_TRUE(meet(blocking, 2));
+  std::atomic<int> calls{0};
+  const std::function<void(std::size_t)> body = [&](std::size_t) {
+    calls.fetch_add(1);
+    throw std::runtime_error("boom");
+  };
+  EXPECT_THROW(pool.parallelForTasks(8, 1, body), std::runtime_error);
+  release = true;
+  blocker.get();
+  pool.submit([] {}).get();  // queued behind the helper, on the same worker
+  EXPECT_EQ(calls.load(), 1);
+}
+
+// idleThreads() counts the threads waiting for work: none while every
+// thread runs a parallelFor index, the worker again once it is back.
+TEST(ThreadPool, IdleThreadsCountsWaitingThreads) {
+  EXPECT_EQ(trialPool().idleThreads(), 0u);
+  ThreadPool pool(2);
+  std::atomic<int> started{0}, read{0};
+  std::atomic<unsigned> idleInside{0};
+  pool.parallelFor(2, [&](std::size_t) {
+    meet(started, 2);
+    idleInside.fetch_add(pool.idleThreads());
+    meet(read, 2);  // neither thread waits for work before both have read
+  });
+  EXPECT_EQ(idleInside.load(), 0u);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pool.idleThreads() != 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(pool.idleThreads(), 1u);
 }
 
 // The bound is checked before any thread starts.
