@@ -239,36 +239,6 @@ void BM_FiedlerSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_FiedlerSweep)->Arg(256)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
-// Dispatch overhead of the two parallelFor flavours at a tiny per-item cost:
-// per-index touches the shared cursor once per element, chunked once per
-// contiguous block. The gap between the two is the scatter overhead the
-// SyncEngine and trial runner paid before switching to parallelForChunked.
-void BM_ParallelForPerIndex(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  ThreadPool pool(4);
-  std::vector<std::uint64_t> sink(count, 0);
-  for (auto _ : state) {
-    pool.parallelFor(count, [&](std::size_t i) { sink[i] += i; });
-    benchmark::DoNotOptimize(sink.data());
-  }
-  state.SetItemsProcessed(state.iterations() * count);
-}
-BENCHMARK(BM_ParallelForPerIndex)->Arg(1024)->Arg(65536);
-
-void BM_ParallelForChunked(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  ThreadPool pool(4);
-  std::vector<std::uint64_t> sink(count, 0);
-  for (auto _ : state) {
-    pool.parallelForChunked(count, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) sink[i] += i;
-    });
-    benchmark::DoNotOptimize(sink.data());
-  }
-  state.SetItemsProcessed(state.iterations() * count);
-}
-BENCHMARK(BM_ParallelForChunked)->Arg(1024)->Arg(65536);
-
 // Future-based submit() round-trip — the per-recount dispatch cost of the
 // epoch pipeline (one submit + one future.get per recounted epoch).
 void BM_ThreadPoolSubmitRoundTrip(benchmark::State& state) {

@@ -214,7 +214,7 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
           logData[u] = views[u].integrationLog().data();
         }
       }
-      workers.parallelForTasks(n, helpers, [&](std::size_t u) {
+      workers.parallelFor(n, helpers, [&](std::size_t u) {
         pending[u] = integrateNode(static_cast<NodeId>(u), round);
       });
       for (NodeId u = 0; u < logData.size(); ++u) {
@@ -223,7 +223,7 @@ LocalOutcome runLocalCounting(const Graph& g, const ByzantineSet& byz, LocalAdve
     }
     {
       const obs::ScopedTimer span("local.checks", round);
-      workers.parallelForTasks(n, workers.idleThreads(), [&](std::size_t u) {
+      workers.parallelFor(n, workers.idleThreads(), [&](std::size_t u) {
         if (pending[u] == LocalDecideReason::Undecided) {
           pending[u] = checkNode(static_cast<NodeId>(u), round);
         }

@@ -26,11 +26,11 @@
 //    run record (BZC_TRACE, obs/sinks.hpp).
 //
 // Pipelined churn trials: each epoch recount traces into its own child
-// buffer (installed on whichever worker runs the recount) and the serial
-// finalization fold splices children back in epoch order, so the
-// deterministic projection is also pipeline-depth invariant; the preserved
-// timestamps are what make the overlap visible on a chrome://tracing
-// timeline (children render as separate lanes).
+// buffer and the serial finalization fold splices children back in epoch
+// order, so the deterministic projection is also runner-width invariant.
+// A traced trial runs its recounts inline, on its own thread (DESIGN.md §5),
+// so on the `tools/run_record.py chrome` timeline they follow one another,
+// each child on its own lane.
 #pragma once
 
 #include <cstdint>

@@ -401,24 +401,21 @@ ExperimentSummary ExperimentRunner::runWith(const std::string& name, std::uint32
     traces[i]->trial = i;
   }
   std::vector<TrialOutcome> outcomes(trials);
-  // Chunked dispatch: one std::function call per worker instead of one per
-  // trial. Which worker runs a trial never matters (pure function of the
-  // index), so the static partition is invisible in the results. A trial
-  // spreads its own work (Algorithm 1's end-of-round passes, the epoch
-  // pipeline's recounts) over this same pool through trialPool(), except a
-  // traced one, which runs it inline on its own thread so that its spans
-  // nest (DESIGN.md §5).
-  pool.parallelForChunked(trials, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (i < width) {
-        const ThreadPool::TrialPoolScope inlinePool(nullptr);
-        const obs::TraceScope scope(traces[i].get());
-        const obs::ScopedTimer timer("trial");
-        outcomes[i] = fn(static_cast<std::uint32_t>(i));
-      } else {
-        const ThreadPool::TrialPoolScope runnerPool(&pool);
-        outcomes[i] = fn(static_cast<std::uint32_t>(i));
-      }
+  // Which thread runs a trial never matters (pure function of the index).
+  // A one-trial run gets no helper, so it runs on this thread with every
+  // worker free for its own work. A trial spreads that work (Algorithm 1's
+  // end-of-round passes, the epoch pipeline's recounts) over this same pool
+  // through trialPool(), except a traced one, which runs it inline on its
+  // own thread so that its spans nest (DESIGN.md §5).
+  pool.parallelFor(trials, pool.threadCount() - 1, [&](std::size_t i) {
+    if (i < width) {
+      const ThreadPool::TrialPoolScope inlinePool(nullptr);
+      const obs::TraceScope scope(traces[i].get());
+      const obs::ScopedTimer timer("trial");
+      outcomes[i] = fn(static_cast<std::uint32_t>(i));
+    } else {
+      const ThreadPool::TrialPoolScope runnerPool(&pool);
+      outcomes[i] = fn(static_cast<std::uint32_t>(i));
     }
   });
   for (std::uint32_t i = 0; i < width; ++i) {

@@ -1,4 +1,4 @@
-// Fixed-size worker pool for embarrassingly parallel index loops and
+// Fixed-size worker pool for cursor fan-outs over an index range and
 // fire-and-collect task futures.
 //
 // Scheduling is dynamic (an atomic cursor hands out indices), so thread count
@@ -10,13 +10,11 @@
 // into it, so completion order is invisible.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -45,24 +43,6 @@ class ThreadPool {
 
   [[nodiscard]] unsigned threadCount() const noexcept { return threads_; }
 
-  /// Runs body(0) .. body(count-1) across the pool (the calling thread
-  /// participates). Blocks until all indices finished, running queued
-  /// submit() tasks meanwhile once its own share is done; the first exception
-  /// thrown by any body is rethrown here after the loop drains. The pool has
-  /// one loop slot: a nested or concurrent call throws std::logic_error.
-  void parallelFor(std::size_t count, const std::function<void(std::size_t)>& body);
-
-  /// Static-partition variant: splits [0, count) into at most threadCount()
-  /// contiguous chunks and dispatches body(lo, hi) once per chunk — one
-  /// std::function call per worker instead of one per index. For fine-grained
-  /// loops (the runner's trial fan-out) the per-index virtual dispatch is the
-  /// measurable cost (bench_f3 pins the ratio). Same blocking/exception
-  /// semantics as parallelFor; the partition is a pure function of (count,
-  /// threadCount()), and each index is still a pure function of its input, so
-  /// chunking never affects results.
-  void parallelForChunked(std::size_t count,
-                          const std::function<void(std::size_t, std::size_t)>& body);
-
   /// Queues one task for asynchronous execution on a worker and returns the
   /// future for its result (the epoch pipeline's recounts ride this). The
   /// caller does NOT participate at submit and does not block; it lends its
@@ -79,7 +59,7 @@ class ThreadPool {
       (*task)();
       return fut;
     }
-    enqueue([task, home = trial_] {
+    enqueue(tasks_, [task, home = trial_] {
       const TrialPoolScope scope(home);
       (*task)();  // packaged_task traps exceptions into its own future
     });
@@ -88,9 +68,10 @@ class ThreadPool {
 
   /// Returns fut's result (rethrowing a task's exception), running queued
   /// submit() tasks (any trial's) on the calling thread until fut is ready;
-  /// a task that waits on its own queued child runs it the same way. Once the
-  /// queue is empty the caller blocks until whoever holds fut's task
-  /// finishes it.
+  /// a task that waits on its own queued child runs it the same way. It
+  /// never runs a parallelFor helper, so a thread inside a trial never
+  /// starts another trial. Once no submit() task is queued the caller blocks
+  /// until whoever holds fut's task finishes it.
   template <typename R>
   R wait(std::future<R>& fut) {
     while (fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready &&
@@ -99,24 +80,26 @@ class ThreadPool {
     return fut.get();
   }
 
-  /// Pool threads waiting for work right now (idle workers and a parallelFor
-  /// caller whose own share is done): how many helpers a parallelForTasks
-  /// can use. A hint, stale as soon as it returns.
+  /// Pool threads waiting for work right now (idle workers and a serving
+  /// parallelFor caller): how many helpers a parallelFor can use. A hint,
+  /// stale as soon as it returns.
   [[nodiscard]] unsigned idleThreads() const noexcept {
     return idle_.load(std::memory_order_relaxed);
   }
 
-  /// A cursor fan-out that nests inside a parallelFor body or a task on the
-  /// same pool (Algorithm 1's per-node passes inside a runner's trial): the
-  /// caller and up to `helpers` queued helper tasks share one atomic cursor
-  /// over the indices. The caller never runs another queued task; once its
-  /// own share is done it waits only for helpers that already started, and a
-  /// helper that starts later does nothing, so it may outlive this call. With
-  /// no helpers (or a one-thread pool) the loop runs inline. The first
-  /// exception thrown by a body abandons the indices not yet started and is
-  /// rethrown once the running helpers finish.
-  void parallelForTasks(std::size_t count, unsigned helpers,
-                        const std::function<void(std::size_t)>& body);
+  /// Runs body(0) .. body(count-1): the caller and up to `helpers` queued
+  /// helpers share one atomic cursor over the indices (at most count - 1
+  /// helpers, so one index runs on the caller alone). Once its own share is
+  /// done, a caller inside one of this pool's trials (trialPool() is this
+  /// pool: Algorithm 1's per-node passes) waits only for the helpers that
+  /// already started; any other caller (the runner's trial loop) serves the
+  /// queues like a worker until those helpers are done. The cursor is spent
+  /// by then, so a helper that starts later does nothing and may outlive
+  /// this call. With no helpers (or a one-thread pool) the loop runs inline.
+  /// The first exception thrown by a body abandons the indices not yet
+  /// started and is rethrown once the running helpers finish. Calls nest.
+  void parallelFor(std::size_t count, unsigned helpers,
+                   const std::function<void(std::size_t)>& body);
 
   /// RAII install of the pool trialPool() returns on this thread (nullptr:
   /// the inline pool); restores the previous one, like obs::TraceScope.
@@ -132,11 +115,13 @@ class ThreadPool {
   };
 
  private:
-  void workerLoop();
-  void drain();
-  void enqueue(std::function<void()> task);
+  struct FanOut;
+  void enqueue(std::deque<std::function<void()>>& queue, std::function<void()> task);
+  /// Runs queued work here, helpers first, until `finished()` holds (checked
+  /// under the lock); sleeps while both queues are empty.
+  void serve(const std::function<bool()>& finished);
   /// Pops one submit() task and runs it here, like a worker would; false
-  /// when the queue is empty.
+  /// when that queue is empty.
   bool runQueuedTask();
   friend ThreadPool& trialPool() noexcept;
 
@@ -147,22 +132,16 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable wake_;
-  std::condition_variable done_;
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  std::size_t jobCount_ = 0;
-  std::atomic<std::size_t> cursor_{0};
-  std::size_t activeWorkers_ = 0;
   std::atomic<unsigned> idle_{0};  ///< threads blocked waiting for work (see idleThreads())
-  std::uint64_t generation_ = 0;
   bool stopping_ = false;
-  std::exception_ptr firstError_;
-  std::deque<std::function<void()>> tasks_;  ///< submit() queue, drained before stop
+  std::deque<std::function<void()>> tasks_;    ///< submit() queue, drained before stop
+  std::deque<std::function<void()>> helpers_;  ///< parallelFor helpers; wait() never takes one
 };
 
 /// The pool the running trial spreads its own work over (DESIGN.md §5): in
 /// an untraced ExperimentRunner trial, and in the tasks it submits, the
 /// runner's pool; everywhere else (traced trials, code outside a runner) a
-/// one-thread pool whose submit() and parallelForTasks run inline.
+/// one-thread pool whose submit() and parallelFor run inline.
 [[nodiscard]] ThreadPool& trialPool() noexcept;
 
 }  // namespace bzc

@@ -7,11 +7,17 @@
 // EpochReport, must match exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "churn/epoch_runner.hpp"
 #include "churn/schedule.hpp"
+#include "counting/local/attacks.hpp"
 #include "extra_layouts.hpp"
 #include "runtime/experiment.hpp"
 
@@ -165,6 +171,57 @@ TEST(EpochPipeline, ScenarioRunIsInvariantAcrossRunnerWidths) {
       EXPECT_DOUBLE_EQ(d.mean, wide.extras.at(name).mean) << threads << " threads, extra " << name;
     }
   }
+}
+
+/// The protocol-following adversary, counting its live instances: one is
+/// alive exactly while a Local recount runs.
+class CountedLocalAdversary final : public LocalAdversary {
+ public:
+  explicit CountedLocalAdversary(std::atomic<int>& live) : live_(live) { live_.fetch_add(1); }
+  ~CountedLocalAdversary() override { live_.fetch_sub(1); }
+  void prepare(LocalAttackContext& ctx) override { inner_->prepare(ctx); }
+  Emission emit(NodeId b, Round r) override { return inner_->emit(b, r); }
+  [[nodiscard]] bool relaysHonest() const override { return inner_->relaysHonest(); }
+  [[nodiscard]] const char* name() const override { return inner_->name(); }
+
+ private:
+  std::atomic<int>& live_;
+  std::unique_ptr<LocalAdversary> inner_ = makeHonestLocalAdversary();
+};
+
+TEST(EpochPipeline, FailedRecountRetiresTheTrialsOtherRecounts) {
+  // The third recount to start throws. The trial rethrows from its epoch's
+  // wait, but only after every other recount it submitted has finished: none
+  // is alive or starts once run() returns, and the runner stays usable.
+  ScenarioSpec spec;
+  spec.name = "churn-local-throwing-recount";
+  spec.graph = {GraphKind::Hnd, 128, 8, 0.1};
+  spec.placement.kind = Placement::Random;
+  spec.byzGamma = 0.5;
+  spec.protocol = ProtocolKind::Local;
+  spec.churn = ChurnSchedule::steady(/*epochs=*/12, /*rate=*/0.08, /*recountEvery=*/1);
+  spec.trials = 1;
+  spec.masterSeed = 0x7e7a;
+  std::atomic<int> calls{0}, live{0};
+  ScenarioSpec throwing = spec;
+  throwing.localAdversary = [&calls, &live]() -> std::unique_ptr<LocalAdversary> {
+    if (calls.fetch_add(1) == 2) throw std::runtime_error("third recount");
+    return std::make_unique<CountedLocalAdversary>(live);
+  };
+
+  ExperimentRunner runner(4);
+  EXPECT_THROW((void)runner.run(throwing), std::runtime_error);
+  const int callsAtReturn = calls.load();
+  EXPECT_EQ(live.load(), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(calls.load(), callsAtReturn);
+  EXPECT_EQ(live.load(), 0);
+
+  const ExperimentSummary clean = runner.run(spec);
+  const ExperimentSummary serial = ExperimentRunner(1).run(spec);
+  ASSERT_EQ(clean.perTrial.size(), 1u);
+  EXPECT_EQ(clean.perTrial[0].resultFingerprint, serial.perTrial[0].resultFingerprint);
+  EXPECT_EQ(clean.extras.at("recounts").mean, 12.0);
 }
 
 }  // namespace

@@ -406,7 +406,7 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.threadCount(), 4u);
   std::vector<std::atomic<int>> hits(257);
-  pool.parallelFor(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallelFor(hits.size(), 3, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -414,21 +414,21 @@ TEST(ThreadPool, ReusableAcrossCalls) {
   ThreadPool pool(3);
   for (int rep = 0; rep < 5; ++rep) {
     std::atomic<std::size_t> sum{0};
-    pool.parallelFor(100, [&](std::size_t i) { sum.fetch_add(i); });
+    pool.parallelFor(100, 2, [&](std::size_t i) { sum.fetch_add(i); });
     EXPECT_EQ(sum.load(), 4950u);
   }
 }
 
 TEST(ThreadPool, PropagatesFirstException) {
   ThreadPool pool(2);
-  EXPECT_THROW(pool.parallelFor(16,
+  EXPECT_THROW(pool.parallelFor(16, 1,
                                 [&](std::size_t i) {
                                   if (i == 3) throw std::runtime_error("boom");
                                 }),
                std::runtime_error);
   // The pool survives a throwing job.
   std::atomic<int> ran{0};
-  pool.parallelFor(8, [&](std::size_t) { ran.fetch_add(1); });
+  pool.parallelFor(8, 1, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 8);
 }
 
@@ -503,17 +503,6 @@ TEST(ThreadPool, WaitOnAnInlineFutureReturnsAtOnce) {
   EXPECT_EQ(pool.wait(fut), 7);
 }
 
-// One loop slot: a body that starts a second parallelFor on its own pool
-// gets std::logic_error, the outer call rethrows it, and the pool still works.
-TEST(ThreadPool, ParallelForRefusesToNest) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallelFor(4, [&pool](std::size_t) { pool.parallelFor(2, [](std::size_t) {}); }),
-               std::logic_error);
-  std::atomic<int> ran{0};
-  pool.parallelFor(8, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 8);
-}
-
 // Waits up to 5 s for `arrivals` to reach `expected`.
 bool meet(std::atomic<int>& arrivals, int expected) {
   arrivals.fetch_add(1);
@@ -525,18 +514,18 @@ bool meet(std::atomic<int>& arrivals, int expected) {
   return true;
 }
 
-// The caller of parallelFor runs queued tasks until its workers are done.
-// Two indices meet first, so they run on different threads; the one on the
-// worker queues two tasks that must meet each other. It runs one itself in
-// wait(), and only the caller, whose own index is finished, can run the
-// other one in time.
+// A caller outside this pool's trials (the runner's trial loop) runs
+// queued tasks until its helpers are done. Two indices meet first, so they
+// run on different threads; the one on the worker queues two tasks that must
+// meet each other. It runs one itself in wait(), and only the caller, whose
+// own index is finished, can run the other one in time.
 TEST(ThreadPool, ParallelForCallerRunsQueuedTasksUntilItsWorkersAreDone) {
   ThreadPool pool(2);
   const std::thread::id caller = std::this_thread::get_id();
   std::atomic<int> started{0};
   std::atomic<int> tasks{0};
   std::atomic<bool> startedApart{true}, met{true};
-  pool.parallelFor(2, [&](std::size_t) {
+  pool.parallelFor(2, 1, [&](std::size_t) {
     if (!meet(started, 2)) startedApart = false;
     if (std::this_thread::get_id() == caller) return;
     auto a = pool.submit([&] { return meet(tasks, 2); });
@@ -549,53 +538,82 @@ TEST(ThreadPool, ParallelForCallerRunsQueuedTasksUntilItsWorkersAreDone) {
   EXPECT_TRUE(met);
 }
 
-// parallelForTasks nests where parallelFor cannot: inside a parallelFor body
-// on the same pool, each call still runs every index exactly once.
-TEST(ThreadPool, ParallelForTasksNestsInsideParallelFor) {
+// parallelFor nests on its own pool: inside another parallelFor's body each
+// call still runs every index exactly once.
+TEST(ThreadPool, ParallelForNests) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(4 * 101);
-  pool.parallelFor(4, [&](std::size_t outer) {
-    pool.parallelForTasks(101, 3, [&](std::size_t i) { hits[outer * 101 + i].fetch_add(1); });
+  pool.parallelFor(4, 3, [&](std::size_t outer) {
+    pool.parallelFor(101, 3, [&](std::size_t i) { hits[outer * 101 + i].fetch_add(1); });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_THROW(pool.parallelForTasks(64, 3,
-                                     [](std::size_t i) {
-                                       if (i == 9) throw std::runtime_error("boom");
-                                     }),
+  EXPECT_THROW(pool.parallelFor(64, 3,
+                                [](std::size_t i) {
+                                  if (i == 9) throw std::runtime_error("boom");
+                                }),
                std::runtime_error);
   std::atomic<int> ran{0};
-  trialPool().parallelForTasks(5, 3, [&](std::size_t) { ran.fetch_add(1); });  // inline
+  trialPool().parallelFor(5, 3, [&](std::size_t) { ran.fetch_add(1); });  // inline
   EXPECT_EQ(ran.load(), 5);
 }
 
-// The caller of parallelForTasks runs no other queued task: with the only
-// worker blocked, it runs every index itself and returns, leaving a foreign
-// task and its own unstarted helper queued. The helper then runs after the
-// call is gone and touches nothing.
-TEST(ThreadPool, ParallelForTasksCallerRunsNoQueuedTask) {
+// A per-node pass runs no other queued task: a caller inside one of this
+// pool's trials waits only for its started helpers. The two indices meet,
+// so the helper holds the only worker; it queues a foreign task and holds
+// on, and only the caller could run that task meanwhile.
+TEST(ThreadPool, ParallelForInsideATrialRunsNoQueuedTask) {
   ThreadPool pool(2);
-  std::atomic<int> blocking{0};
-  std::atomic<bool> release{false};
-  auto blocker = pool.submit([&] {
-    blocking.fetch_add(1);
-    while (!release.load()) std::this_thread::yield();
+  const ThreadPool::TrialPoolScope trial(&pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<bool> startedApart{true};
+  std::future<std::thread::id> foreign;
+  pool.parallelFor(2, 1, [&](std::size_t) {
+    if (!meet(started, 2)) startedApart = false;
+    if (std::this_thread::get_id() == caller) return;
+    foreign = pool.submit([] { return std::this_thread::get_id(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
   });
-  ASSERT_TRUE(meet(blocking, 2));  // the worker holds the blocker
-  std::thread::id foreignRanOn;
-  auto foreign = pool.submit([&] { foreignRanOn = std::this_thread::get_id(); });
-  std::vector<int> hits(32, 0);
-  pool.parallelForTasks(hits.size(), 1, [&](std::size_t i) { ++hits[i]; });
-  EXPECT_EQ(foreign.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
-  release = true;
-  blocker.get();
-  foreign.get();
-  EXPECT_NE(foreignRanOn, std::this_thread::get_id());
-  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 32);
+  ASSERT_TRUE(startedApart);
+  EXPECT_NE(foreign.get(), caller);
+}
+
+// A helper is not a submit() task: wait() runs the task it waits for but
+// never a parallelFor helper, so a thread inside a trial never starts
+// another trial. A caller inside a trial blocks in index 0 with the only
+// worker parked, so index 1 stays unclaimed and its helper queued; this
+// thread's wait() must leave it to that caller.
+TEST(ThreadPool, WaitNeverRunsAFanOutHelper) {
+  ThreadPool pool(2);
+  std::promise<void> open;
+  std::future<void> parked = parkOnlyWorker(pool, open.get_future().share());
+  std::promise<void> entered, release;
+  std::thread::id index1RanOn;
+  std::thread inTrial([&] {
+    const ThreadPool::TrialPoolScope trial(&pool);
+    pool.parallelFor(2, 1, [&](std::size_t i) {
+      if (i == 1) {
+        index1RanOn = std::this_thread::get_id();
+        return;
+      }
+      entered.set_value();
+      release.get_future().wait();
+    });
+  });
+  entered.get_future().wait();
+  auto fut = pool.submit([] { return std::this_thread::get_id(); });
+  EXPECT_EQ(pool.wait(fut), std::this_thread::get_id());
+  release.set_value();
+  const std::thread::id trialThread = inTrial.get_id();
+  inTrial.join();
+  EXPECT_EQ(index1RanOn, trialThread);
+  open.set_value();
+  pool.wait(parked);  // the worker then runs the stale helper, which does nothing
 }
 
 // A throwing body abandons the indices not yet started: the helper that runs
 // after the call has rethrown runs none of them.
-TEST(ThreadPool, ParallelForTasksAbandonsTheRestAfterAThrow) {
+TEST(ThreadPool, ParallelForAbandonsTheRestAfterAThrow) {
   ThreadPool pool(2);
   std::atomic<int> blocking{0};
   std::atomic<bool> release{false};
@@ -609,7 +627,7 @@ TEST(ThreadPool, ParallelForTasksAbandonsTheRestAfterAThrow) {
     calls.fetch_add(1);
     throw std::runtime_error("boom");
   };
-  EXPECT_THROW(pool.parallelForTasks(8, 1, body), std::runtime_error);
+  EXPECT_THROW(pool.parallelFor(8, 1, body), std::runtime_error);
   release = true;
   blocker.get();
   pool.submit([] {}).get();  // queued behind the helper, on the same worker
@@ -623,7 +641,7 @@ TEST(ThreadPool, IdleThreadsCountsWaitingThreads) {
   ThreadPool pool(2);
   std::atomic<int> started{0}, read{0};
   std::atomic<unsigned> idleInside{0};
-  pool.parallelFor(2, [&](std::size_t) {
+  pool.parallelFor(2, 1, [&](std::size_t) {
     meet(started, 2);
     idleInside.fetch_add(pool.idleThreads());
     meet(read, 2);  // neither thread waits for work before both have read
@@ -820,6 +838,56 @@ TEST(ExperimentRunner, UntracedTrialsSpreadOnTheRunnersPool) {
   EXPECT_EQ(widths(4, false), std::vector<double>(6, 4.0));
   EXPECT_EQ(widths(4, true), (std::vector<double>{1, 1, 4, 4, 4, 4}));
   EXPECT_EQ(trialPool().threadCount(), 1u);  // the calling thread keeps the inline pool
+}
+
+// A one-trial run gets no helper: the trial runs on the calling thread, and
+// no worker so much as wakes, so every one stays free for the trial's own
+// passes and recounts. A first run lets the workers reach their wait; in the
+// second, the trial watches the idle count for 20 ms.
+TEST(ExperimentRunner, OneTrialRunsOnTheCallingThread) {
+  using std::chrono::steady_clock;
+  ExperimentRunner runner(4);
+  (void)runner.runCustom("settle", 1, [](std::uint32_t) {
+    const auto deadline = steady_clock::now() + std::chrono::seconds(5);
+    while (trialPool().idleThreads() != 3 && steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return TrialOutcome{};
+  });
+  std::thread::id ranOn;
+  unsigned fewestIdle = 3;
+  (void)runner.runCustom("one-trial", 1, [&](std::uint32_t) {
+    ranOn = std::this_thread::get_id();
+    const auto until = steady_clock::now() + std::chrono::milliseconds(20);
+    while (steady_clock::now() < until) fewestIdle = std::min(fewestIdle, trialPool().idleThreads());
+    return TrialOutcome{};
+  });
+  EXPECT_EQ(ranOn, std::this_thread::get_id());
+  EXPECT_EQ(fewestIdle, 3u);
+}
+
+// A throwing trial abandons the trials not yet started and rethrows once the
+// running ones finish; the runner then runs every trial of the next call.
+TEST(ExperimentRunner, ThrowingTrialRethrowsAndRunnerStaysUsable) {
+  ExperimentRunner runner(4);
+  EXPECT_THROW((void)runner.runCustom("throws", 8,
+                                      [](std::uint32_t i) {
+                                        if (i == 5) throw std::runtime_error("trial 5");
+                                        return TrialOutcome{};
+                                      }),
+               std::runtime_error);
+  std::vector<std::atomic<int>> ran(8);
+  const ExperimentSummary s = runner.runCustom("clean", 8, [&ran](std::uint32_t i) {
+    ran[i].fetch_add(1);
+    TrialOutcome t;
+    t.resultFingerprint = i;
+    return t;
+  });
+  ASSERT_EQ(s.perTrial.size(), 8u);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(ran[i].load(), 1);
+    EXPECT_EQ(s.perTrial[i].resultFingerprint, i);
+  }
 }
 
 TEST(ExperimentRunner, LocalSingleTrialInvariantAcrossRunnerWidths) {
